@@ -11,6 +11,7 @@ from .decode_prob import (
     profit_cost_ratio,
     qos_indicator,
     qos_levels,
+    uncoded_survival,
     window_decode_prob,
     window_decode_probs,
 )

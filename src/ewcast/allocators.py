@@ -22,19 +22,21 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .decode_prob import (
+    _PROB_EPS,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
     deficit_distribution,
+    mrt_block_counts,
     qos_levels,
+    receive_pmf,
     success_over_budget,
+    uncoded_survival,
 )
 
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
-_PROB_EPS = 1e-12
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 GENETIC_POPULATION = 60
@@ -115,12 +117,6 @@ def _as_problem(scenario) -> AllocationProblem:
 
 def _required_count(num_users: int, fraction: float) -> int:
     return math.ceil(num_users * fraction - _COUNT_EPS)
-
-
-def _receive_pmf(tb_count: int, loss: float) -> np.ndarray:
-    if tb_count == 0:
-        return np.ones(1)
-    return stats.binom.pmf(np.arange(tb_count + 1), tb_count, 1.0 - loss)
 
 
 def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> PlanEvaluation:
@@ -405,7 +401,7 @@ def _exhaustive_search(pr: AllocationProblem) -> AllocationSolution:
     def pmf_for(count: int) -> np.ndarray:
         pmf = pmf_cache.get(count)
         if pmf is None:
-            pmf = _receive_pmf(count, p_hat)
+            pmf = receive_pmf(count, p_hat)
             pmf_cache[count] = pmf
         return pmf
 
@@ -641,24 +637,18 @@ def solve_mrt(scenario) -> AllocationSolution:
             f"{len(mcs_list)} table entries"
         )
     report_vals, report_counts = np.unique(np.asarray(pr.user_mcs), return_counts=True)
-    best_score = -1.0
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for m_vec in combinations(mcs_list, L):
-        blocks = tuple(-(-layers.k[i] // pr.capacity(m_vec[i])) for i in range(L))
-        score = 0.0
-        for val, cnt in zip(report_vals, report_counts):
-            survive = 1.0
-            best_u = 0.0
-            for i in range(L):
-                if m_vec[i] <= val:
-                    survive *= (1.0 - pr.p_hat) ** blocks[i]
-                else:
-                    survive = 0.0
-                best_u = max(best_u, layers.psnr[i] * survive)
-            score += float(cnt) * best_u
-        if score > best_score:
-            best_score = score
-            best = (m_vec, blocks)
-    m_vec, blocks = best
-    ev = evaluate_plan(pr, m_vec, blocks)
-    return _solution(pr, m_vec, blocks, ev, solver="mrt")
+    m_vecs = list(combinations(mcs_list, L))
+    blocks = np.array([mrt_block_counts(layers, [pr.capacity(m) for m in m_vec])
+                       for m_vec in m_vecs])  # (C, L)
+    # (C, V, L): a user loses every block sent above its reported MCS
+    losses = np.where(np.array(m_vecs)[:, None, :] <= report_vals[:, None],
+                      pr.p_hat, 1.0)
+    survive = uncoded_survival(losses, blocks[:, None, :])
+    best_u = np.maximum((np.asarray(layers.psnr) * survive).max(axis=-1), 0.0)
+    # summed user by user in report order (cumsum is sequential), so the
+    # first best vector wins ties exactly as a running comparison would
+    scores = np.cumsum(report_counts * best_u, axis=-1)[:, -1]
+    pick = int(np.argmax(scores))
+    m_vec, counts = m_vecs[pick], tuple(int(b) for b in blocks[pick])
+    ev = evaluate_plan(pr, m_vec, counts)
+    return _solution(pr, m_vec, counts, ev, solver="mrt")

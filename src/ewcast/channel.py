@@ -59,6 +59,12 @@ STREAM_PRESETS: dict[str, dict] = {
 }
 
 
+def config_digest(payload) -> str:
+    """Stable 16-hex-digit hash of a JSON-serialisable config payload."""
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 def source_elements(bitrate_bps: float, gop_seconds: float, element_bits: int) -> int:
     """Elements needed for one layer of one source message: ceil(b*d / H)."""
     if bitrate_bps <= 0 or gop_seconds <= 0 or element_bits <= 0:
@@ -330,8 +336,7 @@ class Scenario:
             "q_hat": self.q_hat,
             "seed": self.seed,
         }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_digest(payload)
 
 
 def build_scenario(config: dict) -> Scenario:
@@ -358,9 +363,15 @@ def build_scenario(config: dict) -> Scenario:
         raise ValueError(f"unknown mode {mode!r}")
 
     if "stream_preset" in cfg:
-        stream = STREAM_PRESETS[cfg["stream_preset"]]
-    else:
+        stream = STREAM_PRESETS.get(cfg["stream_preset"])
+        if stream is None:
+            raise ValueError(f"unknown stream_preset {cfg['stream_preset']!r}; "
+                             f"valid presets: {sorted(STREAM_PRESETS)}")
+    elif "stream" in cfg:
         stream = cfg["stream"]
+    else:
+        raise ValueError("config needs a stream_preset (one of "
+                         f"{sorted(STREAM_PRESETS)}) or an explicit stream")
     element_bits = int(cfg.get("element_bits", round(float(cfg.get("element_kb", 2.0)) * 1024 * 8)))
     gop_seconds = float(cfg.get("gop_seconds", 0.533))
     bitrates = tuple(1000.0 * b for b in stream["bitrates_kbps"])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 import time
@@ -28,12 +27,14 @@ from .allocators import (
     heuristic_uep_ram,
     solve_mrt,
 )
-from .channel import Scenario, build_scenario, erasure_prob
+from .channel import Scenario, build_scenario, config_digest, erasure_prob
 from .decode_prob import (
+    _PROB_EPS,
     LayerConfig,
     TransmissionPlan,
     max_psnr_mrt,
     max_psnr_uep,
+    uncoded_survival,
     window_decode_probs,
 )
 from .gf_rlnc import simulate_decode_prob
@@ -95,11 +96,6 @@ class ExperimentResult:
         return path
 
 
-def _config_digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _point_seed(base: int, *indices: int) -> int:
     return int(np.random.SeedSequence([base, *indices]).generate_state(1)[0])
 
@@ -112,7 +108,6 @@ def run_validate_approx(
     layer_elements=VALIDATION_LAYERS,
     t_max: int | None = None,
     method: str = "rank-chain",
-    deficit_rule: str = "own",
 ) -> ExperimentResult:
     """Sweep the block count and compare analytic vs Monte Carlo recovery.
 
@@ -129,10 +124,10 @@ def run_validate_approx(
     rows = []
     for ci, cap in enumerate(capacities):
         for pi, loss in enumerate(losses):
-            limit = t_max if t_max is not None else _saturation_t(layers, cap, loss, deficit_rule)
+            limit = t_max if t_max is not None else _saturation_t(layers, cap, loss)
             for t in range(1, limit + 1):
                 plan = TransmissionPlan.uniform(L, t, cap)
-                analytic = window_decode_probs(layers, plan, [loss] * L, deficit_rule)
+                analytic = window_decode_probs(layers, plan, [loss] * L)
                 sim = simulate_decode_prob(
                     layers, plan, [loss] * L, trials,
                     _point_seed(seed, ci, pi, t), method=method,
@@ -147,11 +142,11 @@ def run_validate_approx(
     config = {
         "layer_elements": list(layer_elements), "capacities": list(capacities),
         "losses": list(losses), "trials": trials, "t_max": t_max,
-        "method": method, "deficit_rule": deficit_rule,
+        "method": method,
     }
     return ExperimentResult(
         experiment="validate-approx",
-        digest=_config_digest(config),
+        digest=config_digest(config),
         seeds={"base": seed},
         columns=["elements_per_tb", "loss", "tb_count", "window",
                  "analytic", "simulated", "std_err", "abs_gap"],
@@ -161,12 +156,12 @@ def run_validate_approx(
     )
 
 
-def _saturation_t(layers: LayerConfig, cap: int, loss: float, deficit_rule: str,
+def _saturation_t(layers: LayerConfig, cap: int, loss: float,
                   tail: float = 1e-4, margin: int = 3, hard_cap: int = 400) -> int:
     L = layers.num_layers
     for t in range(1, hard_cap + 1):
         plan = TransmissionPlan.uniform(L, t, cap)
-        probs = window_decode_probs(layers, plan, [loss] * L, deficit_rule)
+        probs = window_decode_probs(layers, plan, [loss] * L)
         if probs[-1] >= 1.0 - tail:
             return min(t + margin, hard_cap)
     return hard_cap
@@ -177,7 +172,6 @@ def run_rbp_sweep(
     rbp_values=(1, 2, 3, 4, 5),
     direct: str = "exhaustive",
     seed: int = 0,
-    budget: int = 2_000_000,
 ) -> ExperimentResult:
     """Solve the allocation at several block sizes and compare the solvers.
 
@@ -196,8 +190,7 @@ def run_rbp_sweep(
             rows.append((rbp, int(heur.feasible), tau_h, heur.cost,
                          "", "", "", ""))
             continue
-        method = direct if direct in ("exhaustive", "genetic") else "auto"
-        ref = direct_uep_ram(scenario, budget=budget, method=method, seed=seed)
+        ref = direct_uep_ram(scenario, method=direct, seed=seed)
         tau_d = ref.tau if ref.feasible else float("nan")
         gap = ((tau_d - tau_h) / tau_d
                if heur.feasible and ref.feasible and tau_d > 0 else float("nan"))
@@ -205,8 +198,8 @@ def run_rbp_sweep(
                      int(ref.feasible), tau_d, ref.cost, gap))
     return ExperimentResult(
         experiment="sweep-rbp",
-        digest=_config_digest({"config": config, "rbp_values": list(rbp_values),
-                               "direct": direct, "budget": budget}),
+        digest=config_digest({"config": config, "rbp_values": list(rbp_values),
+                              "direct": direct}),
         seeds={"base": seed},
         columns=["n_rbp", "heuristic_feasible", "tau_heuristic", "cost_heuristic",
                  "direct_feasible", "tau_direct", "cost_direct", "relative_gap"],
@@ -232,19 +225,6 @@ def _uep_level_probs(scenario: Scenario, plan: TransmissionPlan, user, view: str
     return np.maximum.accumulate(probs[::-1])[::-1]
 
 
-def _mrt_level_probs(scenario: Scenario, plan: TransmissionPlan, user, view: str) -> np.ndarray:
-    """Uncoded delivery: every block of the first l layers must arrive."""
-    layers = scenario.layers
-    out = np.zeros(layers.num_layers)
-    survive = 1.0
-    for i in range(layers.num_layers):
-        loss = erasure_prob(user, plan.mcs[i], view, scenario.p_hat,
-                            scenario.bler_decade_db, scenario.mcs_thresholds)
-        survive *= (1.0 - loss) ** plan.tb_counts[i]
-        out[i] = survive
-    return out
-
-
 def _coverage_radius(distances, covered) -> float:
     radius = 0.0
     for d, ok in zip(distances, covered):
@@ -257,8 +237,6 @@ def _coverage_radius(distances, covered) -> float:
 def run_coverage_sc(
     config: dict | None = None,
     erasure_view: str = "evaluation",
-    seed: int = 0,
-    budget: int = 2_000_000,
 ) -> ExperimentResult:
     """Radial coverage curves for the coded allocation and the baseline.
 
@@ -275,7 +253,7 @@ def run_coverage_sc(
     if not scenario.users:
         return ExperimentResult(
             experiment="coverage-sc", digest=scenario.digest(),
-            seeds={"base": seed, "scenario": scenario.seed},
+            seeds={"scenario": scenario.seed},
             columns=columns, rows=[],
             runtime_s=time.perf_counter() - start,
             meta={"erasure_view": erasure_view, "uep_feasible": 0},
@@ -298,9 +276,10 @@ def run_coverage_sc(
         distances.append(dist)
         p_uep = (_uep_level_probs(scenario, heur.plan, user, erasure_view)
                  if heur.feasible else np.zeros(L))
-        p_mrt = _mrt_level_probs(scenario, mrt.plan, user, erasure_view)
-        covered_uep[row_idx] = p_uep >= scenario.q_hat - 1e-12
-        covered_mrt[row_idx] = p_mrt >= scenario.q_hat - 1e-12
+        p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan, user, erasure_view),
+                                 mrt.plan.tb_counts)
+        covered_uep[row_idx] = p_uep >= scenario.q_hat - _PROB_EPS
+        covered_mrt[row_idx] = p_mrt >= scenario.q_hat - _PROB_EPS
         for lv in range(L):
             rows.append((
                 round(dist, 6), user.mcs_feedback, lv + 1,
@@ -323,7 +302,7 @@ def run_coverage_sc(
     return ExperimentResult(
         experiment="coverage-sc",
         digest=scenario.digest(),
-        seeds={"base": seed, "scenario": scenario.seed},
+        seeds={"scenario": scenario.seed},
         columns=columns,
         rows=rows,
         runtime_s=time.perf_counter() - start,
@@ -334,7 +313,6 @@ def run_coverage_sc(
 def run_psnr_map_sfn(
     config: dict | None = None,
     erasure_view: str = "evaluation",
-    seed: int = 0,
 ) -> ExperimentResult:
     """Grid map of the best expected quality over the synchronised-cell area.
 
@@ -358,9 +336,9 @@ def run_psnr_map_sfn(
         psnr_mrt = max_psnr_mrt(scenario.layers, mrt.plan, losses_mrt)
         p_uep = (_uep_level_probs(scenario, heur.plan, user, erasure_view)
                  if heur.feasible else np.zeros(L))
-        p_mrt = _mrt_level_probs(scenario, mrt.plan, user, erasure_view)
-        frac_uep += p_uep >= scenario.q_hat - 1e-12
-        frac_mrt += p_mrt >= scenario.q_hat - 1e-12
+        p_mrt = uncoded_survival(losses_mrt, mrt.plan.tb_counts)
+        frac_uep += p_uep >= scenario.q_hat - _PROB_EPS
+        frac_mrt += p_mrt >= scenario.q_hat - _PROB_EPS
         rows.append((
             round(user.position[0], 6), round(user.position[1], 6),
             round(user.sinr_db, 6), float(psnr_uep), float(psnr_mrt),
@@ -381,7 +359,7 @@ def run_psnr_map_sfn(
     return ExperimentResult(
         experiment="psnr-map-sfn",
         digest=scenario.digest(),
-        seeds={"base": seed, "scenario": scenario.seed},
+        seeds={"scenario": scenario.seed},
         columns=["x_m", "y_m", "sinr_db", "psnr_uep", "psnr_mrt"],
         rows=rows,
         runtime_s=time.perf_counter() - start,
@@ -393,14 +371,12 @@ def run_solve(
     config: dict,
     direct: str = "off",
     seed: int = 0,
-    budget: int = 2_000_000,
 ) -> tuple[Scenario, dict[str, AllocationSolution]]:
     """Single-scenario debug solve: heuristic, optional reference, baseline."""
     scenario = build_scenario(dict(config))
     solutions = {"heuristic": heuristic_uep_ram(scenario)}
     if direct != "off":
-        solutions["direct"] = direct_uep_ram(scenario, budget=budget,
-                                             method=direct, seed=seed)
+        solutions["direct"] = direct_uep_ram(scenario, method=direct, seed=seed)
     solutions["mrt"] = solve_mrt(scenario)
     return scenario, solutions
 
@@ -415,40 +391,39 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ewcast", description="Layered coded multicast experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_default=None):
-        p.add_argument("--scenario", type=Path, default=scenario_default,
+    def common(p, seeded):
+        p.add_argument("--scenario", type=Path, default=None,
                        help="scenario config JSON (see README for the schema)")
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="output directory for CSV files")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate-approx", help="analytic model vs Monte Carlo")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--mc-method", choices=("rank-chain", "matrix"), default="rank-chain")
 
     p = sub.add_parser("sweep-rbp", help="profit-cost ratio vs resource-block pairs")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--rbp", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--direct", choices=("off", "exhaustive", "genetic"),
                    default="exhaustive")
-    p.add_argument("--budget", type=int, default=2_000_000)
 
     p = sub.add_parser("coverage-sc", help="radial coverage curves, single cell")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("psnr-map-sfn", help="quality map over the synchronised area")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("solve", help="solve one scenario and print the plans")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--direct", choices=("off", "exhaustive", "genetic"), default="off")
-    p.add_argument("--budget", type=int, default=2_000_000)
     return parser
 
 
@@ -464,7 +439,7 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
@@ -479,7 +454,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep-rbp":
         config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
         result = run_rbp_sweep(config, rbp_values=args.rbp, direct=args.direct,
-                               seed=args.seed, budget=args.budget)
+                               seed=args.seed)
         path = result.write_csv(args.out / "sweep_rbp.csv")
         print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
         feasible = all(row[1] for row in result.rows)
@@ -487,24 +462,21 @@ def _dispatch(args) -> int:
 
     if args.command == "coverage-sc":
         config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        result = run_coverage_sc(config, erasure_view=args.erasure_view,
-                                 seed=args.seed)
+        result = run_coverage_sc(config, erasure_view=args.erasure_view)
         path = result.write_csv(args.out / "coverage_sc.csv")
         print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
         return 0 if result.meta.get("uep_feasible") else 2
 
     if args.command == "psnr-map-sfn":
         config = _load_config(args.scenario, DEFAULT_SFN_CONFIG)
-        result = run_psnr_map_sfn(config, erasure_view=args.erasure_view,
-                                  seed=args.seed)
+        result = run_psnr_map_sfn(config, erasure_view=args.erasure_view)
         path = result.write_csv(args.out / "psnr_map_sfn.csv")
         print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
         return 0 if result.meta.get("uep_feasible") else 2
 
     if args.command == "solve":
         config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        scenario, solutions = run_solve(config, direct=args.direct,
-                                        seed=args.seed, budget=args.budget)
+        scenario, solutions = run_solve(config, direct=args.direct, seed=args.seed)
         print(f"scenario digest={scenario.digest()} users={len(scenario.users)} "
               f"budget={scenario.tb_budget}")
         for name, sol in solutions.items():

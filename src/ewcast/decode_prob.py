@@ -18,6 +18,7 @@ literal nested-sum evaluator is kept as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,15 +26,6 @@ from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
-
-# Two readings of the deficit hand-off between adjacent windows:
-#   "own"  - a window's receptions settle its own outstanding requirement
-#            before the leftover is carried to the next window (default;
-#            matches the rank condition of the nested code, see gf_rlnc).
-#   "next" - the next window's reception count settles the carried
-#            requirement at the earlier window's block size.
-DEFICIT_RULES = ("own", "next")
 
 # Refuse literal nested summation beyond this many reception outcomes.
 BRUTE_FORCE_LIMIT = 10**6
@@ -168,13 +160,35 @@ def deficit_transition(deficit_in: int, r: int, n: int, k_new: int) -> int:
     return k_new + max(deficit_in - r * n, 0)
 
 
-def _receive_pmf(tb_count: int, loss: float) -> np.ndarray:
+def binomial_pmf_rows(count: int, loss: float) -> np.ndarray:
+    """``rows[N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count.
+
+    Pascal's rule builds each row from the previous one, so no factorials or
+    gamma functions appear and every entry stays a sum of products of the
+    per-block probabilities.
+    """
+    q = 1.0 - loss
+    pmf = np.zeros((count + 1, count + 1))
+    pmf[0, 0] = 1.0
+    for n in range(1, count + 1):
+        pmf[n, 0] = pmf[n - 1, 0] * (1.0 - q)
+        pmf[n, 1 : n + 1] = q * pmf[n - 1, 0:n] + (1.0 - q) * pmf[n - 1, 1 : n + 1]
+    return pmf
+
+
+def receive_pmf(tb_count: int, loss: float) -> np.ndarray:
     """P[r blocks received] for r = 0..tb_count under i.i.d. block loss."""
-    if tb_count == 0:
-        return np.ones(1)
-    # scipy evaluates the pmf from log-gamma terms, so large counts stay
-    # underflow-safe without a separate log-space path.
-    return stats.binom.pmf(np.arange(tb_count + 1), tb_count, 1.0 - loss)
+    return binomial_pmf_rows(tb_count, loss)[tb_count]
+
+
+def receive_tail(pmf: np.ndarray) -> np.ndarray:
+    """``tail[..., j] = P(at least j blocks arrive)`` for j = 0..N+1.
+
+    The trailing zero column answers every requirement above the block count.
+    """
+    tail = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+    tail[..., :-1] = pmf[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return tail
 
 
 def _needed_blocks(requirement: np.ndarray, capacity: int) -> np.ndarray:
@@ -183,17 +197,6 @@ def _needed_blocks(requirement: np.ndarray, capacity: int) -> np.ndarray:
     if capacity < 1:
         return np.where(req <= 0, 0, np.iinfo(np.int64).max // 2)
     return np.maximum((req + capacity - 1) // capacity, 0)
-
-
-def _receive_tail(needed: np.ndarray, tb_count: int, loss: float) -> np.ndarray:
-    """P(received blocks >= needed) for each entry of ``needed``."""
-    needed = np.asarray(needed, dtype=np.int64)
-    out = np.zeros(needed.shape, dtype=float)
-    out[needed <= 0] = 1.0
-    open_mask = (needed >= 1) & (needed <= tb_count)
-    if np.any(open_mask):
-        out[open_mask] = stats.binom.sf(needed[open_mask] - 1, tb_count, 1.0 - loss)
-    return out
 
 
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
@@ -230,35 +233,21 @@ def deficit_distribution(
     """Distribution of the residual deficit after the first ``upto`` windows."""
     dist = np.ones(1)
     for i in range(upto):
-        pmf = _receive_pmf(tb_counts[i], losses[i])
+        pmf = receive_pmf(tb_counts[i], losses[i])
         dist = advance_deficit(dist, k[i], capacities[i], pmf)
     return dist
 
 
-_TAIL_TABLE_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def receive_tail_table(budget: int, loss: float) -> np.ndarray:
     """``table[N, j] = P(at least j of N sent blocks arrive)``, cached.
 
-    Built by the Pascal recursion on the binomial pmf, so one table serves
-    every count up to ``budget`` without per-call distribution overhead.
+    One read-only table serves every count up to ``budget``.  Only the
+    allocators' scenario-wide loss reaches this cache; per-user evaluation
+    losses go through :func:`window_decode_probs`, which caches nothing.
     """
-    key = (budget, loss)
-    table = _TAIL_TABLE_CACHE.get(key)
-    if table is not None:
-        return table
-    q = 1.0 - loss
-    pmf = np.zeros((budget + 1, budget + 1))
-    pmf[0, 0] = 1.0
-    for count in range(1, budget + 1):
-        pmf[count, 0] = pmf[count - 1, 0] * (1.0 - q)
-        pmf[count, 1 : count + 1] = (
-            q * pmf[count - 1, 0:count] + (1.0 - q) * pmf[count - 1, 1 : count + 1]
-        )
-    table = np.zeros((budget + 1, budget + 2))
-    table[:, : budget + 1] = pmf[:, ::-1].cumsum(axis=1)[:, ::-1]
-    _TAIL_TABLE_CACHE[key] = table
+    table = receive_tail(binomial_pmf_rows(budget, loss))
+    table.flags.writeable = False
     return table
 
 
@@ -292,54 +281,19 @@ def window_decode_probs(
     layers: LayerConfig,
     plan: TransmissionPlan,
     erasure: Sequence[float],
-    deficit_rule: str = "own",
 ) -> np.ndarray:
     """Recovery probability of every window in one dynamic-programming pass."""
     p = _validate_inputs(layers, plan, erasure)
-    if deficit_rule not in DEFICIT_RULES:
-        raise ValueError(f"unknown deficit rule {deficit_rule!r}")
     k = layers.k
     n = plan.elements_per_tb
     N = plan.tb_counts
-    if deficit_rule == "own":
-        return _window_probs_own(k, n, N, p)
-    return _window_probs_next(k, n, N, p)
-
-
-def _window_probs_own(k, n, N, p) -> np.ndarray:
     probs = np.zeros(len(k))
     dist = np.ones(1)
     for i in range(len(k)):
-        pmf = _receive_pmf(N[i], p[i])
+        pmf = receive_pmf(N[i], p[i])
         needed = _needed_blocks(k[i] + np.arange(dist.size), n[i])
-        probs[i] = float(dist @ _receive_tail(needed, N[i], p[i]))
+        probs[i] = float(dist @ receive_tail(pmf)[np.minimum(needed, N[i] + 1)])
         dist = advance_deficit(dist, k[i], n[i], pmf)
-    return probs
-
-
-def _window_probs_next(k, n, N, p) -> np.ndarray:
-    # Literal alternative reading: the carried requirement after window i is
-    # settled by window (i+1)'s reception count at window i's block size, so
-    # the final window's count appears both in the hand-off and in the test.
-    L = len(k)
-    probs = np.zeros(L)
-    needed = _needed_blocks(np.array([k[0]]), n[0])
-    probs[0] = float(_receive_tail(needed, N[0], p[0])[0])
-    dist = {k[0]: 1.0}  # requirement value -> probability, after window 1
-    for i in range(1, L):
-        pmf = _receive_pmf(N[i], p[i])
-        new: dict[int, float] = {}
-        success = 0.0
-        for rmin_prev, mass in dist.items():
-            for r, weight in enumerate(pmf):
-                if weight == 0.0:
-                    continue
-                rmin = k[i] + max(rmin_prev - r * n[i - 1], 0)
-                if r * n[i] >= rmin:
-                    success += mass * weight
-                new[rmin] = new.get(rmin, 0.0) + mass * weight
-        probs[i] = success
-        dist = new
     return probs
 
 
@@ -348,12 +302,11 @@ def window_decode_prob(
     plan: TransmissionPlan,
     erasure: Sequence[float],
     window: int,
-    deficit_rule: str = "own",
 ) -> float:
     """Recovery probability of window ``window`` (1-based)."""
     if not 1 <= window <= layers.num_layers:
         raise ValueError("window index out of range")
-    return float(window_decode_probs(layers, plan, erasure, deficit_rule)[window - 1])
+    return float(window_decode_probs(layers, plan, erasure)[window - 1])
 
 
 def brute_force_decode_prob(
@@ -361,7 +314,6 @@ def brute_force_decode_prob(
     plan: TransmissionPlan,
     erasure: Sequence[float],
     window: int,
-    deficit_rule: str = "own",
 ) -> float:
     """Literal nested summation over all reception outcomes.
 
@@ -371,8 +323,6 @@ def brute_force_decode_prob(
     p = _validate_inputs(layers, plan, erasure)
     if not 1 <= window <= layers.num_layers:
         raise ValueError("window index out of range")
-    if deficit_rule not in DEFICIT_RULES:
-        raise ValueError(f"unknown deficit rule {deficit_rule!r}")
     k = layers.k
     n = plan.elements_per_tb
     N = plan.tb_counts
@@ -382,29 +332,24 @@ def brute_force_decode_prob(
             f"{combos} reception outcomes exceed the enumeration bound "
             f"{BRUTE_FORCE_LIMIT}"
         )
-    pmfs = [_receive_pmf(N[i], p[i]) for i in range(window)]
+    pmfs = [receive_pmf(N[i], p[i]) for i in range(window)]
     total = 0.0
     for r_vec in product(*(range(N[i] + 1) for i in range(window))):
         weight = math.prod(pmfs[i][r_vec[i]] for i in range(window))
         if weight == 0.0:
             continue
-        if _recovery_indicator(k, n, r_vec, window, deficit_rule):
+        if _recovery_indicator(k, n, r_vec, window):
             total += weight
     return total
 
 
-def _recovery_indicator(k, n, r_vec, window, deficit_rule) -> bool:
-    if deficit_rule == "own":
-        carry = 0
-        for i in range(window):
-            requirement = k[i] + carry
-            if i == window - 1:
-                return r_vec[i] * n[i] >= requirement
-            carry = max(requirement - r_vec[i] * n[i], 0)
-    rmin = k[0]
-    for i in range(1, window):
-        rmin = k[i] + max(rmin - r_vec[i] * n[i - 1], 0)
-    return r_vec[window - 1] * n[window - 1] >= rmin
+def _recovery_indicator(k, n, r_vec, window) -> bool:
+    # a window's receptions settle its own outstanding requirement before the
+    # leftover is carried to the next window
+    carry = 0
+    for i in range(window - 1):
+        carry = max(k[i] + carry - r_vec[i] * n[i], 0)
+    return r_vec[window - 1] * n[window - 1] >= k[window - 1] + carry
 
 
 def qos_indicator(
@@ -413,7 +358,6 @@ def qos_indicator(
     erasure: Sequence[float],
     q_hat: float,
     level: int,
-    deficit_rule: str = "own",
 ) -> bool:
     """True when some window at or above ``level`` decodes with prob >= q_hat.
 
@@ -422,7 +366,7 @@ def qos_indicator(
     """
     if not 1 <= level <= layers.num_layers:
         raise ValueError("QoS level out of range")
-    probs = window_decode_probs(layers, plan, erasure, deficit_rule)
+    probs = window_decode_probs(layers, plan, erasure)
     return bool(np.any(probs[level - 1 :] >= q_hat - _PROB_EPS))
 
 
@@ -431,10 +375,9 @@ def qos_levels(
     plan: TransmissionPlan,
     erasure: Sequence[float],
     q_hat: float,
-    deficit_rule: str = "own",
 ) -> np.ndarray:
     """Vector of QoS indicators for every level, from one probability pass."""
-    probs = window_decode_probs(layers, plan, erasure, deficit_rule)
+    probs = window_decode_probs(layers, plan, erasure)
     hit = probs >= q_hat - _PROB_EPS
     # suffix OR: level l is met if any window >= l clears the threshold
     return np.logical_or.accumulate(hit[::-1])[::-1]
@@ -452,13 +395,31 @@ def max_psnr_uep(
     layers: LayerConfig,
     plan: TransmissionPlan,
     erasure: Sequence[float],
-    deficit_rule: str = "own",
 ) -> float:
     """Best expected quality: max over levels of plateau times recovery prob."""
     if layers.psnr is None:
         raise ValueError("layer configuration carries no PSNR plateaus")
-    probs = window_decode_probs(layers, plan, erasure, deficit_rule)
+    probs = window_decode_probs(layers, plan, erasure)
     return float(np.max(np.asarray(layers.psnr) * probs))
+
+
+def uncoded_survival(losses, tb_counts) -> np.ndarray:
+    """Probability that every block of windows ``1..l`` arrives, per level ``l``.
+
+    Without coding a layer is only usable when all of its blocks survive, each
+    independently.  ``losses`` holds one loss per window on its last axis
+    (leading axes batch users or plans); ``tb_counts`` broadcasts against it.
+    A window without blocks carries no layer and reads as lost.
+    """
+    p = np.asarray(losses, dtype=float)
+    counts = np.asarray(tb_counts)
+    survive = np.where(counts > 0, (1.0 - p) ** counts, 0.0)
+    return np.cumprod(survive, axis=-1)
+
+
+def mrt_block_counts(layers: LayerConfig, capacities: Sequence[int]) -> tuple[int, ...]:
+    """Lossless block count ceil(k_i / n_i) per layer; 0 without capacity."""
+    return tuple(-(-k // n) if n >= 1 else 0 for k, n in zip(layers.k, capacities))
 
 
 def max_psnr_mrt(
@@ -474,14 +435,5 @@ def max_psnr_mrt(
     if layers.psnr is None:
         raise ValueError("layer configuration carries no PSNR plateaus")
     p = _validate_inputs(layers, plan, erasure)
-    survive = 1.0
-    best = 0.0
-    for i in range(layers.num_layers):
-        n = plan.elements_per_tb[i]
-        if n < 1:
-            survive = 0.0
-        else:
-            blocks = -(-layers.k[i] // n)
-            survive *= (1.0 - p[i]) ** blocks
-        best = max(best, layers.psnr[i] * survive)
-    return best
+    survive = uncoded_survival(p, mrt_block_counts(layers, plan.elements_per_tb))
+    return float(max(0.0, np.max(np.asarray(layers.psnr) * survive)))

@@ -267,6 +267,13 @@ def _rank_chain_counts(layers, plan, erasure, trials, rng, q) -> np.ndarray:
     counts = np.zeros(layers.num_layers, dtype=np.int64)
     rank = np.zeros(trials, dtype=np.int64)
     log_q = np.log(float(q))
+    # Trial-sized work arrays reused on every element step: fresh temporaries
+    # per step cost a page-faulting allocation each on a fragmented heap.
+    draw = np.empty(trials)
+    p_dep = np.empty(trials)
+    gap = np.empty(trials, dtype=np.int64)
+    active = np.empty(trials, dtype=bool)
+    grow = np.empty(trials, dtype=bool)
     for i in range(layers.num_layers):
         n_tb = plan.tb_counts[i]
         cap = plan.elements_per_tb[i]
@@ -274,9 +281,14 @@ def _rank_chain_counts(layers, plan, erasure, trials, rng, q) -> np.ndarray:
             received = rng.binomial(n_tb, 1.0 - erasure[i], size=trials)
             elements = received * cap
             for step in range(int(elements.max(initial=0))):
-                active = elements > step
-                dependent = rng.random(trials) < np.exp((rank - sizes[i]) * log_q)
-                rank += active & ~dependent
+                np.greater(elements, step, out=active)
+                rng.random(out=draw)
+                np.subtract(rank, sizes[i], out=gap)
+                np.multiply(gap, log_q, out=p_dep)
+                np.exp(p_dep, out=p_dep)
+                np.greater_equal(draw, p_dep, out=grow)  # independent row
+                grow &= active
+                rank += grow
         counts[i] = int(np.count_nonzero(rank == sizes[i]))
     return counts
 

@@ -230,6 +230,13 @@ class TestScenario:
         changed["n_rbp"] = 4
         assert build_scenario(changed).digest() != a
 
+    def test_stream_config_fails_fast(self):
+        with pytest.raises(ValueError, match="stream_preset 'C'.*'A', 'B'"):
+            build_scenario({**self.CONFIG, "stream_preset": "C"})
+        bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
+        with pytest.raises(ValueError, match="stream_preset.*'A', 'B'"):
+            build_scenario(bare)
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(self.CONFIG))

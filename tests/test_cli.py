@@ -173,6 +173,24 @@ class TestSolveAndMain:
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1
 
+    def test_main_unknown_preset_names_field(self, tmp_path, capsys):
+        bad = dict(SMALL_SC)
+        bad["stream_preset"] = "C"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(bad))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "stream_preset" in err and "'A'" in err
+
+    def test_seed_only_where_consumed(self):
+        for command in ("coverage-sc", "psnr-map-sfn"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--seed", "3"])
+            assert info.value.code == 1
+        for command in ("sweep-rbp", "solve"):
+            with pytest.raises(SystemExit):
+                main([command, "--budget", "10"])
+
     def test_main_validate_writes_csv(self, tmp_path):
         code = main(["validate-approx", "--trials", "12000", "--t-max", "3",
                      "--out", str(tmp_path)])

@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from ewcast.decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
+    binomial_pmf_rows,
     brute_force_decode_prob,
     deficit_transition,
     max_psnr_mrt,
@@ -15,6 +20,9 @@ from ewcast.decode_prob import (
     profit_cost_ratio,
     qos_indicator,
     qos_levels,
+    receive_tail,
+    receive_tail_table,
+    uncoded_survival,
     window_decode_prob,
     window_decode_probs,
 )
@@ -127,11 +135,10 @@ class TestBruteForceCrossCheck:
             N = tuple(int(v) for v in rng.integers(0, 7, L))
             p = [float(v) for v in rng.uniform(0, 1, L)]
             layers = LayerConfig(k)
-            for rule in ("own", "next"):
-                for w in range(1, L + 1):
-                    dp = window_decode_prob(layers, plan(N, n), p, w, rule)
-                    bf = brute_force_decode_prob(layers, plan(N, n), p, w, rule)
-                    assert dp == pytest.approx(bf, abs=1e-12)
+            for w in range(1, L + 1):
+                dp = window_decode_prob(layers, plan(N, n), p, w)
+                bf = brute_force_decode_prob(layers, plan(N, n), p, w)
+                assert dp == pytest.approx(bf, abs=1e-12)
 
     def test_all_windows_off(self):
         layers = LayerConfig((2, 3))
@@ -232,3 +239,58 @@ class TestDecodeProbabilityType:
     def test_rejects_bad_provenance(self):
         with pytest.raises(ValueError):
             DecodeProbability((0.5,), "guessed")
+
+
+class TestBinomialPrimitive:
+    @pytest.mark.parametrize("loss", [0.0, 0.1, 0.37, 1.0])
+    def test_matches_exact_rational_binomial(self, loss):
+        # oracle: C(N, r) q^r p^(N-r) in exact rationals of the float loss
+        rows = binomial_pmf_rows(40, loss)
+        tail = receive_tail(rows)
+        p = Fraction(loss)
+        for N in range(41):
+            exact = [math.comb(N, r) * (1 - p) ** r * p ** (N - r) for r in range(N + 1)]
+            for r in range(N + 1):
+                assert abs(rows[N, r] - float(exact[r])) <= 1e-15
+                assert abs(tail[N, r] - float(sum(exact[r:]))) <= 1e-15
+            assert np.all(rows[N, N + 1 :] == 0.0)
+            assert tail[N, N + 1] == 0.0
+            assert rows[N].sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.all(np.diff(tail[N]) <= 0.0)
+
+    def test_tail_table_is_read_only(self):
+        table = receive_tail_table(6, 0.25)
+        with pytest.raises(ValueError):
+            table[3, 1] = 0.5
+        assert receive_tail_table(6, 0.25) is table
+
+
+class TestUncodedSurvival:
+    def test_hand_formula(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            L = int(rng.integers(1, 5))
+            losses = rng.uniform(0.0, 1.0, L)
+            counts = rng.integers(1, 6, L)
+            got = uncoded_survival(losses, counts)
+            for lv in range(L):
+                expect = math.prod((1.0 - losses[i]) ** int(counts[i])
+                                   for i in range(lv + 1))
+                assert got[lv] == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_unsent_window_reads_lost(self):
+        got = uncoded_survival([0.0, 0.0, 0.0], [2, 0, 3])
+        assert got.tolist() == [1.0, 0.0, 0.0]
+
+    def test_batches_over_leading_axes(self):
+        losses = np.array([[0.1, 0.2], [0.5, 1.0]])
+        got = uncoded_survival(losses, [2, 1])
+        assert got[0].tolist() == pytest.approx([0.81, 0.81 * 0.8])
+        assert got[1].tolist() == pytest.approx([0.25, 0.0])
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import ewcast; "
+            "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
