@@ -8,8 +8,7 @@ a user loses a block with the anchor probability when its reported MCS covers
 the block's MCS, and with certainty otherwise.
 
 * :func:`heuristic_uep_ram` - window-skipping greedy with a merge refinement.
-* :func:`direct_uep_ram` - reference search: exact enumeration when the
-  decision space is small enough, a seeded genetic search otherwise.
+* :func:`direct_uep_ram` - reference optimum by exact enumeration.
 * :func:`solve_mrt` - uncoded multi-rate baseline with strictly increasing
   per-layer MCS.
 """
@@ -37,14 +36,6 @@ from .decode_prob import (
 )
 
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
-
-DEFAULT_SEARCH_BUDGET = 2_000_000
-GENETIC_POPULATION = 60
-GENETIC_GENERATIONS = 200
-GENETIC_MUTATION = 0.05
-GENETIC_CROSSOVER = 0.9
-GENETIC_TOURNAMENT = 3
-GENETIC_PENALTY = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,6 @@ class AllocationSolution:
     skipped_windows: int = 0
     profit: int = 0
     cost: int = 0
-    search: str | None = None  # direct only: "exhaustive" | "genetic"
     intermediate_tb_total: int | None = None  # heuristic only
 
 
@@ -337,38 +327,6 @@ def check_feasibility(solution: AllocationSolution, scenario) -> FeasibilityRepo
     )
 
 
-def search_space_size(problem) -> int:
-    """Number of canonical (MCS, count) assignments of the direct search."""
-    pr = _as_problem(problem)
-    n_mcs = len(pr.capacities)
-    return math.prod(1 + n_mcs * b for b in pr.tb_budget)
-
-
-def direct_uep_ram(
-    scenario,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    method: str = "auto",
-    seed: int = 0,
-    constraint_mode: str = "penalty",
-) -> AllocationSolution:
-    """Reference solver: exact enumeration, or genetic search beyond ``budget``.
-
-    Enumeration walks every canonical assignment (a window is either off, or
-    carries 1..budget blocks at a table-backed MCS) and returns the feasible
-    optimum; ties prefer fewer blocks, then the lexicographically smaller MCS
-    vector.  The genetic fallback is fully seeded; ``constraint_mode`` picks
-    between a coverage penalty and hard rejection of infeasible candidates.
-    """
-    pr = _as_problem(scenario)
-    if method not in ("auto", "exhaustive", "genetic"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "exhaustive" if search_space_size(pr) <= budget else "genetic"
-    if method == "exhaustive":
-        return _exhaustive_search(pr)
-    return _genetic_search(pr, seed=seed, constraint_mode=constraint_mode)
-
-
 def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
     # exact fraction comparison; ties go to the cheaper plan, and the caller's
     # lexicographic iteration order settles the rest via strict improvement
@@ -379,7 +337,15 @@ def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
     return cost < best_cost
 
 
-def _exhaustive_search(pr: AllocationProblem) -> AllocationSolution:
+def direct_uep_ram(scenario) -> AllocationSolution:
+    """Exact optimum by enumeration of every canonical assignment.
+
+    A window is either off, or carries 1..budget blocks at a table-backed
+    MCS; the feasible assignment with the largest profit-cost ratio wins,
+    ties preferring fewer blocks, then the lexicographically smaller MCS
+    vector.
+    """
+    pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
     # reception with a given capacity and count.  Deficit distributions and
@@ -512,108 +478,10 @@ def _exhaustive_search(pr: AllocationProblem) -> AllocationSolution:
         walk(0, [() for _ in profiles], [[] for _ in profiles], 0, [])
 
     if best_assignment is None:
-        return _no_solution(pr, solver="direct", search="exhaustive")
+        return _no_solution(pr, solver="direct")
     m_best, counts_best = best_assignment
     ev = evaluate_plan(pr, m_best, counts_best)
-    return _solution(pr, m_best, counts_best, ev, solver="direct",
-                     search="exhaustive")
-
-
-def _genetic_search(pr: AllocationProblem, seed: int, constraint_mode: str,
-                    population: int = GENETIC_POPULATION,
-                    generations: int = GENETIC_GENERATIONS,
-                    mutation: float = GENETIC_MUTATION) -> AllocationSolution:
-    if constraint_mode not in ("penalty", "hard"):
-        raise ValueError("constraint_mode must be 'penalty' or 'hard'")
-    layers = pr.layers
-    L = layers.num_layers
-    U = len(pr.user_mcs)
-    required = [_required_count(U, t) for t in layers.coverage_targets]
-    budgets = pr.tb_budget
-    mcs_list = sorted(pr.capacities)
-    rng = np.random.default_rng(seed)
-    cache: dict[tuple, tuple[float, PlanEvaluation]] = {}
-
-    def decode(genome) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        mcs, counts = [], []
-        for i in range(L):
-            sel = int(genome[i])
-            cnt = int(genome[L + i])
-            if sel == 0 or cnt == 0:
-                mcs.append(0)
-                counts.append(0)
-            else:
-                mcs.append(mcs_list[sel - 1])
-                counts.append(cnt)
-        return tuple(mcs), tuple(counts)
-
-    def fitness(genome) -> tuple[float, PlanEvaluation]:
-        key = tuple(int(g) for g in genome)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        mcs, counts = decode(genome)
-        ev = evaluate_plan(pr, mcs, counts)
-        violations = sum(
-            int(ev.layer_counts[i]) < required[i] for i in range(L)
-        )
-        if constraint_mode == "penalty":
-            fit = ev.tau - GENETIC_PENALTY * violations
-        else:
-            fit = ev.tau if violations == 0 else -float(violations)
-        cache[key] = (fit, ev)
-        return fit, ev
-
-    def random_genome():
-        sel = rng.integers(0, len(mcs_list) + 1, size=L)
-        cnt = np.array([rng.integers(0, budgets[i] + 1) for i in range(L)])
-        return np.concatenate([sel, cnt])
-
-    pop = [random_genome() for _ in range(population)]
-    scored = [fitness(g) for g in pop]
-
-    best_feasible: tuple[PlanEvaluation, tuple, tuple] | None = None
-
-    def track(genome, ev: PlanEvaluation):
-        nonlocal best_feasible
-        if not ev.feasible:
-            return
-        if best_feasible is None or _better(ev.profit, ev.cost,
-                                            best_feasible[0].profit,
-                                            best_feasible[0].cost):
-            best_feasible = (ev, *decode(genome))
-
-    for genome, (_, ev) in zip(pop, scored):
-        track(genome, ev)
-
-    for _ in range(generations):
-        order = np.argsort([-s[0] for s in scored], kind="stable")
-        elite = [pop[i].copy() for i in order[:2]]
-        children = list(elite)
-        while len(children) < population:
-            picks = rng.integers(0, population, size=GENETIC_TOURNAMENT)
-            pa = pop[max(picks, key=lambda i: scored[i][0])]
-            picks = rng.integers(0, population, size=GENETIC_TOURNAMENT)
-            pb = pop[max(picks, key=lambda i: scored[i][0])]
-            child = pa.copy()
-            if rng.random() < GENETIC_CROSSOVER:
-                take = rng.random(2 * L) < 0.5
-                child[take] = pb[take]
-            for i in range(L):
-                if rng.random() < mutation:
-                    child[i] = rng.integers(0, len(mcs_list) + 1)
-                if rng.random() < mutation:
-                    child[L + i] = rng.integers(0, budgets[i] + 1)
-            children.append(child)
-        pop = children
-        scored = [fitness(g) for g in pop]
-        for genome, (_, ev) in zip(pop, scored):
-            track(genome, ev)
-
-    if best_feasible is None:
-        return _no_solution(pr, solver="direct", search="genetic")
-    ev, mcs, counts = best_feasible
-    return _solution(pr, mcs, counts, ev, solver="direct", search="genetic")
+    return _solution(pr, m_best, counts_best, ev, solver="direct")
 
 
 def solve_mrt(scenario) -> AllocationSolution:

@@ -339,21 +339,34 @@ class Scenario:
         return config_digest(payload)
 
 
+_LAYOUT_KEYS = ("tx_power_dbm", "bandwidth_hz", "carrier_hz", "noise_figure_db",
+                "antenna_gain_db", "shadow_sigma_db")
+_SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
+    "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_bits",
+    "element_kb", "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",
+}
+_BLER_KEYS = frozenset({"decade_db", "thresholds_db"})
+
+
+def _reject_unknown(section: str, cfg: Mapping, known: frozenset) -> None:
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {unknown}; "
+                         f"valid keys: {sorted(known)}")
+
+
 def build_scenario(config: dict) -> Scenario:
-    """Assemble a scenario from a plain config mapping (see README schema)."""
+    """Assemble a scenario from a plain config mapping (see README schema).
+
+    Unknown keys, at the top level or under ``bler``, raise ``ValueError``
+    naming them, so a misspelt field cannot silently fall back to its default.
+    """
     cfg = dict(config)
+    _reject_unknown("scenario", cfg, _SCENARIO_KEYS)
+    _reject_unknown("bler", cfg.get("bler", {}), _BLER_KEYS)
     mode = cfg.get("mode", "SC")
     isd = float(cfg.get("isd_m", 500.0))
-    layout_kwargs = {
-        key: cfg[src]
-        for key, src in (
-            ("tx_power_dbm", "tx_power_dbm"), ("bandwidth_hz", "bandwidth_hz"),
-            ("carrier_hz", "carrier_hz"), ("noise_figure_db", "noise_figure_db"),
-            ("antenna_gain_db", "antenna_gain_db"),
-            ("shadow_sigma_db", "shadow_sigma_db"),
-        )
-        if src in cfg
-    }
+    layout_kwargs = {key: cfg[key] for key in _LAYOUT_KEYS if key in cfg}
     if mode == "SC":
         layout = single_cell_layout(isd, **layout_kwargs)
     elif mode == "SFN":

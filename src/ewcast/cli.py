@@ -43,6 +43,12 @@ from .gf_rlnc import simulate_decode_prob
 VALIDATION_LAYERS = (10, 40, 50)
 VALIDATION_CAPACITIES = (2, 5)
 VALIDATION_LOSSES = (0.1, 0.4)
+# Without t_max, a (capacity, loss) sweep runs until the deepest window fails
+# with probability below SATURATION_TAIL, then SATURATION_MARGIN blocks more;
+# SATURATION_CAP bounds it for losses that never get there.
+SATURATION_TAIL = 1e-4
+SATURATION_MARGIN = 3
+SATURATION_CAP = 400
 
 # Desk-scale default scenarios.  The radial line and the grid both extend to
 # the edge of the lowest table-backed MCS, and the evaluation-view error curve
@@ -107,7 +113,6 @@ def run_validate_approx(
     losses=VALIDATION_LOSSES,
     layer_elements=VALIDATION_LAYERS,
     t_max: int | None = None,
-    method: str = "rank-chain",
 ) -> ExperimentResult:
     """Sweep the block count and compare analytic vs Monte Carlo recovery.
 
@@ -130,7 +135,7 @@ def run_validate_approx(
                 analytic = window_decode_probs(layers, plan, [loss] * L)
                 sim = simulate_decode_prob(
                     layers, plan, [loss] * L, trials,
-                    _point_seed(seed, ci, pi, t), method=method,
+                    _point_seed(seed, ci, pi, t),
                 )
                 for w in range(L):
                     rows.append((
@@ -142,7 +147,6 @@ def run_validate_approx(
     config = {
         "layer_elements": list(layer_elements), "capacities": list(capacities),
         "losses": list(losses), "trials": trials, "t_max": t_max,
-        "method": method,
     }
     return ExperimentResult(
         experiment="validate-approx",
@@ -152,26 +156,27 @@ def run_validate_approx(
                  "analytic", "simulated", "std_err", "abs_gap"],
         rows=rows,
         runtime_s=time.perf_counter() - start,
-        meta={"trials": trials, "method": method},
+        meta={"trials": trials},
     )
 
 
-def _saturation_t(layers: LayerConfig, cap: int, loss: float,
-                  tail: float = 1e-4, margin: int = 3, hard_cap: int = 400) -> int:
+def _saturation_t(layers: LayerConfig, cap: int, loss: float) -> int:
     L = layers.num_layers
-    for t in range(1, hard_cap + 1):
+    for t in range(1, SATURATION_CAP + 1):
         plan = TransmissionPlan.uniform(L, t, cap)
         probs = window_decode_probs(layers, plan, [loss] * L)
-        if probs[-1] >= 1.0 - tail:
-            return min(t + margin, hard_cap)
-    return hard_cap
+        if probs[-1] >= 1.0 - SATURATION_TAIL:
+            return min(t + SATURATION_MARGIN, SATURATION_CAP)
+    warnings.warn(
+        f"deepest window not saturated within {SATURATION_CAP} blocks "
+        f"(capacity {cap}, loss {loss}); sweep truncated there", stacklevel=3)
+    return SATURATION_CAP
 
 
 def run_rbp_sweep(
     config: dict,
     rbp_values=(1, 2, 3, 4, 5),
     direct: str = "exhaustive",
-    seed: int = 0,
 ) -> ExperimentResult:
     """Solve the allocation at several block sizes and compare the solvers.
 
@@ -190,7 +195,7 @@ def run_rbp_sweep(
             rows.append((rbp, int(heur.feasible), tau_h, heur.cost,
                          "", "", "", ""))
             continue
-        ref = direct_uep_ram(scenario, method=direct, seed=seed)
+        ref = direct_uep_ram(scenario)
         tau_d = ref.tau if ref.feasible else float("nan")
         gap = ((tau_d - tau_h) / tau_d
                if heur.feasible and ref.feasible and tau_d > 0 else float("nan"))
@@ -200,7 +205,7 @@ def run_rbp_sweep(
         experiment="sweep-rbp",
         digest=config_digest({"config": config, "rbp_values": list(rbp_values),
                               "direct": direct}),
-        seeds={"base": seed},
+        seeds={},
         columns=["n_rbp", "heuristic_feasible", "tau_heuristic", "cost_heuristic",
                  "direct_feasible", "tau_direct", "cost_direct", "relative_gap"],
         rows=rows,
@@ -370,13 +375,12 @@ def run_psnr_map_sfn(
 def run_solve(
     config: dict,
     direct: str = "off",
-    seed: int = 0,
 ) -> tuple[Scenario, dict[str, AllocationSolution]]:
     """Single-scenario debug solve: heuristic, optional reference, baseline."""
     scenario = build_scenario(dict(config))
     solutions = {"heuristic": heuristic_uep_ram(scenario)}
     if direct != "off":
-        solutions["direct"] = direct_uep_ram(scenario, method=direct, seed=seed)
+        solutions["direct"] = direct_uep_ram(scenario)
     solutions["mrt"] = solve_mrt(scenario)
     return scenario, solutions
 
@@ -391,39 +395,36 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ewcast", description="Layered coded multicast experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded):
+    def common(p):
         p.add_argument("--scenario", type=Path, default=None,
                        help="scenario config JSON (see README for the schema)")
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="output directory for CSV files")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate-approx", help="analytic model vs Monte Carlo")
-    common(p, seeded=True)
+    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--mc-method", choices=("rank-chain", "matrix"), default="rank-chain")
 
     p = sub.add_parser("sweep-rbp", help="profit-cost ratio vs resource-block pairs")
-    common(p, seeded=True)
+    common(p)
     p.add_argument("--rbp", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--direct", choices=("off", "exhaustive", "genetic"),
-                   default="exhaustive")
+    p.add_argument("--direct", choices=("off", "exhaustive"), default="exhaustive")
 
     p = sub.add_parser("coverage-sc", help="radial coverage curves, single cell")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("psnr-map-sfn", help="quality map over the synchronised area")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("solve", help="solve one scenario and print the plans")
-    common(p, seeded=True)
-    p.add_argument("--direct", choices=("off", "exhaustive", "genetic"), default="off")
+    common(p)
+    p.add_argument("--direct", choices=("off", "exhaustive"), default="off")
     return parser
 
 
@@ -446,15 +447,14 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "validate-approx":
         result = run_validate_approx(trials=args.trials, seed=args.seed,
-                                     t_max=args.t_max, method=args.mc_method)
+                                     t_max=args.t_max)
         path = result.write_csv(args.out / "validate_approx.csv")
         print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
         return 0
 
     if args.command == "sweep-rbp":
         config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        result = run_rbp_sweep(config, rbp_values=args.rbp, direct=args.direct,
-                               seed=args.seed)
+        result = run_rbp_sweep(config, rbp_values=args.rbp, direct=args.direct)
         path = result.write_csv(args.out / "sweep_rbp.csv")
         print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
         feasible = all(row[1] for row in result.rows)
@@ -476,7 +476,7 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        scenario, solutions = run_solve(config, direct=args.direct, seed=args.seed)
+        scenario, solutions = run_solve(config, direct=args.direct)
         print(f"scenario digest={scenario.digest()} users={len(scenario.users)} "
               f"budget={scenario.tb_budget}")
         for name, sol in solutions.items():

@@ -1,5 +1,7 @@
 """Shared fixtures: desk-scale random problems and solver batteries."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ewcast.allocators import (
     AllocationProblem,
     direct_uep_ram,
     heuristic_uep_ram,
-    search_space_size,
 )
 from ewcast.channel import (
     CAPACITY_RATIO_PER_RBP,
@@ -60,9 +61,11 @@ def solver_battery():
     while len(instances) < 110 and attempts < 500:
         attempts += 1
         problem = random_problem(rng)
-        if search_space_size(problem) > 2_000_000:
+        # canonical (MCS, count) assignments the exact search walks
+        space = math.prod(1 + len(problem.capacities) * b for b in problem.tb_budget)
+        if space > 2_000_000:
             continue
-        reference = direct_uep_ram(problem, method="exhaustive")
+        reference = direct_uep_ram(problem)
         if not reference.feasible:
             continue
         heuristic = heuristic_uep_ram(problem)

@@ -10,7 +10,6 @@ from ewcast.allocators import (
     direct_uep_ram,
     evaluate_plan,
     heuristic_uep_ram,
-    search_space_size,
     solve_mrt,
     solve_s1,
     solve_s2,
@@ -152,35 +151,10 @@ class TestDirect:
             tau = covered / count
             if tau > best_tau:
                 best_tau, best = tau, (m, count)
-        sol = direct_uep_ram(pr, method="exhaustive")
+        sol = direct_uep_ram(pr)
         assert sol.feasible
         assert sol.tau == pytest.approx(best_tau)
         assert (sol.plan.mcs[0], sol.plan.tb_counts[0]) == best
-
-    def test_space_size_counts_canonical_assignments(self):
-        pr = small_problem([5, 9], k=(2, 3), targets=(0.9, 0.5), budget=(2, 3))
-        assert search_space_size(pr) == (1 + 12 * 2) * (1 + 12 * 3)
-
-    def test_genetic_seeded_reproducible(self):
-        pr = small_problem([4, 6, 9, 11, 14] * 3, k=(2, 5), targets=(0.9, 0.6),
-                           budget=(4, 8), q_hat=0.95)
-        a = direct_uep_ram(pr, method="genetic", seed=5)
-        b = direct_uep_ram(pr, method="genetic", seed=5)
-        assert a.plan == b.plan and a.tau == b.tau
-
-    def test_genetic_hard_mode_feasible_output(self):
-        pr = small_problem([4, 6, 9, 11, 14] * 3, k=(2, 5), targets=(0.9, 0.6),
-                           budget=(4, 8), q_hat=0.95)
-        sol = direct_uep_ram(pr, method="genetic", seed=5, constraint_mode="hard")
-        assert sol.feasible
-        assert check_feasibility(sol, pr).feasible
-
-    def test_auto_switches_on_budget(self):
-        pr = small_problem([5, 9, 12], k=(2, 4), targets=(0.9, 0.6), budget=(6, 9))
-        small = direct_uep_ram(pr, budget=10, method="auto", seed=1)
-        assert small.search == "genetic"
-        big = direct_uep_ram(pr, budget=10_000_000, method="auto")
-        assert big.search == "exhaustive"
 
 
 class TestMrt:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,22 @@ class TestScenario:
         bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
         with pytest.raises(ValueError, match="stream_preset.*'A', 'B'"):
             build_scenario(bare)
+
+    def test_unknown_keys_fail_fast(self):
+        with pytest.raises(ValueError, match="scenario key.*'n_rpb'"):
+            build_scenario({**self.CONFIG, "n_rpb": 1})
+        with pytest.raises(ValueError, match="bler key.*'decade'"):
+            build_scenario({**self.CONFIG, "bler": {"decade": 5}})
+
+    def test_readme_schema_example_builds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = readme.split("## Scenario schema", 1)[1]
+        block = re.search(r"```json\n(.*?)```", schema, re.S).group(1)
+        config = json.loads(block)
+        scenario = build_scenario(config)
+        assert scenario.n_rbp == config["n_rbp"]
+        assert scenario.bler_decade_db == config["bler"]["decade_db"]
+        assert len(scenario.users) == config["users"]["count"]
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"

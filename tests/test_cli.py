@@ -6,6 +6,8 @@ import pytest
 from ewcast.cli import (
     DEFAULT_SC_CONFIG,
     DEFAULT_SFN_CONFIG,
+    SATURATION_CAP,
+    _saturation_t,
     main,
     run_coverage_sc,
     run_psnr_map_sfn,
@@ -13,6 +15,7 @@ from ewcast.cli import (
     run_solve,
     run_validate_approx,
 )
+from ewcast.decode_prob import LayerConfig
 
 SMALL_SC = {
     "mode": "SC",
@@ -65,6 +68,11 @@ class TestValidateApprox:
         with pytest.warns(UserWarning, match="confidence"):
             run_validate_approx(trials=500, seed=1, capacities=(2,),
                                 losses=(0.1,), layer_elements=(3,), t_max=3)
+
+    def test_saturation_cap_warns(self):
+        # every block lost: the deepest window never saturates
+        with pytest.warns(UserWarning, match=f"within {SATURATION_CAP} blocks"):
+            assert _saturation_t(LayerConfig((3, 4)), 2, 1.0) == SATURATION_CAP
 
 
 class TestRbpSweep:
@@ -183,13 +191,17 @@ class TestSolveAndMain:
         assert "ValueError" in err and "stream_preset" in err and "'A'" in err
 
     def test_seed_only_where_consumed(self):
-        for command in ("coverage-sc", "psnr-map-sfn"):
+        for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):
             with pytest.raises(SystemExit) as info:
                 main([command, "--seed", "3"])
             assert info.value.code == 1
-        for command in ("sweep-rbp", "solve"):
-            with pytest.raises(SystemExit):
-                main([command, "--budget", "10"])
+        for argv in (["sweep-rbp", "--budget", "10"], ["solve", "--budget", "10"],
+                     ["sweep-rbp", "--direct", "genetic"],
+                     ["solve", "--direct", "genetic"],
+                     ["validate-approx", "--mc-method", "matrix"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 1, argv
 
     def test_main_validate_writes_csv(self, tmp_path):
         code = main(["validate-approx", "--trials", "12000", "--t-max", "3",

@@ -1,0 +1,89 @@
+"""Property tests: monotonicity of the decode model, QoS nesting, and the
+agreement of the two feasibility verdicts on random plans."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ewcast.allocators import (
+    AllocationProblem,
+    AllocationSolution,
+    check_feasibility,
+    evaluate_plan,
+)
+from ewcast.channel import CAPACITY_RATIO_PER_RBP
+from ewcast.decode_prob import LayerConfig, TransmissionPlan, qos_levels, window_decode_probs
+
+SLACK = 1e-12
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+MCS_TABLE = sorted(CAPACITY_RATIO_PER_RBP)
+
+
+@st.composite
+def decode_instances(draw):
+    """(layers, plan, losses) with 1-3 windows and small element counts."""
+    L = draw(st.integers(1, 3))
+    k = draw(st.lists(st.integers(1, 8), min_size=L, max_size=L))
+    n = draw(st.lists(st.integers(1, 4), min_size=L, max_size=L))
+    N = draw(st.lists(st.integers(0, 7), min_size=L, max_size=L))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=L, max_size=L))
+    return LayerConfig(tuple(k)), TransmissionPlan((0,) * L, tuple(N), tuple(n)), p
+
+
+@PROPERTY_SETTINGS
+@given(decode_instances(), st.integers(0, 2), st.floats(0.0, 1.0))
+def test_more_blocks_or_less_loss_never_hurts(instance, window, shrink):
+    layers, plan, p = instance
+    i = window % layers.num_layers
+    base = window_decode_probs(layers, plan, p)
+    counts = list(plan.tb_counts)
+    counts[i] += 1
+    more = TransmissionPlan(plan.mcs, tuple(counts), plan.elements_per_tb)
+    assert np.all(window_decode_probs(layers, more, p) >= base - SLACK)
+    lower = list(p)
+    lower[i] *= shrink
+    assert np.all(window_decode_probs(layers, plan, lower) >= base - SLACK)
+
+
+@PROPERTY_SETTINGS
+@given(decode_instances(), st.floats(0.01, 1.0))
+def test_qos_levels_nested(instance, q_hat):
+    layers, plan, p = instance
+    levels = qos_levels(layers, plan, p, q_hat)
+    # meeting a level implies meeting every lower one
+    assert np.all(levels[:-1] >= levels[1:])
+
+
+@st.composite
+def problems_and_plans(draw):
+    """A small allocation problem plus an arbitrary plan, budgets possibly
+    overrun by one block."""
+    L = draw(st.integers(1, 3))
+    k = draw(st.lists(st.integers(1, 6), min_size=L, max_size=L))
+    targets = sorted(draw(st.lists(st.floats(0.05, 0.8), min_size=L, max_size=L)),
+                     reverse=True)
+    users = draw(st.lists(st.integers(1, 15), min_size=1, max_size=12))
+    budget = draw(st.lists(st.integers(1, 6), min_size=L, max_size=L))
+    q_hat = draw(st.floats(0.5, 0.95))
+    problem = AllocationProblem(LayerConfig(tuple(k), coverage_targets=tuple(targets)),
+                                tuple(users), tuple(budget),
+                                dict(CAPACITY_RATIO_PER_RBP), 0.1, q_hat)
+    mcs, counts = [], []
+    for b in budget:
+        m = draw(st.sampled_from([0] + MCS_TABLE))
+        mcs.append(m)
+        counts.append(draw(st.integers(1, b + 1)) if m else 0)
+    return problem, tuple(mcs), tuple(counts)
+
+
+@PROPERTY_SETTINGS
+@given(problems_and_plans())
+def test_check_feasibility_agrees_with_evaluate_plan(case):
+    problem, mcs, counts = case
+    ev = evaluate_plan(problem, mcs, counts)
+    caps = tuple(problem.capacity(m) for m in mcs)
+    solution = AllocationSolution(plan=TransmissionPlan(mcs, counts, caps), tau=ev.tau,
+                                  feasible=ev.feasible, delta=ev.delta, solver="heuristic")
+    report = check_feasibility(solution, problem)
+    assert report.feasible == ev.feasible
+    assert report.feasible == (not report.violations)
