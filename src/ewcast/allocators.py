@@ -8,7 +8,7 @@ a user loses a block with the anchor probability when its reported MCS covers
 the block's MCS, and with certainty otherwise.
 
 * :func:`heuristic_uep_ram` - window-skipping greedy with a merge refinement.
-* :func:`direct_uep_ram` - reference optimum by exact enumeration.
+* :func:`direct_uep_ram` - reference optimum by exact branch-and-bound.
 * :func:`solve_mrt` - uncoded multi-rate baseline with strictly increasing
   per-layer MCS.
 """
@@ -16,7 +16,7 @@ the block's MCS, and with certainty otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
@@ -87,6 +87,7 @@ class AllocationSolution:
     profit: int = 0
     cost: int = 0
     intermediate_tb_total: int | None = None  # heuristic only
+    stats: dict[str, int] = field(default_factory=dict)  # exact search only
 
 
 @dataclass(frozen=True)
@@ -338,19 +339,27 @@ def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
 
 
 def direct_uep_ram(scenario) -> AllocationSolution:
-    """Exact optimum by enumeration of every canonical assignment.
+    """Exact optimum by branch-and-bound over every canonical assignment.
 
     A window is either off, or carries 1..budget blocks at a table-backed
     MCS; the feasible assignment with the largest profit-cost ratio wins,
     ties preferring fewer blocks, then the lexicographically smaller MCS
-    vector.
+    vector, then the smaller count vector.  MCS vectors are visited in
+    lexicographic order, each evaluated as one array over its count grid.
+    Two exact bounds skip work without changing the answer: an MCS vector
+    on which too few users qualify for some level is skipped, and count
+    prefixes whose profit ceiling over cost floor cannot beat the incumbent
+    are cut before their success tables are built.  ``stats`` on the result
+    counts both, the count vectors evaluated ("leaves"), the success tables
+    formed and the deficit distributions memoised.
     """
     pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
-    # reception with a given capacity and count.  Deficit distributions and
-    # per-count success tables are therefore memoised on that path, shared
-    # across all MCS vectors and user profiles.
+    # reception with a given capacity and count.  Deficit distributions are
+    # therefore memoised on that path, and the per-count decode outcomes of
+    # a window on the paths through it (window_levels), shared across all
+    # MCS vectors and user profiles.
     layers = pr.layers
     L = layers.num_layers
     k = layers.k
@@ -387,101 +396,131 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             dist_cache[key] = dist
         return dist
 
-    table_cache: dict[tuple, np.ndarray] = {}
+    # success_over_budget is linear in the incoming deficit distribution,
+    # whose length is fixed per window: its matrix for a (window, capacity)
+    # is read off once, row by row from unit distributions, and each success
+    # table is then the same vector-matrix product the primitive forms
+    matrix_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def success_table(key: tuple, depth: int, capacity: int) -> np.ndarray:
-        tk = (key, capacity)
-        table = table_cache.get(tk)
-        if table is None:
-            table = success_over_budget(dist_for(key), k[depth], capacity,
-                                        budgets[depth], p_hat)
-            table_cache[tk] = table
-        return table
+    def success_matrix(depth: int, capacity: int) -> np.ndarray:
+        matrix = matrix_cache.get((depth, capacity))
+        if matrix is None:
+            units = np.eye(1 + sum(k[:depth]))
+            matrix = np.array([success_over_budget(unit, k[depth], capacity,
+                                                   budgets[depth], p_hat)
+                               for unit in units])
+            matrix_cache[(depth, capacity)] = matrix
+        return matrix
 
+    # Every MCS vector but the all-off one, in lexicographic order.  A user
+    # can only decode a window it qualifies on (0 < m <= report), so level l
+    # is reachable only by users qualifying on some sent window >= l: that
+    # count must meet the level's requirement, and summed over levels it
+    # caps the profit of every count vector under the MCS vector.
+    m_vecs = np.array(list(product(mcs_choices, repeat=L)))[1:]
+    qualify = (m_vecs[:, None, :] > 0) & (m_vecs[:, None, :] <= report_vals[None, :, None])
+    top = np.max(qualify * np.arange(1, L + 1), axis=2)  # (vectors, reports)
+    reachable = report_counts @ (top[:, :, None] >= np.arange(1, L + 1))
+    viable = np.all(reachable >= required, axis=1)
+    ceilings = reachable.sum(axis=1)
+    # sent windows from each depth on: each costs at least one block
+    sent_after = np.cumsum((m_vecs > 0)[:, ::-1], axis=1)[:, ::-1]
+    stats = {"mcs_vectors": len(m_vecs), "vectors_skipped": int(np.sum(~viable)),
+             "prefixes_pruned": 0, "leaves": 0, "tables": 0}
+
+    # (template, capacity) -> (prefix limit, levels array); see window_levels
+    levels_cache: dict[tuple, tuple[int, np.ndarray]] = {}
+
+    def window_levels(template: tuple, capacity: int, limit: int) -> np.ndarray:
+        # Window d = len(template) sent at ``capacity``, for a user who
+        # qualifies on the earlier windows where the template holds a
+        # capacity (None elsewhere): d + 1 where the window decodes, else 0,
+        # over the counts of those windows and of window d (size-1 axes
+        # elsewhere).  Count prefixes summing to ``limit`` or more read 0
+        # without a table: the bound has cut every plan through them.
+        entry = levels_cache.get((template, capacity))
+        if entry is not None and entry[0] >= limit:
+            return entry[1]
+        d = len(template)
+        axes = [j for j in range(d) if template[j] is not None]
+        matrix = success_matrix(d, capacity)
+        rows = []
+        for counts in product(*(range(1, budgets[j] + 1) for j in axes)):
+            if sum(counts) >= limit:
+                stats["prefixes_pruned"] += 1
+                rows.append(np.zeros(budgets[d], dtype=bool))
+                continue
+            steps = iter(counts)
+            key = tuple(None if c is None else (c, next(steps)) for c in template)
+            stats["tables"] += 1
+            rows.append((dist_for(key) @ matrix)[1:] >= q_thresh)
+        shape = tuple(budgets[j] if j in axes or j == d else 1 for j in range(L))
+        levels = np.array(rows).reshape(shape) * np.int8(d + 1)
+        levels_cache[(template, capacity)] = (limit, levels)
+        return levels
+
+    # sent pattern -> per-window count choices (only 0 when off) and the
+    # cost over their grid, whose C order is the lexicographic count order
+    grids: dict[tuple[bool, ...], tuple[list[range], np.ndarray]] = {}
+    level_axis = np.arange(L).reshape((L,) + (1,) * L)
     best_profit, best_cost = -1, 1
     best_assignment: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-    def consider(m_vec, n_used, profit, cost):
-        nonlocal best_profit, best_cost, best_assignment
-        if _better(profit, cost, best_profit, best_cost):
-            best_profit, best_cost = profit, cost
-            best_assignment = (tuple(m_vec), tuple(n_used))
-
-    for m_vec in product(mcs_choices, repeat=L):
-        if all(m == 0 for m in m_vec):
+    for vi in np.flatnonzero(viable):
+        m_vec = tuple(int(m) for m in m_vecs[vi])
+        rest = [int(s) for s in sent_after[vi]]
+        # cheapest cost at which no count vector (profit at most the
+        # ceiling) beats the incumbent or ties it at a lower cost
+        cut = unbounded = np.iinfo(np.int64).max
+        if best_profit > 0:
+            cut, rem = divmod(int(ceilings[vi]) * best_cost, best_profit)
+            cut += 0 if rem == 0 and cut >= best_cost else 1
+        if rest[0] >= cut:
+            stats["prefixes_pruned"] += 1
             continue
-        n_vec = tuple(pr.capacity(m) for m in m_vec)
-        profile_counts: dict[tuple[bool, ...], int] = {}
-        for val, cnt in zip(report_vals, report_counts):
-            good = tuple(0 < m <= val for m in m_vec)
-            profile_counts[good] = profile_counts.get(good, 0) + int(cnt)
-        profiles = list(profile_counts.items())
-        weights = np.array([c for _, c in profiles], dtype=np.int64)
+        sent = tuple(m > 0 for m in m_vec)
+        if sent not in grids:
+            choices = [range(1, budgets[d] + 1) if sent[d] else range(1) for d in range(L)]
+            grids[sent] = (choices, sum(np.ix_(*choices)))
+        choices, cost = grids[sent]
+        caps = [pr.capacity(m) for m in m_vec]
+        # users sharing a qualification profile share every probability
+        profiles: dict[tuple[bool, ...], int] = {}
+        for good, cnt in zip(map(tuple, qualify[vi].tolist()), report_counts.tolist()):
+            profiles[good] = profiles.get(good, 0) + cnt
+        # deepest decoded window per profile: it yields every level up to it
+        deepest = np.zeros((len(profiles),) + cost.shape, dtype=np.int8)
+        for reached, good in zip(deepest, profiles):
+            template = ()
+            skipped = 0  # sent windows the profile does not qualify on
+            for d in range(L):
+                if good[d]:
+                    levels = window_levels(template, caps[d], cut - rest[d] - skipped)
+                    np.maximum(reached, levels, out=reached)
+                else:
+                    skipped += sent[d]
+                template += (caps[d] if good[d] else None,)
+        weights = np.array(list(profiles.values())).reshape((-1,) + (1,) * (L + 1))
+        coverage = (weights * (deepest[:, None] > level_axis)).sum(axis=0)
+        live = cost < cut
+        stats["leaves"] += int(np.count_nonzero(live))
+        feasible = live & np.all(coverage >= required.reshape(level_axis.shape), axis=0)
+        if not feasible.any():
+            continue
+        profit = coverage.sum(axis=0)
+        taus = np.where(feasible, profit / cost, -1.0)
+        # best ratio, then fewest blocks, then the first in count order
+        ties = np.where(taus == taus.max(), cost, unbounded)
+        pick = np.unravel_index(int(np.argmin(ties)), cost.shape)
+        if _better(int(profit[pick]), int(cost[pick]), best_profit, best_cost):
+            best_profit, best_cost = int(profit[pick]), int(cost[pick])
+            best_assignment = (m_vec, tuple(choices[d][pick[d]] for d in range(L)))
 
-        def walk(depth, keys, prefix_probs, cost, n_used):
-            if depth == L - 1:
-                _finish(depth, keys, prefix_probs, cost, n_used)
-                return
-            n_i = n_vec[depth]
-            if m_vec[depth] == 0:
-                walk(depth + 1, [key + (None,) for key in keys],
-                     [pp + [0.0] for pp in prefix_probs], cost, n_used + [0])
-                return
-            tables = [
-                success_table(key, depth, n_i) if good[depth] else None
-                for (good, _), key in zip(profiles, keys)
-            ]
-            for count in range(1, budgets[depth] + 1):
-                next_keys = []
-                next_probs = []
-                for pi, ((good, _), key) in enumerate(zip(profiles, keys)):
-                    if good[depth]:
-                        next_keys.append(key + ((n_i, count),))
-                        next_probs.append(float(tables[pi][count]))
-                    else:
-                        next_keys.append(key + (None,))
-                        next_probs.append(0.0)
-                walk(depth + 1, next_keys,
-                     [pp + [pv] for pp, pv in zip(prefix_probs, next_probs)],
-                     cost + count, n_used + [count])
-
-        def _finish(depth, keys, prefix_probs, cost, n_used):
-            n_i = n_vec[depth]
-            fixed = np.zeros((len(profiles), L), dtype=bool)
-            for pi, pp in enumerate(prefix_probs):
-                hit = np.asarray(pp) >= q_thresh
-                fixed[pi, : L - 1] = np.logical_or.accumulate(hit[::-1])[::-1]
-            fixed_cov = weights @ fixed  # users covered regardless of window L
-            if m_vec[depth] == 0:
-                if cost == 0:
-                    return
-                if np.all(fixed_cov >= required):
-                    consider(m_vec, n_used + [0], int(fixed_cov.sum()), cost)
-                return
-            B = budgets[depth]
-            hits = np.zeros((len(profiles), B), dtype=bool)
-            for pi, ((good, _), key) in enumerate(zip(profiles, keys)):
-                if good[depth]:
-                    hits[pi] = success_table(key, depth, n_i)[1:] >= q_thresh
-            # coverage(level, count) = fixed users + hit users not yet fixed
-            variable = (weights[:, None] * ~fixed).T.astype(np.int64)  # (L, P)
-            coverage = fixed_cov[:, None] + variable @ hits  # (L, B)
-            feasible = np.all(coverage >= required[:, None], axis=0)
-            if not np.any(feasible):
-                return
-            profits = coverage.sum(axis=0)
-            counts = np.arange(1, B + 1)
-            taus = np.where(feasible, profits / (cost + counts), -1.0)
-            idx = int(np.argmax(taus))  # first max: the cheapest of the ties
-            consider(m_vec, n_used + [idx + 1], int(profits[idx]), cost + idx + 1)
-
-        walk(0, [() for _ in profiles], [[] for _ in profiles], 0, [])
-
+    stats["dist_cache"] = len(dist_cache)
     if best_assignment is None:
-        return _no_solution(pr, solver="direct")
+        return _no_solution(pr, solver="direct", stats=stats)
     m_best, counts_best = best_assignment
     ev = evaluate_plan(pr, m_best, counts_best)
-    return _solution(pr, m_best, counts_best, ev, solver="direct")
+    return _solution(pr, m_best, counts_best, ev, solver="direct", stats=stats)
 
 
 def solve_mrt(scenario) -> AllocationSolution:

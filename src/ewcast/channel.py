@@ -348,22 +348,28 @@ _SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
 _BLER_KEYS = frozenset({"decade_db", "thresholds_db"})
 
 
-def _reject_unknown(section: str, cfg: Mapping, known: frozenset) -> None:
+def _check_keys(section: str, cfg: Mapping, known: frozenset,
+                    required: frozenset = frozenset()) -> None:
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown {section} key(s) {unknown}; "
                          f"valid keys: {sorted(known)}")
+    missing = sorted(required - set(cfg))
+    if missing:
+        raise ValueError(f"{section} is missing key(s) {missing}")
 
 
 def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema).
 
-    Unknown keys, at the top level or under ``bler``, raise ``ValueError``
-    naming them, so a misspelt field cannot silently fall back to its default.
+    Unknown keys, at the top level or under ``bler``, ``users`` or an
+    explicit ``stream``, raise ``ValueError`` naming them, so a misspelt
+    field cannot silently fall back to its default; so do missing required
+    ``users`` and ``stream`` fields.
     """
     cfg = dict(config)
-    _reject_unknown("scenario", cfg, _SCENARIO_KEYS)
-    _reject_unknown("bler", cfg.get("bler", {}), _BLER_KEYS)
+    _check_keys("scenario", cfg, _SCENARIO_KEYS)
+    _check_keys("bler", cfg.get("bler", {}), _BLER_KEYS)
     mode = cfg.get("mode", "SC")
     isd = float(cfg.get("isd_m", 500.0))
     layout_kwargs = {key: cfg[key] for key in _LAYOUT_KEYS if key in cfg}
@@ -382,6 +388,8 @@ def build_scenario(config: dict) -> Scenario:
                              f"valid presets: {sorted(STREAM_PRESETS)}")
     elif "stream" in cfg:
         stream = cfg["stream"]
+        fields = frozenset({"bitrates_kbps", "psnr_db", "coverage_targets"})
+        _check_keys("stream", stream, fields, required=fields)
     else:
         raise ValueError("config needs a stream_preset (one of "
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")
@@ -405,6 +413,9 @@ def build_scenario(config: dict) -> Scenario:
     seed = int(cfg.get("seed", 0))
 
     users_cfg = dict(cfg.get("users", {"pattern": "radial", "count": 80, "step_m": 2.0}))
+    required = frozenset({"pattern", "count", "step_m"})
+    _check_keys("users", users_cfg, required | {"start_m", "angle_deg", "center"},
+                    required=required)
     pattern = users_cfg.pop("pattern")
     rng = np.random.default_rng(seed) if layout.shadow_sigma_db > 0 else None
     users = place_users(

@@ -395,35 +395,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ewcast", description="Layered coded multicast experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add_scenario(p):
         p.add_argument("--scenario", type=Path, default=None,
                        help="scenario config JSON (see README for the schema)")
+
+    def add_out(p):
         p.add_argument("--out", type=Path, default=Path("results"),
                        help="output directory for CSV files")
 
     p = sub.add_parser("validate-approx", help="analytic model vs Monte Carlo")
-    common(p)
+    add_out(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--t-max", type=int, default=None)
 
     p = sub.add_parser("sweep-rbp", help="profit-cost ratio vs resource-block pairs")
-    common(p)
+    add_scenario(p)
+    add_out(p)
     p.add_argument("--rbp", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--direct", choices=("off", "exhaustive"), default="exhaustive")
 
     p = sub.add_parser("coverage-sc", help="radial coverage curves, single cell")
-    common(p)
+    add_scenario(p)
+    add_out(p)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("psnr-map-sfn", help="quality map over the synchronised area")
-    common(p)
+    add_scenario(p)
+    add_out(p)
     p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
                    default="evaluation")
 
     p = sub.add_parser("solve", help="solve one scenario and print the plans")
-    common(p)
+    add_scenario(p)
     p.add_argument("--direct", choices=("off", "exhaustive"), default="off")
     return parser
 
@@ -484,6 +489,9 @@ def _dispatch(args) -> int:
             print(f"{name}: feasible={sol.feasible} tau={sol.tau:.4f} "
                   f"mcs={sol.plan.mcs} tb={sol.plan.tb_counts} "
                   f"fractions={[round(f, 3) for f in report.layer_fractions]}")
+        if "direct" in solutions:
+            counters = " ".join(f"{k}={v}" for k, v in solutions["direct"].stats.items())
+            print(f"direct stats: {counters}", file=sys.stderr)
         return 0 if solutions["heuristic"].feasible else 2
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from ewcast.allocators import (
     solve_s2,
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP, build_scenario
+from ewcast.cli import DEFAULT_SFN_CONFIG
 from ewcast.decode_prob import LayerConfig, TransmissionPlan, window_decode_probs
 
 
@@ -155,6 +157,95 @@ class TestDirect:
         assert sol.feasible
         assert sol.tau == pytest.approx(best_tau)
         assert (sol.plan.mcs[0], sol.plan.tb_counts[0]) == best
+
+    def test_matches_brute_force_on_shrunk_instances(self):
+        rng = np.random.default_rng(5150)
+        feasible = 0
+        for _ in range(60):
+            L = int(rng.integers(1, 3))
+            mcs = sorted(int(m) for m in rng.choice(np.arange(1, 13), int(rng.integers(3, 5)),
+                                                    replace=False))
+            caps = dict(zip(mcs, sorted(int(c) for c in rng.integers(1, 7, len(mcs)))))
+            targets = sorted((float(t) for t in rng.uniform(0.2, 0.8, L)), reverse=True)
+            layers = LayerConfig(tuple(int(v) for v in rng.integers(1, 7, L)),
+                                 coverage_targets=targets)
+            pr = AllocationProblem(layers, tuple(int(u) for u in rng.integers(6, 16, 8)),
+                                   tuple(int(b) for b in rng.integers(1, 4, L)), caps,
+                                   float(rng.choice([0.05, 0.1])),
+                                   float(rng.choice([0.9, 0.99])))
+            best = brute_force_optimum(pr)
+            sol = direct_uep_ram(pr)
+            assert sol.feasible == (best is not None)
+            if best is not None:
+                feasible += 1
+                assert (sol.plan.mcs, sol.plan.tb_counts) == best
+        assert feasible >= 25
+
+    def test_equal_tau_and_cost_takes_first_plan(self):
+        # across MCS vectors: MCS 3 and 7 carry equal blocks and every user
+        # qualifies on both
+        pr = AllocationProblem(LayerConfig((4,), coverage_targets=(0.5,)), (9,) * 6,
+                               (4,), {3: 2, 7: 2}, 0.01, 0.9)
+        taus = {(m, c): Fraction(evaluate_plan(pr, (m,), (c,)).profit, c)
+                for m in (3, 7) for c in (2, 3)}
+        assert taus[(3, 2)] == taus[(7, 2)] == max(taus.values())
+        sol = direct_uep_ram(pr)
+        assert (sol.plan.mcs, sol.plan.tb_counts) == ((3,), (2,)) == brute_force_optimum(pr)
+        # within one MCS vector: counts (1, 3) and (2, 2) reach the same profit
+        pr = AllocationProblem(LayerConfig((6, 1), coverage_targets=(0.7, 0.6)),
+                               (11, 11, 7, 8, 13, 8, 8, 12), (3, 3), {4: 1, 6: 3, 9: 3},
+                               0.05, 0.9)
+        assert (evaluate_plan(pr, (4, 6), (1, 3)).profit
+                == evaluate_plan(pr, (4, 6), (2, 2)).profit == 16)
+        sol = direct_uep_ram(pr)
+        assert (sol.plan.mcs, sol.plan.tb_counts) == ((4, 6), (1, 3)) == brute_force_optimum(pr)
+
+    def test_equal_tau_takes_fewer_blocks(self):
+        # across MCS vectors: ten users decode MCS 3 with 4 blocks, five of
+        # them MCS 7 with 2
+        pr = AllocationProblem(LayerConfig((4,), coverage_targets=(0.5,)),
+                               (5,) * 5 + (9,) * 5, (4,), {3: 1, 7: 2}, 0.01, 0.9)
+        assert (Fraction(evaluate_plan(pr, (3,), (4,)).profit, 4)
+                == Fraction(evaluate_plan(pr, (7,), (2,)).profit, 2) == Fraction(5, 2))
+        sol = direct_uep_ram(pr)
+        assert (sol.plan.mcs, sol.plan.tb_counts) == ((7,), (2,)) == brute_force_optimum(pr)
+        # within one MCS vector: counts (1, 3) and (2, 3) both reach tau 2
+        pr = AllocationProblem(LayerConfig((1, 3), coverage_targets=(0.55, 0.4)),
+                               (6, 11, 13, 4, 4, 11), (2, 3), {1: 2, 6: 3, 12: 3}, 0.1, 0.99)
+        assert (Fraction(evaluate_plan(pr, (1, 6), (1, 3)).profit, 4)
+                == Fraction(evaluate_plan(pr, (1, 6), (2, 3)).profit, 5) == 2)
+        sol = direct_uep_ram(pr)
+        assert (sol.plan.mcs, sol.plan.tb_counts) == ((1, 6), (1, 3)) == brute_force_optimum(pr)
+
+    def test_stats_count_both_prunes(self):
+        config = dict(DEFAULT_SFN_CONFIG, n_rbp=5,
+                      users={"pattern": "grid", "count": 49, "step_m": 100.0})
+        scenario = build_scenario(config)
+        sol = direct_uep_ram(scenario)
+        stats = sol.stats
+        assert stats["mcs_vectors"] == (len(scenario.capacities) + 1) ** 4 - 1
+        assert 0 < stats["vectors_skipped"] < stats["mcs_vectors"]
+        assert stats["prefixes_pruned"] > 0
+        assert stats["leaves"] > 0 and stats["tables"] > 0 and stats["dist_cache"] > 1
+        assert sol.feasible
+        assert heuristic_uep_ram(scenario).stats == {}
+
+
+def brute_force_optimum(pr: AllocationProblem):
+    """Independent oracle: evaluate_plan on every canonical assignment, best
+    by (-tau, cost, mcs, counts); None when nothing is feasible."""
+    options = [[(0, 0)] + [(m, c) for m in sorted(pr.capacities) for c in range(1, b + 1)]
+               for b in pr.tb_budget]
+    best = None
+    for assignment in product(*options):
+        mcs, counts = zip(*assignment)
+        if sum(counts) == 0:
+            continue
+        ev = evaluate_plan(pr, mcs, counts)
+        if ev.feasible:
+            key = (-Fraction(ev.profit, ev.cost), ev.cost, mcs, counts)
+            best = key if best is None else min(best, key)
+    return None if best is None else (best[2], best[3])
 
 
 class TestMrt:

@@ -245,6 +245,33 @@ class TestScenario:
         with pytest.raises(ValueError, match="bler key.*'decade'"):
             build_scenario({**self.CONFIG, "bler": {"decade": 5}})
 
+    def test_users_without_pattern_fails_fast(self):
+        users = {"count": 16, "step_m": 10.0}
+        with pytest.raises(ValueError, match=r"users is missing key\(s\) \['pattern'\]"):
+            build_scenario({**self.CONFIG, "users": users})
+
+    def test_unknown_users_key_fails_fast(self):
+        users = {**self.CONFIG["users"], "step": 5.0}
+        with pytest.raises(ValueError, match=r"users key\(s\) \['step'\]"):
+            build_scenario({**self.CONFIG, "users": users})
+
+    STREAM = {"bitrates_kbps": [47.3, 326.1], "psnr_db": [27.9, 35.9],
+              "coverage_targets": [0.99, 0.8]}
+
+    def test_stream_missing_field_fails_fast(self):
+        bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
+        assert build_scenario({**bare, "stream": self.STREAM}).layers.num_layers == 2
+        for field in self.STREAM:
+            stream = {key: v for key, v in self.STREAM.items() if key != field}
+            with pytest.raises(ValueError, match=rf"stream is missing key\(s\) \['{field}'\]"):
+                build_scenario({**bare, "stream": stream})
+
+    def test_unknown_stream_key_fails_fast(self):
+        bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
+        stream = {**self.STREAM, "psnr": [27.9, 35.9]}
+        with pytest.raises(ValueError, match=r"stream key\(s\) \['psnr'\]"):
+            build_scenario({**bare, "stream": stream})
+
     def test_readme_schema_example_builds(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         schema = readme.split("## Scenario schema", 1)[1]

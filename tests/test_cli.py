@@ -178,6 +178,19 @@ class TestSolveAndMain:
         path.write_text(json.dumps(bad))
         assert main(["solve", "--scenario", str(path)]) == 2
 
+    def test_main_solve_prints_direct_stats_to_stderr(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(SMALL_SC))
+        assert main(["solve", "--scenario", str(path), "--direct", "exhaustive"]) == 0
+        captured = capsys.readouterr()
+        assert "direct: feasible=True" in captured.out
+        assert "stats" not in captured.out
+        stats = [ln for ln in captured.err.splitlines() if ln.startswith("direct stats: ")]
+        assert len(stats) == 1
+        for key in ("mcs_vectors", "vectors_skipped", "prefixes_pruned", "leaves",
+                    "tables", "dist_cache"):
+            assert f" {key}=" in stats[0]
+
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1
 
@@ -198,7 +211,9 @@ class TestSolveAndMain:
         for argv in (["sweep-rbp", "--budget", "10"], ["solve", "--budget", "10"],
                      ["sweep-rbp", "--direct", "genetic"],
                      ["solve", "--direct", "genetic"],
-                     ["validate-approx", "--mc-method", "matrix"]):
+                     ["validate-approx", "--mc-method", "matrix"],
+                     ["validate-approx", "--scenario", "scenario.json"],
+                     ["solve", "--out", "results"]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 1, argv
