@@ -12,10 +12,15 @@ Two Monte Carlo estimators of the decode probability are provided:
   elimination - the literal process, kept for cross-validation.
 * ``method="rank-chain"`` (default) samples the rank evolution directly.
   Because windows are processed in increasing order, every row seen so far
-  lies inside the current window's coordinate span, so a fresh uniform row is
-  linearly dependent with probability exactly q^(rank - K_l).  Sampling that
-  Bernoulli chain is distribution-identical to the matrix path and orders of
-  magnitude faster.
+  lies inside the current window's coordinate span, so at rank deficit
+  ``d = K_l - rank`` a fresh uniform row is dependent with probability
+  exactly q^-d.  The dependent rows met before the deficit drops below ``d``
+  are therefore geometric, P(G_d >= g) = q^(-d*g), independent across
+  deficits, windows and trials (the exact finite-field law of
+  Trullols-Cruces, Barcelo-Ordinas and Fiore, IEEE Comm. Letters 2011).  The
+  sampler draws only the trials with some G_d >= 1 - a few per window over
+  GF(2^8) - and gives every other trial one rank per received element, so
+  it never steps element by element.
 """
 
 from __future__ import annotations
@@ -209,20 +214,22 @@ def simulate_decode_prob(
     seed: int,
     method: str = "rank-chain",
     q: int = FIELD_SIZE,
-    partitions: int = 1,
 ) -> DecodeProbability:
-    """Monte Carlo estimate of the per-window decode probability.
+    """Monte Carlo estimate of the per-window decode probability over GF(q).
 
     Every trial erases each of the ``N_l`` blocks independently (a lost block
-    drops all of its ``n_l`` elements), draws fresh random coefficients for
-    the survivors and tests window-by-window decodability.  Trials may be
-    split across ``partitions`` with independently derived seeds; success
-    counts are summed, so the merge is order-independent.
+    drops all of its ``n_l`` elements) and tests window-by-window
+    decodability of the survivors' random coefficients.  The rank-chain
+    method draws, per window, the received elements of every trial and the
+    geometric dependent-row counts G_d of the few trials that meet any; a
+    trial then gains one rank per element until its deficit is cleared or
+    its elements run out, each dependent row costing one element.  All draws
+    come from one ``default_rng(seed)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
+    if not isinstance(q, (int, np.integer)) or q < 2:
+        raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
     if method not in ("rank-chain", "matrix"):
         raise ValueError(f"unknown method {method!r}")
     if method == "matrix" and q != FIELD_SIZE:
@@ -235,17 +242,11 @@ def simulate_decode_prob(
     if plan.num_windows != layers.num_layers:
         raise ValueError("plan must cover every window")
 
-    base = trials // partitions
-    sizes = [base + (1 if i < trials % partitions else 0) for i in range(partitions)]
-    counts = np.zeros(layers.num_layers, dtype=np.int64)
-    for child, part in zip(np.random.SeedSequence(seed).spawn(partitions), sizes):
-        if part == 0:
-            continue
-        rng = np.random.default_rng(child)
-        if method == "rank-chain":
-            counts += _rank_chain_counts(layers, plan, p, part, rng, q)
-        else:
-            counts += _matrix_counts(layers, plan, p, part, rng)
+    rng = np.random.default_rng(seed)
+    if method == "rank-chain":
+        counts = _rank_chain_counts(layers, plan, p, trials, rng, q)
+    else:
+        counts = _matrix_counts(layers, plan, p, trials, rng)
     p_hat = counts / trials
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return DecodeProbability(
@@ -259,36 +260,42 @@ def simulate_decode_prob(
 def _rank_chain_counts(layers, plan, erasure, trials, rng, q) -> np.ndarray:
     """Sample the rank evolution of the stacked coefficient matrix.
 
-    Processing windows in order keeps the accumulated row span inside the
-    current window's coordinates, so each fresh uniform row is dependent with
-    probability q^(rank - K_l) exactly; no matrices are materialised.
+    At deficit ``d`` the trial meets G_d dependent rows before the next
+    independent one, P(G_d >= 1) = q^-d, and G_d given G_d >= 1 is
+    ``geometric(1 - q^-d)`` (memoryless).  Per window and deficit, the number
+    of trials with G_d >= 1 is one binomial draw and those trials are a
+    uniform subset, which has the law of one Bernoulli per trial.  Trials
+    without a dependent row gain ``min(gap, elements)``; for the others,
+    clearing deficits ``gap..d`` costs the sum of ``1 + G_d'`` over them, and
+    the trial gains the number of deficits it can afford.
     """
     sizes = layers.window_sizes
     counts = np.zeros(layers.num_layers, dtype=np.int64)
     rank = np.zeros(trials, dtype=np.int64)
-    log_q = np.log(float(q))
-    # Trial-sized work arrays reused on every element step: fresh temporaries
-    # per step cost a page-faulting allocation each on a fragmented heap.
-    draw = np.empty(trials)
-    p_dep = np.empty(trials)
-    gap = np.empty(trials, dtype=np.int64)
-    active = np.empty(trials, dtype=bool)
-    grow = np.empty(trials, dtype=bool)
     for i in range(layers.num_layers):
         n_tb = plan.tb_counts[i]
         cap = plan.elements_per_tb[i]
         if n_tb > 0 and cap > 0:
-            received = rng.binomial(n_tb, 1.0 - erasure[i], size=trials)
-            elements = received * cap
-            for step in range(int(elements.max(initial=0))):
-                np.greater(elements, step, out=active)
-                rng.random(out=draw)
-                np.subtract(rank, sizes[i], out=gap)
-                np.multiply(gap, log_q, out=p_dep)
-                np.exp(p_dep, out=p_dep)
-                np.greater_equal(draw, p_dep, out=grow)  # independent row
-                grow &= active
-                rank += grow
+            elements = rng.binomial(n_tb, 1.0 - erasure[i], size=trials) * cap
+            gap = sizes[i] - rank
+            top = int(gap.max())
+            deficit = np.arange(1, top + 1)
+            stall = np.power(float(q), -deficit)  # P(G_d >= 1)
+            hit = rng.binomial(trials, stall)
+            gain = np.minimum(gap, elements)
+            if hit.any():
+                who = np.concatenate([rng.choice(trials, h, replace=False)
+                                      for h in hit[hit > 0]])
+                col = np.repeat(deficit - 1, hit)
+                affected, row = np.unique(who, return_inverse=True)
+                cost = np.zeros((affected.size, top), dtype=np.int64)
+                cost[row, col] = rng.geometric(1.0 - stall[col])
+                open_ = deficit <= gap[affected, None]
+                cost = (cost + 1) * open_
+                need = np.cumsum(cost[:, ::-1], axis=1)[:, ::-1]
+                gain[affected] = np.count_nonzero(
+                    open_ & (need <= elements[affected, None]), axis=1)
+            rank += gain
         counts[i] = int(np.count_nonzero(rank == sizes[i]))
     return counts
 

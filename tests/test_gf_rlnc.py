@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -174,10 +176,10 @@ class TestSimulateDecodeProb:
 
     def test_partition_merge_matches_total_trials(self):
         merged = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2],
-                                      4000, seed=9, partitions=4)
+                                      4000, seed=9)
         assert merged.trials == 4000
         assert merged.std_err is not None
-        # counts are sums over partitions: probabilities stay multiples of 1/trials
+        # estimates are success counts over trials: multiples of 1/trials
         for p in merged.p_win:
             assert abs(p * 4000 - round(p * 4000)) < 1e-9
 
@@ -222,6 +224,12 @@ class TestSimulateDecodeProb:
             simulate_decode_prob(self.layers, self.plan, [0.1, 0.1], 10,
                                  seed=1, method="guess")
 
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_rejects_field_size_below_two(self, q):
+        with pytest.raises(ValueError, match="q"):
+            simulate_decode_prob(self.layers, self.plan, [0.1, 0.1], 10,
+                                 seed=1, q=q)
+
     def test_smaller_field_loses_more_rank(self):
         # sensitivity knob: a tight reception fails much more often over a
         # small field (rank collisions scale with 1/q)
@@ -252,3 +260,60 @@ class TestSimulateDecodeProb:
         spread = np.hypot(chain.std_err[1],
                           np.sqrt(freq * (1 - freq) / trials))
         assert abs(chain.p_win[1] - freq) <= 3.0 * max(spread, 1e-12)
+
+
+def exact_decode_probs(layers, plan, erasure, q):
+    """Exact per-window decode probability over GF(q) for tiny instances.
+
+    Enumerates each window's received block count with its binomial pmf and
+    pushes the rank distribution through the per-element chain: at rank
+    ``r`` a fresh row raises the rank with probability 1 - q^-(K_l - r).
+    """
+    sizes = layers.window_sizes
+    dist = np.zeros(sizes[-1] + 1)
+    dist[0] = 1.0
+    probs = []
+    for K, n_tb, cap, loss in zip(sizes, plan.tb_counts, plan.elements_per_tb,
+                                  erasure):
+        up = np.array([1.0 - float(q) ** -(K - r) if r < K else 0.0
+                       for r in range(dist.size)])
+        mixed = np.zeros_like(dist)
+        for m in range(n_tb + 1):
+            pmf = math.comb(n_tb, m) * (1 - loss) ** m * loss ** (n_tb - m)
+            cur = dist.copy()
+            for _ in range(m * cap):
+                cur = cur * (1.0 - up) + np.concatenate(([0.0], (cur * up)[:-1]))
+            mixed += pmf * cur
+        dist = mixed
+        probs.append(float(dist[K]))
+    return probs
+
+
+class TestExactFieldOracle:
+    """Rank-chain sampler against the exact finite-field chain, 4 SE, no slack."""
+
+    CASES = {
+        # window 1 gets at most 2 of its 3 elements: partial rank carries over
+        "short_first_window": (LayerConfig((3, 2)),
+                               TransmissionPlan((0, 0), (1, 3), (2, 2)),
+                               [0.2, 0.3]),
+        # window 1 is sent with no blocks at all
+        "unsent_window": (LayerConfig((2, 2)),
+                          TransmissionPlan((0, 0), (0, 3), (2, 2)),
+                          [0.1, 0.25]),
+        # few spare elements: at small q a deficit often stalls twice or more
+        "tight_reception": (LayerConfig((4,)),
+                            TransmissionPlan((0,), (5,), (1,)),
+                            [0.05]),
+    }
+
+    @pytest.mark.parametrize("q", [2, 4, 256])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sampler_within_four_se_of_exact(self, case, q):
+        layers, plan, erasure = self.CASES[case]
+        trials = 40_000
+        exact = exact_decode_probs(layers, plan, erasure, q)
+        sim = simulate_decode_prob(layers, plan, erasure, trials, seed=31, q=q)
+        for w, (e, s) in enumerate(zip(exact, sim.p_win)):
+            se = math.sqrt(e * (1.0 - e) / trials)
+            assert abs(s - e) <= 4.0 * se + 1e-12, (case, q, w + 1, e, s)
