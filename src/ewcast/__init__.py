@@ -6,6 +6,7 @@ from .decode_prob import (
     TransmissionPlan,
     brute_force_decode_prob,
     deficit_transition,
+    expected_psnr,
     max_psnr_mrt,
     max_psnr_uep,
     profit_cost_ratio,

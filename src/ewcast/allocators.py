@@ -114,7 +114,8 @@ def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> Plan
     """QoS indicators, profit/cost and constraint compliance of a plan.
 
     Users sharing the same per-window qualification pattern get identical
-    probabilities, so the recovery computation runs once per pattern.
+    probabilities, so the recovery computation runs once per pattern, all
+    patterns in one batched pass.
     """
     pr = _as_problem(problem)
     layers = pr.layers
@@ -124,16 +125,13 @@ def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> Plan
     counts = tuple(int(c) for c in tb_counts)
     caps_vec = tuple(pr.capacity(m) for m in mcs)
     plan = TransmissionPlan(mcs, counts, caps_vec)
-    delta = np.zeros((U, L), dtype=bool)
-    by_profile: dict[tuple[bool, ...], np.ndarray] = {}
-    for ui, reported in enumerate(pr.user_mcs):
-        good = tuple(0 < m <= reported and c > 0 for m, c in zip(mcs, counts))
-        levels = by_profile.get(good)
-        if levels is None:
-            losses = [pr.p_hat if g else 1.0 for g in good]
-            levels = qos_levels(layers, plan, losses, pr.q_hat)
-            by_profile[good] = levels
-        delta[ui] = levels
+    m_arr = np.asarray(mcs)
+    good = ((m_arr > 0) & (m_arr <= np.asarray(pr.user_mcs)[:, None])
+            & (np.asarray(counts) > 0))  # (U, L)
+    _, first, inverse = np.unique(good @ (1 << np.arange(L)), return_index=True,
+                                  return_inverse=True)
+    losses = np.where(good[first], pr.p_hat, 1.0)
+    delta = qos_levels(layers, plan, losses, pr.q_hat)[inverse.reshape(-1)]
     layer_counts = delta.sum(axis=0)
     profit = int(delta.sum())
     cost = int(sum(counts))

@@ -158,23 +158,28 @@ def sfn_layout(isd_m: float = 500.0, members: Sequence[int] = (0, 1, 2, 3), **kw
 
 
 def sinr_at(layout: NetworkLayout, position, rng: np.random.Generator | None = None) -> float:
-    """SINR (dB) at a position; synchronised serving sites combine in power."""
+    """SINR (dB) at a position; synchronised serving sites combine in power.
+
+    ``position`` may be an ``(..., 2)`` array; the result then has its
+    leading shape, and shadowing draws one value per (position, site) in
+    position order.
+    """
     pos = np.asarray(position, dtype=float)
-    dist = np.linalg.norm(layout.sites - pos[None, :], axis=1)
+    dist = np.linalg.norm(layout.sites - pos[..., None, :], axis=-1)  # (..., S)
     dist = np.maximum(dist, MIN_DISTANCE_M)
     pathloss = PATHLOSS_FIXED_DB + PATHLOSS_SLOPE_DB * np.log10(dist / 1000.0)
     rx_dbm = layout.tx_power_dbm + layout.antenna_gain_db - pathloss
     if layout.shadow_sigma_db > 0.0 and rng is not None:
         rx_dbm = rx_dbm + rng.normal(0.0, layout.shadow_sigma_db, size=rx_dbm.shape)
     rx_mw = 10.0 ** (rx_dbm / 10.0)
-    serving = np.zeros(len(dist), dtype=bool)
+    serving = np.zeros(len(layout.sites), dtype=bool)
     serving[list(layout.serving)] = True
-    signal = float(rx_mw[serving].sum())
-    interference = float(rx_mw[~serving].sum())
+    signal = rx_mw[..., serving].sum(axis=-1)
+    interference = rx_mw[..., ~serving].sum(axis=-1)
     noise_dbm = (THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(layout.bandwidth_hz)
                  + layout.noise_figure_db)
     noise_mw = 10.0 ** (noise_dbm / 10.0)
-    return 10.0 * math.log10(signal / (interference + noise_mw))
+    return (10.0 * np.log10(signal / (interference + noise_mw)))[()]
 
 
 def bler(sinr_db: float, m: int, p_hat: float = 0.1, decade_db: float = 1.0,
@@ -183,20 +188,26 @@ def bler(sinr_db: float, m: int, p_hat: float = 0.1, decade_db: float = 1.0,
 
     Anchored at ``p_hat`` on the MCS threshold and falling one decade per
     ``decade_db`` of extra SINR; clipped at 1 below the threshold region.
+    ``sinr_db`` and ``m`` may be arrays that broadcast against each other.
     """
-    if m not in thresholds:
-        raise ValueError(f"no SINR threshold for MCS {m}")
-    return min(1.0, p_hat * 10.0 ** (-(sinr_db - thresholds[m]) / decade_db))
+    ms = np.asarray(m)
+    try:
+        thr = np.array([thresholds[v] for v in ms.ravel().tolist()]).reshape(ms.shape)
+    except KeyError as exc:
+        raise ValueError(f"no SINR threshold for MCS {exc.args[0]}") from None
+    return np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))[()]
 
 
 def cqi_mcs(sinr_db: float, p_hat: float = 0.1, decade_db: float = 1.0,
             thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:
-    """Largest MCS whose block error stays at or below ``p_hat``; floor 1."""
-    best = 1
-    for m in sorted(thresholds):
-        if bler(sinr_db, m, p_hat, decade_db, thresholds) <= p_hat:
-            best = m
-    return best
+    """Largest MCS whose block error stays at or below ``p_hat``; floor 1.
+
+    ``sinr_db`` may be an array; the result then has its shape.
+    """
+    ms = np.array(sorted(thresholds))
+    ok = bler(np.asarray(sinr_db, dtype=float)[..., None], ms, p_hat, decade_db,
+              thresholds) <= p_hat
+    return np.max(np.where(ok, ms, 1), axis=-1, initial=1)[()]
 
 
 @dataclass(frozen=True)
@@ -212,22 +223,33 @@ class UserContext:
             raise ValueError("reported MCS must lie in [1, 15]")
 
 
-def erasure_prob(user: UserContext, m: int, view: str = "allocator",
-                 p_hat: float = 0.1, decade_db: float = 1.0,
-                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> float:
+def erasure_prob(user: UserContext | Sequence[UserContext], m: int | np.ndarray,
+                 view: str = "allocator", p_hat: float = 0.1, decade_db: float = 1.0,
+                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB
+                 ) -> float | np.ndarray:
     """Block loss probability of MCS ``m`` as seen for one user.
 
     The allocator view is the pessimistic rule the scheduler can act on:
     ``p_hat`` when the user's reported MCS covers ``m``, certain loss
     otherwise.  The evaluation view reads the parametric error curve at the
-    user's actual SINR.
+    user's actual SINR.  ``m`` may be an array of MCS indices, and ``user``
+    a sequence of users: the result then has one row per user, each of
+    ``m``'s shape.
     """
+    ms = np.asarray(m)
+    if isinstance(user, UserContext):
+        sinr, report = user.sinr_db, user.mcs_feedback
+    else:
+        shape = (-1,) + (1,) * ms.ndim
+        sinr = np.array([u.sinr_db for u in user], dtype=float).reshape(shape)
+        report = np.array([u.mcs_feedback for u in user], dtype=int).reshape(shape)
     if view == "allocator":
-        return p_hat if 0 < m <= user.mcs_feedback else 1.0
+        return np.where((ms > 0) & (ms <= report), p_hat, 1.0)[()]
     if view == "evaluation":
-        if m < 1:
-            return 1.0
-        return bler(user.sinr_db, m, p_hat, decade_db, thresholds)
+        sent = ms >= 1
+        # unsent entries read any threshold; their loss is replaced by 1
+        curve = bler(sinr, np.where(sent, ms, min(thresholds)), p_hat, decade_db, thresholds)
+        return np.where(sent, curve, 1.0)[()]
     raise ValueError("view must be 'allocator' or 'evaluation'")
 
 
@@ -269,11 +291,10 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
             positions.append((x0 + c * step_m, y0 + r * step_m))
     else:
         raise ValueError(f"unknown placement pattern {pattern!r}")
-    users = []
-    for pos in positions:
-        sinr = sinr_at(layout, pos, rng=rng)
-        users.append(UserContext(pos, sinr, cqi_mcs(sinr, p_hat, decade_db, thresholds)))
-    return users
+    sinr = sinr_at(layout, np.reshape(positions, (-1, 2)), rng=rng)
+    reports = cqi_mcs(sinr, p_hat, decade_db, thresholds)
+    return [UserContext(pos, s, m)
+            for pos, s, m in zip(positions, sinr.tolist(), reports.tolist())]
 
 
 @dataclass

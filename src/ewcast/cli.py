@@ -32,8 +32,7 @@ from .decode_prob import (
     _PROB_EPS,
     LayerConfig,
     TransmissionPlan,
-    max_psnr_mrt,
-    max_psnr_uep,
+    expected_psnr,
     uncoded_survival,
     window_decode_probs,
 )
@@ -214,20 +213,57 @@ def run_rbp_sweep(
     )
 
 
-def _user_losses(scenario: Scenario, plan: TransmissionPlan, user, view: str):
-    return [
-        erasure_prob(user, plan.mcs[i], view, scenario.p_hat,
-                     scenario.bler_decade_db, scenario.mcs_thresholds)
-        if plan.tb_counts[i] > 0 else 1.0
-        for i in range(plan.num_windows)
-    ]
+def _user_losses(scenario: Scenario, plan: TransmissionPlan, view: str) -> np.ndarray:
+    """(users, windows) block losses.  The loss of a window sent with no
+    blocks reaches neither the window DP nor ``uncoded_survival``."""
+    return erasure_prob(scenario.users, np.asarray(plan.mcs), view, scenario.p_hat,
+                        scenario.bler_decade_db, scenario.mcs_thresholds)
 
 
-def _uep_level_probs(scenario: Scenario, plan: TransmissionPlan, user, view: str) -> np.ndarray:
-    """Per-level recovery probability: best window at or above each level."""
-    probs = window_decode_probs(scenario.layers, plan,
-                                _user_losses(scenario, plan, user, view))
-    return np.maximum.accumulate(probs[::-1])[::-1]
+def _evaluate_users(scenario: Scenario, view: str):
+    """Both plans, then every user at once.
+
+    Returns the coded plan's window probabilities (one batched DP), its
+    per-level probabilities (the best window at or above each level), the
+    baseline's per-level survival (one ``uncoded_survival`` call), each a
+    (users, levels) array, and the meta block with the plans and the
+    per-level fractions of users at the QoS threshold.
+    """
+    heur = heuristic_uep_ram(scenario)
+    mrt = solve_mrt(scenario)
+    if heur.feasible:
+        p_win = window_decode_probs(scenario.layers, heur.plan,
+                                    _user_losses(scenario, heur.plan, view))
+    else:
+        p_win = np.zeros((len(scenario.users), scenario.layers.num_layers))
+    p_uep = np.maximum.accumulate(p_win[:, ::-1], axis=1)[:, ::-1]
+    p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan, view), mrt.plan.tb_counts)
+    meta = {
+        "erasure_view": view,
+        "uep_feasible": int(heur.feasible),
+        "uep_plan_mcs": list(heur.plan.mcs),
+        "uep_plan_tb": list(heur.plan.tb_counts),
+        "mrt_plan_mcs": list(mrt.plan.mcs),
+        "mrt_plan_tb": list(mrt.plan.tb_counts),
+    }
+    for name, probs in (("uep", p_uep), ("mrt", p_mrt)):
+        fractions = np.mean(probs >= scenario.q_hat - _PROB_EPS, axis=0)
+        for lv, frac in enumerate(fractions.tolist(), start=1):
+            meta[f"{name}_fraction_l{lv}"] = round(frac, 6)
+    return p_win, p_uep, p_mrt, meta
+
+
+def _map_result(experiment: str, scenario: Scenario, columns, rows, meta,
+                start: float) -> ExperimentResult:
+    return ExperimentResult(
+        experiment=experiment,
+        digest=scenario.digest(),
+        seeds={"scenario": scenario.seed},
+        columns=columns,
+        rows=rows,
+        runtime_s=time.perf_counter() - start,
+        meta=meta,
+    )
 
 
 def _coverage_radius(distances, covered) -> float:
@@ -248,7 +284,8 @@ def run_coverage_sc(
     Users sit on a line through the serving cell; for every user and level
     the result holds both strategies' recovery probability under the chosen
     erasure view, and the meta block carries per-level coverage fractions and
-    radii at the scenario's QoS threshold.
+    radii at the scenario's QoS threshold.  A scenario without users gives
+    no rows and ``uep_feasible=0``.
     """
     start = time.perf_counter()
     cfg = dict(DEFAULT_SC_CONFIG if config is None else config)
@@ -256,63 +293,30 @@ def run_coverage_sc(
     columns = ["distance_m", "mcs_feedback", "level",
                "p_uep", "p_mrt", "covered_uep", "covered_mrt"]
     if not scenario.users:
-        return ExperimentResult(
-            experiment="coverage-sc", digest=scenario.digest(),
-            seeds={"scenario": scenario.seed},
-            columns=columns, rows=[],
-            runtime_s=time.perf_counter() - start,
-            meta={"erasure_view": erasure_view, "uep_feasible": 0},
-        )
-    heur = heuristic_uep_ram(scenario)
-    mrt = solve_mrt(scenario)
-    L = scenario.layers.num_layers
+        return _map_result("coverage-sc", scenario, columns, [],
+                           {"erasure_view": erasure_view, "uep_feasible": 0}, start)
+    _, p_uep, p_mrt, meta = _evaluate_users(scenario, erasure_view)
     origin = scenario.layout.sites[scenario.layout.serving[0]]
-    order = sorted(
-        range(len(scenario.users)),
-        key=lambda i: float(np.hypot(*(np.asarray(scenario.users[i].position) - origin))),
-    )
-    rows = []
-    covered_uep = np.zeros((len(order), L), dtype=bool)
-    covered_mrt = np.zeros((len(order), L), dtype=bool)
-    distances = []
-    for row_idx, ui in enumerate(order):
-        user = scenario.users[ui]
-        dist = float(np.hypot(*(np.asarray(user.position) - origin)))
-        distances.append(dist)
-        p_uep = (_uep_level_probs(scenario, heur.plan, user, erasure_view)
-                 if heur.feasible else np.zeros(L))
-        p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan, user, erasure_view),
-                                 mrt.plan.tb_counts)
-        covered_uep[row_idx] = p_uep >= scenario.q_hat - _PROB_EPS
-        covered_mrt[row_idx] = p_mrt >= scenario.q_hat - _PROB_EPS
-        for lv in range(L):
-            rows.append((
-                round(dist, 6), user.mcs_feedback, lv + 1,
-                float(p_uep[lv]), float(p_mrt[lv]),
-                int(covered_uep[row_idx, lv]), int(covered_mrt[row_idx, lv]),
-            ))
-    meta = {
-        "erasure_view": erasure_view,
-        "uep_feasible": int(heur.feasible),
-        "uep_plan_mcs": list(heur.plan.mcs),
-        "uep_plan_tb": list(heur.plan.tb_counts),
-        "mrt_plan_mcs": list(mrt.plan.mcs),
-        "mrt_plan_tb": list(mrt.plan.tb_counts),
-    }
+    offsets = np.array([u.position for u in scenario.users]) - origin
+    distances = np.hypot(offsets[:, 0], offsets[:, 1])
+    order = np.argsort(distances, kind="stable")
+    distances = distances[order].tolist()
+    p_uep, p_mrt = p_uep[order], p_mrt[order]
+    covered_uep = p_uep >= scenario.q_hat - _PROB_EPS
+    covered_mrt = p_mrt >= scenario.q_hat - _PROB_EPS
+    L = scenario.layers.num_layers
+    rows = [
+        (round(dist, 6), scenario.users[ui].mcs_feedback, lv + 1,
+         pu[lv], pm[lv], int(cu[lv]), int(cm[lv]))
+        for ui, dist, pu, pm, cu, cm in zip(
+            order.tolist(), distances, p_uep.tolist(), p_mrt.tolist(),
+            covered_uep.tolist(), covered_mrt.tolist())
+        for lv in range(L)
+    ]
     for lv in range(L):
-        meta[f"uep_fraction_l{lv + 1}"] = round(float(covered_uep[:, lv].mean()), 6) if order else 0.0
-        meta[f"mrt_fraction_l{lv + 1}"] = round(float(covered_mrt[:, lv].mean()), 6) if order else 0.0
         meta[f"uep_radius_l{lv + 1}"] = _coverage_radius(distances, covered_uep[:, lv])
         meta[f"mrt_radius_l{lv + 1}"] = _coverage_radius(distances, covered_mrt[:, lv])
-    return ExperimentResult(
-        experiment="coverage-sc",
-        digest=scenario.digest(),
-        seeds={"scenario": scenario.seed},
-        columns=columns,
-        rows=rows,
-        runtime_s=time.perf_counter() - start,
-        meta=meta,
-    )
+    return _map_result("coverage-sc", scenario, columns, rows, meta, start)
 
 
 def run_psnr_map_sfn(
@@ -322,54 +326,27 @@ def run_psnr_map_sfn(
     """Grid map of the best expected quality over the synchronised-cell area.
 
     Emits one row per grid point with both strategies' quality metric, and
-    per-level recovery fractions at the QoS threshold in the meta block.
+    per-level recovery fractions at the QoS threshold in the meta block.  A
+    scenario without users gives no rows and ``uep_feasible=0``.
     """
     start = time.perf_counter()
     cfg = dict(DEFAULT_SFN_CONFIG if config is None else config)
     scenario = build_scenario(cfg)
-    heur = heuristic_uep_ram(scenario)
-    mrt = solve_mrt(scenario)
-    L = scenario.layers.num_layers
-    rows = []
-    frac_uep = np.zeros(L)
-    frac_mrt = np.zeros(L)
-    for user in scenario.users:
-        losses_uep = _user_losses(scenario, heur.plan, user, erasure_view)
-        psnr_uep = (max_psnr_uep(scenario.layers, heur.plan, losses_uep)
-                    if heur.feasible else 0.0)
-        losses_mrt = _user_losses(scenario, mrt.plan, user, erasure_view)
-        psnr_mrt = max_psnr_mrt(scenario.layers, mrt.plan, losses_mrt)
-        p_uep = (_uep_level_probs(scenario, heur.plan, user, erasure_view)
-                 if heur.feasible else np.zeros(L))
-        p_mrt = uncoded_survival(losses_mrt, mrt.plan.tb_counts)
-        frac_uep += p_uep >= scenario.q_hat - _PROB_EPS
-        frac_mrt += p_mrt >= scenario.q_hat - _PROB_EPS
-        rows.append((
-            round(user.position[0], 6), round(user.position[1], 6),
-            round(user.sinr_db, 6), float(psnr_uep), float(psnr_mrt),
-        ))
+    columns = ["x_m", "y_m", "sinr_db", "psnr_uep", "psnr_mrt"]
+    if not scenario.users:
+        return _map_result("psnr-map-sfn", scenario, columns, [],
+                           {"erasure_view": erasure_view, "uep_feasible": 0}, start)
+    p_win, _, p_mrt, meta = _evaluate_users(scenario, erasure_view)
+    layers = scenario.layers
+    rows = [
+        (round(u.position[0], 6), round(u.position[1], 6), round(u.sinr_db, 6),
+         psnr_uep, psnr_mrt)
+        for u, psnr_uep, psnr_mrt in zip(
+            scenario.users, expected_psnr(layers, p_win).tolist(),
+            expected_psnr(layers, p_mrt).tolist())
+    ]
     rows.sort(key=lambda r: (r[1], r[0]))
-    count = max(len(scenario.users), 1)
-    meta = {
-        "erasure_view": erasure_view,
-        "uep_feasible": int(heur.feasible),
-        "uep_plan_mcs": list(heur.plan.mcs),
-        "uep_plan_tb": list(heur.plan.tb_counts),
-        "mrt_plan_mcs": list(mrt.plan.mcs),
-        "mrt_plan_tb": list(mrt.plan.tb_counts),
-    }
-    for lv in range(L):
-        meta[f"uep_fraction_l{lv + 1}"] = round(float(frac_uep[lv]) / count, 6)
-        meta[f"mrt_fraction_l{lv + 1}"] = round(float(frac_mrt[lv]) / count, 6)
-    return ExperimentResult(
-        experiment="psnr-map-sfn",
-        digest=scenario.digest(),
-        seeds={"scenario": scenario.seed},
-        columns=["x_m", "y_m", "sinr_db", "psnr_uep", "psnr_mrt"],
-        rows=rows,
-        runtime_s=time.perf_counter() - start,
-        meta=meta,
-    )
+    return _map_result("psnr-map-sfn", scenario, columns, rows, meta, start)
 
 
 def run_solve(

@@ -160,25 +160,43 @@ def deficit_transition(deficit_in: int, r: int, n: int, k_new: int) -> int:
     return k_new + max(deficit_in - r * n, 0)
 
 
-def binomial_pmf_rows(count: int, loss: float) -> np.ndarray:
-    """``rows[N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count.
+def _pascal_rows(count: int, loss):
+    """Yield ``P(r of N sent blocks arrive)`` for N = 0..count, r = 0..count.
 
     Pascal's rule builds each row from the previous one, so no factorials or
     gamma functions appear and every entry stays a sum of products of the
-    per-block probabilities.
+    per-block probabilities.  ``loss`` may carry leading batch axes; each row
+    then has them too, with ``r`` last.  One buffer is updated in place and
+    yielded for every N, so a caller keeping a row must copy it.
     """
-    q = 1.0 - loss
-    pmf = np.zeros((count + 1, count + 1))
-    pmf[0, 0] = 1.0
-    for n in range(1, count + 1):
-        pmf[n, 0] = pmf[n - 1, 0] * (1.0 - q)
-        pmf[n, 1 : n + 1] = q * pmf[n - 1, 0:n] + (1.0 - q) * pmf[n - 1, 1 : n + 1]
-    return pmf
+    # r runs along the first axis of ``row`` and the batch axes follow in
+    # reverse order, so a single loss works on plain scalars and ``row.T``
+    # is the (..., r) view handed out
+    q = 1.0 - np.asarray(loss, dtype=float).T
+    lose = 1.0 - q
+    row = np.zeros((count + 1,) + np.shape(q))
+    row[0] = 1.0
+    yield row.T
+    for _ in range(count):
+        # the right-hand side is formed from the old row before the write
+        row[1:] = q * row[:-1] + lose * row[1:]
+        row[0] *= lose
+        yield row.T
 
 
-def receive_pmf(tb_count: int, loss: float) -> np.ndarray:
-    """P[r blocks received] for r = 0..tb_count under i.i.d. block loss."""
-    return binomial_pmf_rows(tb_count, loss)[tb_count]
+def binomial_pmf_rows(count: int, loss) -> np.ndarray:
+    """``rows[..., N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count."""
+    return np.stack([row.copy() for row in _pascal_rows(count, loss)], axis=-2)
+
+
+def receive_pmf(tb_count: int, loss) -> np.ndarray:
+    """P[r blocks received] for r = 0..tb_count under i.i.d. block loss.
+
+    ``loss`` may carry leading batch axes; only the last Pascal row is kept.
+    """
+    for row in _pascal_rows(tb_count, loss):
+        pass
+    return row
 
 
 def receive_tail(pmf: np.ndarray) -> np.ndarray:
@@ -202,24 +220,26 @@ def _needed_blocks(requirement: np.ndarray, capacity: int) -> np.ndarray:
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
     """Push the deficit distribution through one window.
 
-    ``dist[e]`` is the probability that the residual requirement equals ``e``
-    when the window starts; the window adds ``k_new`` fresh elements and each
-    reception outcome ``r`` (weighted by ``pmf[r]``) removes ``r * capacity``.
+    ``dist[..., e]`` is the probability that the residual requirement equals
+    ``e`` when the window starts; the window adds ``k_new`` fresh elements and
+    each reception outcome ``r`` (weighted by ``pmf[..., r]``) removes
+    ``r * capacity``.  Leading axes of ``dist`` and ``pmf`` batch receivers
+    and must agree.
     """
-    size = dist.size
-    new = np.zeros(k_new + size)
-    for r, weight in enumerate(pmf):
-        if weight == 0.0:
-            continue
+    size = dist.shape[-1]
+    new = np.zeros(dist.shape[:-1] + (k_new + size,))
+    # deficit (and outcome) axis first, batch axes last: for one receiver the
+    # weights are plain scalars
+    out, prev, weights = new.T, dist.T, pmf.T
+    for r, weight in enumerate(weights):
         cleared = r * capacity - k_new  # deficits e <= cleared vanish entirely
         if cleared >= size - 1:
-            new[0] += weight
+            out[0] += weight
         elif cleared < 0:
-            offset = -cleared
-            new[offset : offset + size] += weight * dist
+            out[-cleared : size - cleared] += weight * prev
         else:
-            new[0] += weight * dist[: cleared + 1].sum()
-            new[1 : size - cleared] += weight * dist[cleared + 1 :]
+            out[0] += weight * prev[: cleared + 1].sum(axis=0)
+            out[1 : size - cleared] += weight * prev[cleared + 1 :]
     return new
 
 
@@ -270,29 +290,36 @@ def _validate_inputs(layers: LayerConfig, plan: TransmissionPlan, erasure) -> np
     if plan.num_windows != layers.num_layers:
         raise ValueError("plan must cover every window")
     p = np.asarray(erasure, dtype=float)
-    if p.shape != (layers.num_layers,):
+    if p.shape[-1:] != (layers.num_layers,):
         raise ValueError("one erasure probability per window is required")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("erasure probabilities must lie in [0, 1]")
+    # written so that NaN fails it: every comparison with NaN is false
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("erasure probabilities must be finite and lie in [0, 1]")
     return p
 
 
 def window_decode_probs(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
 ) -> np.ndarray:
-    """Recovery probability of every window in one dynamic-programming pass."""
+    """Recovery probability of every window in one dynamic-programming pass.
+
+    ``erasure`` holds one loss per window on its last axis; leading axes batch
+    receivers of the same plan, and the result has the shape of ``erasure``.
+    """
     p = _validate_inputs(layers, plan, erasure)
     k = layers.k
     n = plan.elements_per_tb
     N = plan.tb_counts
-    probs = np.zeros(len(k))
-    dist = np.ones(1)
+    probs = np.zeros(p.shape)
+    dist = np.ones(p.shape[:-1] + (1,))
     for i in range(len(k)):
-        pmf = receive_pmf(N[i], p[i])
-        needed = _needed_blocks(k[i] + np.arange(dist.size), n[i])
-        probs[i] = float(dist @ receive_tail(pmf)[np.minimum(needed, N[i] + 1)])
+        pmf = receive_pmf(N[i], p[..., i])
+        needed = _needed_blocks(k[i] + np.arange(dist.shape[-1]), n[i])
+        tail = receive_tail(pmf)[..., np.minimum(needed, N[i] + 1)]
+        # one dot product per receiver
+        probs[..., i] = (dist[..., None, :] @ tail[..., :, None])[..., 0, 0]
         dist = advance_deficit(dist, k[i], n[i], pmf)
     return probs
 
@@ -300,13 +327,13 @@ def window_decode_probs(
 def window_decode_prob(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
     window: int,
 ) -> float:
-    """Recovery probability of window ``window`` (1-based)."""
+    """Recovery probability of window ``window`` (1-based), per receiver."""
     if not 1 <= window <= layers.num_layers:
         raise ValueError("window index out of range")
-    return float(window_decode_probs(layers, plan, erasure)[window - 1])
+    return window_decode_probs(layers, plan, erasure)[..., window - 1][()]
 
 
 def brute_force_decode_prob(
@@ -317,10 +344,13 @@ def brute_force_decode_prob(
 ) -> float:
     """Literal nested summation over all reception outcomes.
 
-    Independent cross-check for :func:`window_decode_prob`; refuses inputs
-    whose outcome space exceeds ``BRUTE_FORCE_LIMIT`` combinations.
+    Independent cross-check for :func:`window_decode_prob`, for one receiver;
+    refuses inputs whose outcome space exceeds ``BRUTE_FORCE_LIMIT``
+    combinations.
     """
     p = _validate_inputs(layers, plan, erasure)
+    if p.ndim != 1:
+        raise ValueError("brute force takes one erasure vector, not a batch")
     if not 1 <= window <= layers.num_layers:
         raise ValueError("window index out of range")
     k = layers.k
@@ -355,7 +385,7 @@ def _recovery_indicator(k, n, r_vec, window) -> bool:
 def qos_indicator(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
     q_hat: float,
     level: int,
 ) -> bool:
@@ -367,20 +397,20 @@ def qos_indicator(
     if not 1 <= level <= layers.num_layers:
         raise ValueError("QoS level out of range")
     probs = window_decode_probs(layers, plan, erasure)
-    return bool(np.any(probs[level - 1 :] >= q_hat - _PROB_EPS))
+    return np.any(probs[..., level - 1 :] >= q_hat - _PROB_EPS, axis=-1)[()]
 
 
 def qos_levels(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
     q_hat: float,
 ) -> np.ndarray:
-    """Vector of QoS indicators for every level, from one probability pass."""
+    """QoS indicators for every level (last axis), from one probability pass."""
     probs = window_decode_probs(layers, plan, erasure)
     hit = probs >= q_hat - _PROB_EPS
     # suffix OR: level l is met if any window >= l clears the threshold
-    return np.logical_or.accumulate(hit[::-1])[::-1]
+    return np.logical_or.accumulate(hit[..., ::-1], axis=-1)[..., ::-1]
 
 
 def profit_cost_ratio(delta, tb_counts: Sequence[int]) -> float:
@@ -391,16 +421,24 @@ def profit_cost_ratio(delta, tb_counts: Sequence[int]) -> float:
     return float(np.count_nonzero(np.asarray(delta, dtype=bool))) / total
 
 
+def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:
+    """Best expected quality per receiver: the max over levels (last axis of
+    ``probs``) of the PSNR plateau times the probability of reaching it.
+
+    A receiver that reaches no level scores 0.
+    """
+    if layers.psnr is None:
+        raise ValueError("layer configuration carries no PSNR plateaus")
+    return np.maximum(np.max(np.asarray(layers.psnr) * probs, axis=-1), 0.0)[()]
+
+
 def max_psnr_uep(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
 ) -> float:
-    """Best expected quality: max over levels of plateau times recovery prob."""
-    if layers.psnr is None:
-        raise ValueError("layer configuration carries no PSNR plateaus")
-    probs = window_decode_probs(layers, plan, erasure)
-    return float(np.max(np.asarray(layers.psnr) * probs))
+    """Best expected quality of the coded plan, from the window probabilities."""
+    return expected_psnr(layers, window_decode_probs(layers, plan, erasure))
 
 
 def uncoded_survival(losses, tb_counts) -> np.ndarray:
@@ -425,15 +463,13 @@ def mrt_block_counts(layers: LayerConfig, capacities: Sequence[int]) -> tuple[in
 def max_psnr_mrt(
     layers: LayerConfig,
     plan: TransmissionPlan,
-    erasure: Sequence[float],
+    erasure,
 ) -> float:
     """Quality metric of the uncoded multi-rate baseline.
 
     Without coding, level ``l`` requires every block of layers ``1..l`` to
     arrive: ceil(k_i / n_i) blocks per layer, each surviving independently.
     """
-    if layers.psnr is None:
-        raise ValueError("layer configuration carries no PSNR plateaus")
     p = _validate_inputs(layers, plan, erasure)
     survive = uncoded_survival(p, mrt_block_counts(layers, plan.elements_per_tb))
-    return float(max(0.0, np.max(np.asarray(layers.psnr) * survive)))
+    return expected_psnr(layers, survive)

@@ -129,6 +129,29 @@ class TestGeometryAndSinr:
             assert sinr_at(combined, pos) >= best_solo - 1e-9
 
 
+    @pytest.mark.parametrize("layout", [single_cell_layout(), sfn_layout()],
+                             ids=["SC", "SFN"])
+    def test_position_array_matches_per_position_calls(self, layout):
+        rng = np.random.default_rng(11)
+        positions = rng.uniform(-900.0, 900.0, (200, 2))
+        positions[:3] = layout.sites[list(layout.serving)][:1]  # distance floor
+        batched = sinr_at(layout, positions)
+        single = np.array([sinr_at(layout, pos) for pos in positions])
+        assert batched.shape == (200,)
+        assert np.all(np.abs(batched - single) <= 1e-12)
+        assert cqi_mcs(batched).tolist() == [cqi_mcs(s) for s in single]
+        grid = sinr_at(layout, positions.reshape(10, 20, 2))
+        assert np.array_equal(grid, batched.reshape(10, 20))
+
+    def test_shadowing_draws_in_position_order(self):
+        layout = single_cell_layout(shadow_sigma_db=6.0)
+        positions = np.array([(100.0, 20.0), (250.0, -40.0), (400.0, 90.0)])
+        batched = sinr_at(layout, positions, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        single = [sinr_at(layout, pos, rng=rng) for pos in positions]
+        assert np.all(np.abs(batched - single) <= 1e-12)
+
+
 class TestCqiAndErasure:
     def test_floor_and_ceiling(self):
         assert cqi_mcs(-60.0) == 1
@@ -168,6 +191,18 @@ class TestCqiAndErasure:
         user = UserContext((0.0, 0.0), 5.0, 8)
         with pytest.raises(ValueError):
             erasure_prob(user, 5, "guess")
+
+
+    @pytest.mark.parametrize("view", ["allocator", "evaluation"])
+    def test_user_sequence_matches_single_users(self, view):
+        users = place_users(single_cell_layout(), "radial", count=30, step_m=9.0)
+        mcs = np.array([0, 4, 9, 15])
+        matrix = erasure_prob(users, mcs, view, 0.1, 5.0)
+        assert matrix.shape == (30, 4)
+        for row, user in zip(matrix, users):
+            single = [erasure_prob(user, int(m), view, 0.1, 5.0) for m in mcs]
+            # array and scalar powers may round the error curve differently
+            assert np.allclose(row, single, rtol=1e-13, atol=0.0)
 
 
 class TestPlaceUsers:

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from ewcast.allocators import heuristic_uep_ram, solve_mrt
+from ewcast.channel import build_scenario, erasure_prob
 from ewcast.cli import (
     DEFAULT_SC_CONFIG,
     DEFAULT_SFN_CONFIG,
@@ -15,7 +17,12 @@ from ewcast.cli import (
     run_solve,
     run_validate_approx,
 )
-from ewcast.decode_prob import LayerConfig
+from ewcast.decode_prob import (
+    LayerConfig,
+    max_psnr_mrt,
+    uncoded_survival,
+    window_decode_probs,
+)
 
 SMALL_SC = {
     "mode": "SC",
@@ -25,6 +32,9 @@ SMALL_SC = {
     "bler": {"decade_db": 5.0},
     "seed": 2,
 }
+
+SFN_5X5 = dict(DEFAULT_SFN_CONFIG,
+               users={"pattern": "grid", "count": 25, "step_m": 150.0})
 
 
 class TestValidateApprox:
@@ -157,6 +167,111 @@ class TestPsnrMap:
             assert (result.meta[f"uep_fraction_l{level}"]
                     >= result.meta[f"mrt_fraction_l{level}"])
         assert result.meta["uep_fraction_l1"] > result.meta["mrt_fraction_l1"]
+
+    def test_zero_users_empty_result(self, tmp_path):
+        config = dict(DEFAULT_SFN_CONFIG)
+        config["users"] = {"pattern": "grid", "count": 0, "step_m": 38.0}
+        result = run_psnr_map_sfn(config)
+        assert result.rows == []
+        assert result.meta["uep_feasible"] == 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["psnr-map-sfn", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+def _reference(config, view="evaluation"):
+    """Per-user rebuild of the runners' inputs from the one-receiver API:
+    scalar ``erasure_prob`` calls, one ``window_decode_probs`` and one
+    ``uncoded_survival`` per user."""
+    scenario = build_scenario(config)
+    heur, mrt = heuristic_uep_ram(scenario), solve_mrt(scenario)
+
+    def losses(plan, user):
+        return [erasure_prob(user, plan.mcs[i], view, scenario.p_hat,
+                             scenario.bler_decade_db, scenario.mcs_thresholds)
+                if plan.tb_counts[i] > 0 else 1.0 for i in range(plan.num_windows)]
+
+    L = scenario.layers.num_layers
+    per_user = []
+    for user in scenario.users:
+        if heur.feasible:
+            p_win = window_decode_probs(scenario.layers, heur.plan, losses(heur.plan, user))
+        else:
+            p_win = np.zeros(L)
+        mrt_losses = losses(mrt.plan, user)
+        p_mrt = uncoded_survival(mrt_losses, mrt.plan.tb_counts)
+        per_user.append((user, [float(v) for v in p_win], [float(v) for v in p_mrt],
+                         float(max_psnr_mrt(scenario.layers, mrt.plan, mrt_losses))))
+    meta = {"erasure_view": view, "uep_feasible": int(heur.feasible),
+            "uep_plan_mcs": list(heur.plan.mcs), "uep_plan_tb": list(heur.plan.tb_counts),
+            "mrt_plan_mcs": list(mrt.plan.mcs), "mrt_plan_tb": list(mrt.plan.tb_counts)}
+    return scenario, per_user, meta
+
+
+def _assert_rows_match(rows, expected, float_cols):
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        for col, (a, b) in enumerate(zip(got, want)):
+            if col in float_cols:
+                assert abs(a - b) <= 1e-12, (col, got, want)
+            else:
+                assert a == b and type(a) is type(b), (col, got, want)
+
+
+class TestRunnersAgainstPerUserReference:
+    @pytest.mark.parametrize("view", ["evaluation", "allocator"])
+    def test_coverage_sc(self, view):
+        scenario, per_user, meta = _reference(SMALL_SC, view)
+        q = scenario.q_hat - 1e-12
+        origin = scenario.layout.sites[scenario.layout.serving[0]]
+        dist = [float(np.hypot(*(np.asarray(u.position) - origin))) for u, *_ in per_user]
+        order = sorted(range(len(per_user)), key=lambda i: dist[i])
+        L = scenario.layers.num_layers
+        rows, covered = [], []
+        for i in order:
+            user, p_win, p_mrt, _ = per_user[i]
+            p_uep = [max(p_win[lv:]) for lv in range(L)]
+            flags = [(p_uep[lv] >= q, p_mrt[lv] >= q) for lv in range(L)]
+            covered.append(flags)
+            rows += [(round(dist[i], 6), user.mcs_feedback, lv + 1, p_uep[lv], p_mrt[lv],
+                      int(flags[lv][0]), int(flags[lv][1])) for lv in range(L)]
+        for lv in range(L):
+            for s, name in enumerate(("uep", "mrt")):
+                hits = [c[lv][s] for c in covered]
+                meta[f"{name}_fraction_l{lv + 1}"] = round(sum(hits) / len(hits), 6)
+                radius = 0.0
+                for i, ok in zip(order, hits):
+                    if not ok:
+                        break
+                    radius = dist[i]
+                meta[f"{name}_radius_l{lv + 1}"] = radius
+        result = run_coverage_sc(SMALL_SC, erasure_view=view)
+        assert result.meta["uep_feasible"] == 1
+        _assert_rows_match(result.rows, rows, float_cols={0, 3, 4})
+        assert result.meta == meta
+
+    @pytest.mark.parametrize("view", ["evaluation", "allocator"])
+    def test_psnr_map_sfn_5x5(self, view):
+        scenario, per_user, meta = _reference(SFN_5X5, view)
+        q = scenario.q_hat - 1e-12
+        psnr = scenario.layers.psnr
+        L = scenario.layers.num_layers
+        rows = []
+        uep_hits, mrt_hits = np.zeros(L, int), np.zeros(L, int)
+        for user, p_win, p_mrt, psnr_mrt in per_user:
+            psnr_uep = max(a * b for a, b in zip(psnr, p_win))
+            rows.append((round(user.position[0], 6), round(user.position[1], 6),
+                         round(user.sinr_db, 6), psnr_uep, psnr_mrt))
+            uep_hits += [max(p_win[lv:]) >= q for lv in range(L)]
+            mrt_hits += [p >= q for p in p_mrt]
+        rows.sort(key=lambda r: (r[1], r[0]))
+        for lv in range(L):
+            meta[f"uep_fraction_l{lv + 1}"] = round(uep_hits[lv] / len(per_user), 6)
+            meta[f"mrt_fraction_l{lv + 1}"] = round(mrt_hits[lv] / len(per_user), 6)
+        result = run_psnr_map_sfn(SFN_5X5, erasure_view=view)
+        assert result.meta["uep_feasible"] == 1
+        _assert_rows_match(result.rows, rows, float_cols={0, 1, 2, 3, 4})
+        assert result.meta == meta
 
 
 class TestSolveAndMain:

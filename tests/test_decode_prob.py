@@ -15,6 +15,7 @@ from ewcast.decode_prob import (
     binomial_pmf_rows,
     brute_force_decode_prob,
     deficit_transition,
+    expected_psnr,
     max_psnr_mrt,
     max_psnr_uep,
     profit_cost_ratio,
@@ -287,6 +288,84 @@ class TestUncodedSurvival:
         got = uncoded_survival(losses, [2, 1])
         assert got[0].tolist() == pytest.approx([0.81, 0.81 * 0.8])
         assert got[1].tolist() == pytest.approx([0.25, 0.0])
+
+
+class TestErasureValidation:
+    LAYERS = LayerConfig((2, 3), psnr=(30.0, 40.0))
+    PLAN = plan((3, 4), (1, 2))
+    ENTRY_POINTS = {
+        "window_decode_probs": lambda e: window_decode_probs(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
+        "window_decode_prob": lambda e: window_decode_prob(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 2),
+        "brute_force_decode_prob": lambda e: brute_force_decode_prob(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 2),
+        "qos_indicator": lambda e: qos_indicator(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 0.9, 1),
+        "qos_levels": lambda e: qos_levels(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 0.9),
+        "max_psnr_uep": lambda e: max_psnr_uep(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
+        "max_psnr_mrt": lambda e: max_psnr_mrt(
+            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_rejects_non_finite_or_out_of_range_loss(self, entry, bad):
+        with pytest.raises(ValueError, match="erasure probabilities"):
+            self.ENTRY_POINTS[entry]([bad, 0.1])
+
+    @pytest.mark.parametrize("entry", ["window_decode_probs", "qos_levels", "max_psnr_mrt"])
+    def test_rejects_nan_anywhere_in_a_batch(self, entry):
+        batch = np.full((4, 2), 0.1)
+        batch[2, 1] = math.nan
+        with pytest.raises(ValueError, match="erasure probabilities"):
+            self.ENTRY_POINTS[entry](batch)
+
+    def test_brute_force_refuses_a_batch(self):
+        with pytest.raises(ValueError, match="one erasure vector"):
+            self.ENTRY_POINTS["brute_force_decode_prob"](np.full((2, 2), 0.1))
+
+
+class TestBatchedEntryPoints:
+    # the 1-D call on each receiver is the reference for every batched form
+    LAYERS = LayerConfig((2, 3, 4), psnr=(28.0, 36.0, 46.0))
+    PLAN = plan((3, 2, 4), (2, 3, 2))
+    LOSSES = np.array([[0.0, 0.1, 0.2], [0.5, 1.0, 0.05], [1.0, 1.0, 1.0],
+                       [0.3, 0.3, 0.3]])
+
+    def test_each_entry_point_matches_rowwise_calls(self):
+        layers, pl, losses = self.LAYERS, self.PLAN, self.LOSSES
+        probs = window_decode_probs(layers, pl, losses)
+        levels = qos_levels(layers, pl, losses, 0.5)
+        # two batch axes: the same receivers in a 2 x 2 arrangement
+        assert np.array_equal(window_decode_probs(layers, pl, losses.reshape(2, 2, 3)),
+                              probs.reshape(2, 2, 3))
+        for row, loss in enumerate(losses):
+            assert np.allclose(probs[row], window_decode_probs(layers, pl, loss),
+                               rtol=0.0, atol=1e-15)
+            assert levels[row].tolist() == qos_levels(layers, pl, loss, 0.5).tolist()
+            for lv in (1, 2, 3):
+                assert window_decode_prob(layers, pl, losses, lv)[row] == pytest.approx(
+                    window_decode_prob(layers, pl, loss, lv), abs=1e-15)
+                assert qos_indicator(layers, pl, losses, 0.5, lv)[row] == qos_indicator(
+                    layers, pl, loss, 0.5, lv)
+            assert max_psnr_uep(layers, pl, losses)[row] == pytest.approx(
+                max_psnr_uep(layers, pl, loss), abs=1e-12)
+            assert max_psnr_mrt(layers, pl, losses)[row] == max_psnr_mrt(layers, pl, loss)
+
+    def test_zero_receivers_flow_through(self):
+        empty = np.zeros((0, 3))
+        assert window_decode_probs(self.LAYERS, self.PLAN, empty).shape == (0, 3)
+        assert qos_levels(self.LAYERS, self.PLAN, empty, 0.9).shape == (0, 3)
+        assert expected_psnr(self.LAYERS, empty).shape == (0,)
+
+    def test_one_receiver_returns_scalars(self):
+        loss = self.LOSSES[0]
+        assert isinstance(window_decode_prob(self.LAYERS, self.PLAN, loss, 2), float)
+        assert isinstance(max_psnr_uep(self.LAYERS, self.PLAN, loss), float)
+        assert isinstance(max_psnr_mrt(self.LAYERS, self.PLAN, loss), float)
 
 
 def test_import_leaves_scipy_unloaded():

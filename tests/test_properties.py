@@ -1,4 +1,5 @@
-"""Property tests: monotonicity of the decode model, QoS nesting, and the
+"""Property tests: monotonicity of the decode model, QoS nesting, the batched
+window DP against one-receiver calls and literal enumeration, and the
 agreement of the two feasibility verdicts on random plans."""
 
 import numpy as np
@@ -12,7 +13,13 @@ from ewcast.allocators import (
     evaluate_plan,
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP
-from ewcast.decode_prob import LayerConfig, TransmissionPlan, qos_levels, window_decode_probs
+from ewcast.decode_prob import (
+    LayerConfig,
+    TransmissionPlan,
+    brute_force_decode_prob,
+    qos_levels,
+    window_decode_probs,
+)
 
 SLACK = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -52,6 +59,29 @@ def test_qos_levels_nested(instance, q_hat):
     levels = qos_levels(layers, plan, p, q_hat)
     # meeting a level implies meeting every lower one
     assert np.all(levels[:-1] >= levels[1:])
+
+
+# losses of exactly 0 and 1 are drawn often, not left to the float strategy
+LOSSES = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(decode_instances(), st.data())
+def test_batched_rows_match_single_receiver_and_enumeration(instance, data):
+    layers, plan, _ = instance
+    L = layers.num_layers
+    batch = np.array(data.draw(st.lists(st.lists(LOSSES, min_size=L, max_size=L),
+                                        min_size=1, max_size=6)))
+    probs = window_decode_probs(layers, plan, batch)
+    assert probs.shape == batch.shape
+    for row, losses in zip(probs, batch):
+        single = window_decode_probs(layers, plan, losses)
+        assert np.all(np.abs(row - single) <= 1e-15)
+        for w in range(L):
+            exact = brute_force_decode_prob(layers, plan, losses, w + 1)
+            assert abs(row[w] - exact) <= 1e-12
+        # a batch of one is the 1-D call
+        assert window_decode_probs(layers, plan, losses[None])[0].tolist() == single.tolist()
 
 
 @st.composite
