@@ -5,23 +5,15 @@ from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     brute_force_decode_prob,
-    deficit_transition,
     expected_psnr,
     max_psnr_mrt,
     max_psnr_uep,
-    profit_cost_ratio,
-    qos_indicator,
     qos_levels,
     uncoded_survival,
     window_decode_prob,
     window_decode_probs,
 )
 from .gf_rlnc import (
-    CodedElement,
-    ReceivedSet,
-    decodable_windows,
-    encode_window,
-    field_add,
     field_inv,
     field_mul,
     simulate_decode_prob,

@@ -90,32 +90,33 @@ def tb_capacity(m: int, n_rbp: int, element_bits: int = ELEMENT_BITS_TABLE) -> i
 
 def n_hat(k: int, p_hat: float, n_min: int) -> int:
     """Per-window block budget: a lossless fit plus headroom for losses."""
-    if k < 0 or n_min < 1 or not 0.0 <= p_hat < 1.0:
-        raise ValueError("invalid budget inputs")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k!r}")
+    if n_min < 1:
+        raise ValueError(f"n_min must be >= 1, got {n_min!r}")
+    if not 0.0 <= p_hat < 1.0:
+        raise ValueError(f"p_hat must lie in [0, 1), got {p_hat!r}")
     base = math.ceil(k / n_min) if k > 0 else 0
     return base + math.ceil(p_hat * base - 1e-9)
 
 
-def subframe_cap(gop_seconds: float, tti_seconds: float = D_TTI_S,
-                 embms_fraction: float = EMBMS_SUBFRAME_FRACTION) -> int:
+def subframe_cap(gop_seconds: float) -> int:
     """Most blocks any window may use: broadcast-capable subframes per message."""
-    return math.floor(embms_fraction * gop_seconds / tti_seconds + 1e-9)
+    return math.floor(EMBMS_SUBFRAME_FRACTION * gop_seconds / D_TTI_S + 1e-9)
 
 
-def hex_grid(isd_m: float, rings: int = 2) -> np.ndarray:
-    """Site positions on a hexagonal grid: centre plus up to two rings (19)."""
+def hex_grid(isd_m: float) -> np.ndarray:
+    """Site positions on a hexagonal grid: centre plus two rings (19)."""
     sites = [(0.0, 0.0)]
-    if rings >= 1:
-        for j in range(6):
-            a = math.radians(60.0 * j)
-            sites.append((isd_m * math.cos(a), isd_m * math.sin(a)))
-    if rings >= 2:
-        for j in range(6):  # corners at 2*ISD
-            a = math.radians(60.0 * j)
-            sites.append((2 * isd_m * math.cos(a), 2 * isd_m * math.sin(a)))
-        for j in range(6):  # edge midpoints at sqrt(3)*ISD
-            a = math.radians(60.0 * j + 30.0)
-            sites.append((math.sqrt(3) * isd_m * math.cos(a), math.sqrt(3) * isd_m * math.sin(a)))
+    for j in range(6):
+        a = math.radians(60.0 * j)
+        sites.append((isd_m * math.cos(a), isd_m * math.sin(a)))
+    for j in range(6):  # corners at 2*ISD
+        a = math.radians(60.0 * j)
+        sites.append((2 * isd_m * math.cos(a), 2 * isd_m * math.sin(a)))
+    for j in range(6):  # edge midpoints at sqrt(3)*ISD
+        a = math.radians(60.0 * j + 30.0)
+        sites.append((math.sqrt(3) * isd_m * math.cos(a), math.sqrt(3) * isd_m * math.sin(a)))
     return np.asarray(sites)
 
 
@@ -128,7 +129,6 @@ class NetworkLayout:
     serving: tuple[int, ...]  # indices transmitting the target service
     tx_power_dbm: float = 46.0
     bandwidth_hz: float = 20e6
-    carrier_hz: float = 2.0e9
     noise_figure_db: float = 9.0
     antenna_gain_db: float = 0.0
     shadow_sigma_db: float = 0.0  # lognormal shadowing; 0 keeps runs deterministic
@@ -309,8 +309,6 @@ class Scenario:
     gop_seconds: float
     p_hat: float = 0.1
     q_hat: float = 0.99
-    tti_seconds: float = D_TTI_S
-    embms_fraction: float = EMBMS_SUBFRAME_FRACTION
     bler_decade_db: float = 1.0
     mcs_thresholds: dict[int, float] = field(
         default_factory=lambda: dict(DEFAULT_MCS_THRESHOLDS_DB)
@@ -326,7 +324,7 @@ class Scenario:
     @property
     def tb_budget(self) -> tuple[int, ...]:
         n_min = tb_capacity(4, self.n_rbp, self.element_bits)
-        cap = subframe_cap(self.gop_seconds, self.tti_seconds, self.embms_fraction)
+        cap = subframe_cap(self.gop_seconds)
         return tuple(min(n_hat(k, self.p_hat, n_min), cap) for k in self.layers.k)
 
     @property
@@ -360,8 +358,8 @@ class Scenario:
         return config_digest(payload)
 
 
-_LAYOUT_KEYS = ("tx_power_dbm", "bandwidth_hz", "carrier_hz", "noise_figure_db",
-                "antenna_gain_db", "shadow_sigma_db")
+_LAYOUT_KEYS = ("tx_power_dbm", "bandwidth_hz", "noise_figure_db", "antenna_gain_db",
+                "shadow_sigma_db")
 _SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
     "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_bits",
     "element_kb", "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",

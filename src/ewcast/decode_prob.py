@@ -148,18 +148,6 @@ class DecodeProbability:
             raise ValueError("simulated results must carry standard errors")
 
 
-def deficit_transition(deficit_in: int, r: int, n: int, k_new: int) -> int:
-    """Requirement carried into the next window.
-
-    ``r`` received blocks of ``n`` elements settle the incoming deficit; the
-    shortfall (never negative) is added to the next window's own ``k_new``
-    fresh elements.
-    """
-    if min(deficit_in, r, n, k_new) < 0:
-        raise ValueError("all arguments must be non-negative")
-    return k_new + max(deficit_in - r * n, 0)
-
-
 def _pascal_rows(count: int, loss):
     """Yield ``P(r of N sent blocks arrive)`` for N = 0..count, r = 0..count.
 
@@ -286,15 +274,21 @@ def success_over_budget(
     return dist @ tail[np.arange(budget + 1)[None, :], rows[:, None]]
 
 
-def _validate_inputs(layers: LayerConfig, plan: TransmissionPlan, erasure) -> np.ndarray:
-    if plan.num_windows != layers.num_layers:
-        raise ValueError("plan must cover every window")
+def _checked_erasure(erasure) -> np.ndarray:
+    """``erasure`` as a float array whose every entry is finite and in [0, 1]."""
     p = np.asarray(erasure, dtype=float)
-    if p.shape[-1:] != (layers.num_layers,):
-        raise ValueError("one erasure probability per window is required")
     # written so that NaN fails it: every comparison with NaN is false
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("erasure probabilities must be finite and lie in [0, 1]")
+    return p
+
+
+def _validate_inputs(layers: LayerConfig, plan: TransmissionPlan, erasure) -> np.ndarray:
+    if plan.num_windows != layers.num_layers:
+        raise ValueError("plan must cover every window")
+    p = _checked_erasure(erasure)
+    if p.shape[-1:] != (layers.num_layers,):
+        raise ValueError("one erasure probability per window is required")
     return p
 
 
@@ -382,24 +376,6 @@ def _recovery_indicator(k, n, r_vec, window) -> bool:
     return r_vec[window - 1] * n[window - 1] >= k[window - 1] + carry
 
 
-def qos_indicator(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure,
-    q_hat: float,
-    level: int,
-) -> bool:
-    """True when some window at or above ``level`` decodes with prob >= q_hat.
-
-    Recovering window ``i`` yields every layer up to ``i``, so QoS level
-    ``level`` is met by any window in ``level..L`` clearing the threshold.
-    """
-    if not 1 <= level <= layers.num_layers:
-        raise ValueError("QoS level out of range")
-    probs = window_decode_probs(layers, plan, erasure)
-    return np.any(probs[..., level - 1 :] >= q_hat - _PROB_EPS, axis=-1)[()]
-
-
 def qos_levels(
     layers: LayerConfig,
     plan: TransmissionPlan,
@@ -411,14 +387,6 @@ def qos_levels(
     hit = probs >= q_hat - _PROB_EPS
     # suffix OR: level l is met if any window >= l clears the threshold
     return np.logical_or.accumulate(hit[..., ::-1], axis=-1)[..., ::-1]
-
-
-def profit_cost_ratio(delta, tb_counts: Sequence[int]) -> float:
-    """Recovered layer count across users divided by total transmitted blocks."""
-    total = int(sum(tb_counts))
-    if total < 1:
-        raise ValueError("profit-cost ratio undefined without transmissions")
-    return float(np.count_nonzero(np.asarray(delta, dtype=bool))) / total
 
 
 def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:
@@ -449,7 +417,7 @@ def uncoded_survival(losses, tb_counts) -> np.ndarray:
     (leading axes batch users or plans); ``tb_counts`` broadcasts against it.
     A window without blocks carries no layer and reads as lost.
     """
-    p = np.asarray(losses, dtype=float)
+    p = _checked_erasure(losses)
     counts = np.asarray(tb_counts)
     survive = np.where(counts > 0, (1.0 - p) ** counts, 0.0)
     return np.cumprod(survive, axis=-1)

@@ -1,15 +1,17 @@
-"""GF(2^8) arithmetic, expanding-window random linear coding, rank decoding.
+"""Monte Carlo decode probability of expanding-window random linear coding.
 
 Source messages are layered; window ``l`` spans the first ``K_l`` elements.
 Coded elements for window ``l`` carry coefficient vectors of length ``K_l``
 drawn uniformly at random, so the stacked coefficient matrix over all windows
 is block lower-triangular.  A window decodes once that matrix reaches full
-column rank over its span.
+column rank over its span; only that rank matters, so no payload is ever
+formed.
 
 Two Monte Carlo estimators of the decode probability are provided:
 
-* ``method="matrix"`` draws explicit coefficient matrices and runs Gaussian
-  elimination - the literal process, kept for cross-validation.
+* ``method="matrix"`` draws explicit GF(2^8) coefficient rows and feeds them
+  to :class:`RankTracker`, a rank-only Gaussian eliminator - the literal
+  process, kept as the reference the sampler is checked against.
 * ``method="rank-chain"`` (default) samples the rank evolution directly.
   Because windows are processed in increasing order, every row seen so far
   lies inside the current window's coordinate span, so at rank deficit
@@ -25,15 +27,18 @@ Two Monte Carlo estimators of the decode probability are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .decode_prob import DecodeProbability, LayerConfig, TransmissionPlan
+from .decode_prob import (
+    DecodeProbability,
+    LayerConfig,
+    TransmissionPlan,
+    _checked_erasure,
+)
 
 # Irreducible polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).  Any irreducible
-# choice yields statistically equivalent codes; fixing one keeps encodings
-# reproducible.
+# choice yields statistically equivalent codes; fixing one keeps the
+# reference eliminator reproducible.
 PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
 
@@ -56,11 +61,6 @@ def _init_tables() -> None:
 _init_tables()
 
 
-def field_add(a: int, b: int) -> int:
-    """Addition in GF(2^8); identical to subtraction."""
-    return a ^ b
-
-
 def field_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -81,45 +81,6 @@ def _scale_row(scalar: int, row: np.ndarray) -> np.ndarray:
     nz = row != 0
     out[nz] = _EXP[(_LOG[scalar] + _LOG[row[nz]]) % (FIELD_SIZE - 1)]
     return out
-
-
-@dataclass(eq=False)
-class CodedElement:
-    """One coded element: window index, coefficient vector, optional payload."""
-
-    window: int
-    coefficients: np.ndarray  # uint8, length = window size K_l
-    payload: bytes | None = None
-
-
-class ReceivedSet:
-    """Coded elements collected by one user, grouped by window and by block.
-
-    Elements arrive in whole transport blocks, so the per-window element
-    count is always a multiple of the block size used for that window.
-    """
-
-    def __init__(self):
-        self._pdus: dict[int, list[list[CodedElement]]] = {}
-
-    def add_pdu(self, window: int, elements: list[CodedElement]) -> None:
-        if not elements:
-            raise ValueError("a block carries at least one element")
-        if any(el.window != window for el in elements):
-            raise ValueError("all elements of a block share one window")
-        self._pdus.setdefault(window, []).append(list(elements))
-
-    def windows(self) -> list[int]:
-        return sorted(self._pdus)
-
-    def pdus(self, window: int) -> list[list[CodedElement]]:
-        return self._pdus.get(window, [])
-
-    def elements(self, window: int) -> list[CodedElement]:
-        return [el for pdu in self.pdus(window) for el in pdu]
-
-    def element_count(self, window: int) -> int:
-        return sum(len(pdu) for pdu in self.pdus(window))
 
 
 class RankTracker:
@@ -147,63 +108,6 @@ class RankTracker:
                 self._pivots[lead] = _scale_row(field_inv(int(vec[lead])), vec)
                 return True
             vec ^= _scale_row(int(vec[lead]), pivot)
-
-
-def encode_window(
-    layers: LayerConfig,
-    window: int,
-    count: int,
-    seed: int,
-    source: np.ndarray | None = None,
-) -> list[CodedElement]:
-    """Draw ``count`` coded elements for one expanding window.
-
-    Coefficients are i.i.d. uniform over GF(2^8) and deterministic given the
-    seed.  When ``source`` (one uint8 row per source element) is supplied the
-    matching payload bytes are produced as well; probability experiments skip
-    payloads since only the rank matters there.
-    """
-    if not 1 <= window <= layers.num_layers:
-        raise ValueError("window index out of range")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    width = layers.window_sizes[window - 1]
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(0, FIELD_SIZE, size=(count, width), dtype=np.uint8)
-    elements = []
-    for j in range(count):
-        payload = None
-        if source is not None:
-            if source.shape[0] < width:
-                raise ValueError("source must cover the whole window")
-            acc = np.zeros(source.shape[1], dtype=np.uint8)
-            row = coeffs[j]
-            for i in np.nonzero(row)[0]:
-                acc ^= _scale_row(int(row[i]), source[i])
-            payload = acc.tobytes()
-        elements.append(CodedElement(window, coeffs[j], payload))
-    return elements
-
-
-def decodable_windows(received: ReceivedSet, layers: LayerConfig) -> set[int]:
-    """Indices of recovered layers implied by the received elements.
-
-    Window ``l`` is decodable when the elements of windows ``1..l`` reach
-    rank ``K_l``; decoding window ``l`` reveals every earlier layer as well,
-    so the returned set is the downward closure of the decodable windows.
-    """
-    sizes = layers.window_sizes
-    for w in received.windows():
-        if not 1 <= w <= layers.num_layers:
-            raise ValueError(f"received window {w} outside the layer range")
-    tracker = RankTracker(sizes[-1])
-    deepest = 0
-    for w in range(1, layers.num_layers + 1):
-        for element in received.elements(w):
-            tracker.add(element.coefficients)
-        if tracker.rank == sizes[w - 1]:
-            deepest = w
-    return set(range(1, deepest + 1))
 
 
 def simulate_decode_prob(
@@ -234,11 +138,9 @@ def simulate_decode_prob(
         raise ValueError(f"unknown method {method!r}")
     if method == "matrix" and q != FIELD_SIZE:
         raise ValueError("the explicit matrix path is fixed to GF(2^8)")
-    p = np.asarray(erasure, dtype=float)
+    p = _checked_erasure(erasure)
     if p.shape != (layers.num_layers,):
         raise ValueError("one erasure probability per window is required")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("erasure probabilities must lie in [0, 1]")
     if plan.num_windows != layers.num_layers:
         raise ValueError("plan must cover every window")
 
@@ -304,8 +206,9 @@ def _matrix_counts(layers, plan, erasure, trials, rng) -> np.ndarray:
     """Literal per-trial simulation through explicit coefficient matrices.
 
     Counts the raw per-window rank event (the quantity the analytic model
-    approximates); the downward closure applied by :func:`decodable_windows`
-    belongs to the QoS interpretation, not to the estimate itself.
+    approximates); the downward closure that makes a decoded window yield
+    every earlier layer belongs to the QoS interpretation
+    (:func:`~ewcast.decode_prob.qos_levels`), not to the estimate itself.
     """
     sizes = layers.window_sizes
     counts = np.zeros(layers.num_layers, dtype=np.int64)

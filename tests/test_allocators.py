@@ -31,6 +31,16 @@ def small_problem(user_mcs, k=(4,), targets=(0.8,), budget=(6,), n_rbp=1,
                              table(n_rbp), p_hat, q_hat)
 
 
+class TestAllocationProblem:
+    @pytest.mark.parametrize("q_hat", [math.nan, 1.5, -1.0, 0.0])
+    def test_rejects_q_hat_outside_unit_interval(self, q_hat):
+        with pytest.raises(ValueError, match="q_hat"):
+            small_problem([5], q_hat=q_hat)
+
+    def test_q_hat_of_one_accepted(self):
+        assert small_problem([5], q_hat=1.0).q_hat == 1.0
+
+
 class TestSolveS1:
     def test_two_of_three_users(self):
         assert solve_s1((5, 7, 10), 0.66) == 7
@@ -364,3 +374,22 @@ class TestEvaluatePlan:
         pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
         ev = evaluate_plan(pr, (5, 8), (2, 2))
         assert ev.tau == pytest.approx(ev.profit / ev.cost)
+
+    def test_invariant_under_user_order(self):
+        rng = np.random.default_rng(3)
+        reports = rng.integers(1, 16, 17)
+        order = rng.permutation(17)
+        shape = dict(k=(2, 4, 6), targets=(0.9, 0.6, 0.3), budget=(4, 6, 8))
+        base = small_problem(reports, **shape)
+        permuted = small_problem(reports[order], **shape)
+        profits = []
+        for mcs, counts in (((5, 8, 11), (2, 3, 4)), ((4, 0, 9), (3, 0, 6)),
+                            ((12, 12, 15), (1, 1, 1))):
+            a = evaluate_plan(base, mcs, counts)
+            b = evaluate_plan(permuted, mcs, counts)
+            assert np.array_equal(a.delta[order], b.delta)
+            assert np.array_equal(a.layer_counts, b.layer_counts)
+            assert (a.profit, a.cost, a.tau, a.feasible) == (
+                b.profit, b.cost, b.tau, b.feasible)
+            profits.append(a.profit)
+        assert min(profits) < max(profits)

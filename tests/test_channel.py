@@ -73,6 +73,14 @@ class TestBudgets:
             n_min = int(rng.integers(1, 20))
             assert n_hat(k, 0.1, n_min) >= math.ceil(k / n_min)
 
+    @pytest.mark.parametrize("args, name", [((-1, 0.1, 10), "k"), ((5, 0.1, 0), "n_min"),
+                                            ((5, 1.0, 10), "p_hat"),
+                                            ((5, -0.1, 10), "p_hat"),
+                                            ((5, math.nan, 10), "p_hat")])
+    def test_bad_input_named(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            n_hat(*args)
+
     def test_subframe_cap(self):
         assert subframe_cap(0.533) == 319
         assert subframe_cap(0.5) == 300

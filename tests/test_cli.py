@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -317,6 +318,21 @@ class TestSolveAndMain:
         assert main(["solve", "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and "stream_preset" in err and "'A'" in err
+
+    @pytest.mark.parametrize("field, value", [("q_hat", math.nan), ("q_hat", 1.5),
+                                              ("q_hat", -1.0), ("p_hat", math.nan),
+                                              ("p_hat", 1.5)])
+    def test_main_bad_threshold_names_field(self, tmp_path, capsys, field, value):
+        bad = dict(DEFAULT_SC_CONFIG, users={"pattern": "radial", "count": 10,
+                                             "step_m": 2.5, "start_m": 90.0})
+        bad[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(bad))
+        code = main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and field in err
+        assert not (tmp_path / "coverage_sc.csv").exists()
 
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):

@@ -12,14 +12,12 @@ from ewcast.decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
+    advance_deficit,
     binomial_pmf_rows,
     brute_force_decode_prob,
-    deficit_transition,
     expected_psnr,
     max_psnr_mrt,
     max_psnr_uep,
-    profit_cost_ratio,
-    qos_indicator,
     qos_levels,
     receive_tail,
     receive_tail_table,
@@ -34,20 +32,31 @@ def plan(tb_counts, elements_per_tb, mcs=None):
     return TransmissionPlan(mcs or (0,) * L, tb_counts, elements_per_tb)
 
 
-class TestDeficitTransition:
+def carried(carry, k_new, capacity, received, sent):
+    """Deficit after one window for a certain incoming carry and reception:
+    the one entry of ``advance_deficit`` on a one-hot distribution and pmf."""
+    dist = np.zeros(carry + 1)
+    dist[carry] = 1.0
+    pmf = np.zeros(sent + 1)
+    pmf[received] = 1.0
+    new = advance_deficit(dist, k_new, capacity, pmf)
+    [deficit] = np.flatnonzero(new)
+    assert new[deficit] == 1.0
+    return int(deficit)
+
+
+class TestDeficitCarry:
+    # receptions settle the carry plus the fresh elements; any shortfall,
+    # never negative, is carried into the next window
     def test_partial_offset(self):
-        assert deficit_transition(2, 1, 2, 2) == 2
+        assert carried(2, 2, 2, received=1, sent=3) == 2
 
     def test_no_reception(self):
-        assert deficit_transition(2, 0, 2, 2) == 4
+        assert carried(2, 2, 2, received=0, sent=3) == 4
 
-    def test_surplus_clamps_to_fresh_elements(self):
-        for deficit in (0, 1, 7, 30):
-            assert deficit_transition(deficit, 100, 1, 3) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            deficit_transition(-1, 0, 1, 1)
+    def test_surplus_clamps_to_zero(self):
+        for carry in (0, 1, 7, 30):
+            assert carried(carry, 3, 1, received=100, sent=100) == 0
 
 
 class TestLayerConfig:
@@ -159,18 +168,17 @@ class TestBruteForceCrossCheck:
             brute_force_decode_prob(layers, plan((big, big), (1, 1)), [0.1, 0.1], 2)
 
 
-class TestQosIndicator:
+class TestQosLevels:
     def test_all_below_threshold(self):
         layers = LayerConfig((50, 50))
         sparse = plan((1, 1), (2, 2))
-        for level in (1, 2):
-            assert not qos_indicator(layers, sparse, [0.1, 0.1], 0.9, level)
+        assert qos_levels(layers, sparse, [0.1, 0.1], 0.9).tolist() == [False, False]
 
     def test_top_window_covers_all_levels(self):
+        # window 1 is not sent: level 1 is met through window 2 alone
         layers = LayerConfig((2, 2))
         generous = plan((0, 9), (2, 4))
-        assert qos_indicator(layers, generous, [0.1, 0.1], 0.99, 1)
-        assert qos_indicator(layers, generous, [0.1, 0.1], 0.99, 2)
+        assert qos_levels(layers, generous, [0.1, 0.1], 0.99).tolist() == [True, True]
 
     def test_or_chain_mixed(self):
         # first window strong, second weak: level 1 holds, level 2 does not
@@ -178,31 +186,11 @@ class TestQosIndicator:
         mixed = plan((3, 1), (2, 2))
         probs = window_decode_probs(layers, mixed, [0.1, 0.1])
         assert probs[0] >= 0.99 > probs[1]
-        assert qos_indicator(layers, mixed, [0.1, 0.1], 0.99, 1)
-        assert not qos_indicator(layers, mixed, [0.1, 0.1], 0.99, 2)
         levels = qos_levels(layers, mixed, [0.1, 0.1], 0.99)
         assert levels.tolist() == [True, False]
 
 
 class TestScalarMetrics:
-    def test_profit_cost_ratio_values(self):
-        full = np.ones((2, 3), dtype=bool)
-        assert profit_cost_ratio(full, (2, 2, 2)) == 1.0
-        assert profit_cost_ratio(np.zeros((4, 2), bool), (5,)) == 0.0
-        eighty = np.zeros((80, 3), bool)
-        eighty[:, :2] = True
-        assert profit_cost_ratio(eighty, (40,)) == 4.0
-
-    def test_profit_invariant_under_user_order(self):
-        rng = np.random.default_rng(3)
-        delta = rng.random((17, 3)) < 0.5
-        shuffled = delta[rng.permutation(17)]
-        assert profit_cost_ratio(delta, (7,)) == profit_cost_ratio(shuffled, (7,))
-
-    def test_zero_cost_rejected(self):
-        with pytest.raises(ValueError):
-            profit_cost_ratio(np.ones((2, 2), bool), (0, 0))
-
     def test_max_psnr_uep(self):
         psnr = (27.9, 35.9, 45.8)
         layers = LayerConfig((2, 2, 2), psnr=psnr)
@@ -300,14 +288,13 @@ class TestErasureValidation:
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 2),
         "brute_force_decode_prob": lambda e: brute_force_decode_prob(
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 2),
-        "qos_indicator": lambda e: qos_indicator(
-            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 0.9, 1),
         "qos_levels": lambda e: qos_levels(
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 0.9),
         "max_psnr_uep": lambda e: max_psnr_uep(
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
         "max_psnr_mrt": lambda e: max_psnr_mrt(
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
+        "uncoded_survival": lambda e: uncoded_survival(e, [1, 1]),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -316,7 +303,8 @@ class TestErasureValidation:
         with pytest.raises(ValueError, match="erasure probabilities"):
             self.ENTRY_POINTS[entry]([bad, 0.1])
 
-    @pytest.mark.parametrize("entry", ["window_decode_probs", "qos_levels", "max_psnr_mrt"])
+    @pytest.mark.parametrize("entry", ["window_decode_probs", "qos_levels", "max_psnr_mrt",
+                                       "uncoded_survival"])
     def test_rejects_nan_anywhere_in_a_batch(self, entry):
         batch = np.full((4, 2), 0.1)
         batch[2, 1] = math.nan
@@ -349,8 +337,6 @@ class TestBatchedEntryPoints:
             for lv in (1, 2, 3):
                 assert window_decode_prob(layers, pl, losses, lv)[row] == pytest.approx(
                     window_decode_prob(layers, pl, loss, lv), abs=1e-15)
-                assert qos_indicator(layers, pl, losses, 0.5, lv)[row] == qos_indicator(
-                    layers, pl, loss, 0.5, lv)
             assert max_psnr_uep(layers, pl, losses)[row] == pytest.approx(
                 max_psnr_uep(layers, pl, loss), abs=1e-12)
             assert max_psnr_mrt(layers, pl, losses)[row] == max_psnr_mrt(layers, pl, loss)

@@ -1,6 +1,6 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
-window DP against one-receiver calls and literal enumeration, and the
-agreement of the two feasibility verdicts on random plans."""
+window DP against one-receiver calls and literal enumeration, the agreement
+of the two feasibility verdicts on random plans, and plan canonicalisation."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ewcast.allocators import (
     AllocationProblem,
     AllocationSolution,
+    _canonical_plan,
     check_feasibility,
     evaluate_plan,
 )
@@ -117,3 +118,19 @@ def test_check_feasibility_agrees_with_evaluate_plan(case):
     report = check_feasibility(solution, problem)
     assert report.feasible == ev.feasible
     assert report.feasible == (not report.violations)
+
+
+@PROPERTY_SETTINGS
+@given(problems_and_plans(), st.data())
+def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
+    problem, mcs, counts = case
+    # switch windows off while they keep their MCS: the canonical form drops it
+    off = data.draw(st.lists(st.booleans(), min_size=len(counts), max_size=len(counts)))
+    counts = tuple(0 if o else c for o, c in zip(off, counts))
+    canon = _canonical_plan(problem, mcs, counts)
+    assert _canonical_plan(problem, canon.mcs, canon.tb_counts) == canon
+    raw = evaluate_plan(problem, mcs, counts)
+    ev = evaluate_plan(problem, canon.mcs, canon.tb_counts)
+    assert np.array_equal(raw.delta, ev.delta)
+    assert (raw.profit, raw.cost, raw.tau, raw.feasible) == (
+        ev.profit, ev.cost, ev.tau, ev.feasible)
