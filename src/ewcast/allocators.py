@@ -24,6 +24,7 @@ import numpy as np
 
 from .decode_prob import (
     _PROB_EPS,
+    _check_thresholds,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
@@ -59,9 +60,7 @@ class AllocationProblem:
             raise ValueError("one block budget per window is required")
         if self.layers.coverage_targets is None:
             raise ValueError("layer configuration carries no coverage targets")
-        # written so that NaN fails it: every comparison with NaN is false
-        if not 0.0 < self.q_hat <= 1.0:
-            raise ValueError(f"q_hat must lie in (0, 1], got {self.q_hat!r}")
+        _check_thresholds(self.p_hat, self.q_hat)
 
     def capacity(self, m: int) -> int:
         return self.capacities.get(m, 0)

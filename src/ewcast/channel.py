@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decode_prob import LayerConfig
+from .decode_prob import LayerConfig, _check_thresholds
 
 # Elements a transport block can hold, per resource-block pair, for each MCS
 # index; calibrated against the real block bit capacities at 2 KB elements.
@@ -94,8 +94,7 @@ def n_hat(k: int, p_hat: float, n_min: int) -> int:
         raise ValueError(f"k must be >= 0, got {k!r}")
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min!r}")
-    if not 0.0 <= p_hat < 1.0:
-        raise ValueError(f"p_hat must lie in [0, 1), got {p_hat!r}")
+    _check_thresholds(p_hat=p_hat)
     base = math.ceil(k / n_min) if k > 0 else 0
     return base + math.ceil(p_hat * base - 1e-9)
 
@@ -315,6 +314,9 @@ class Scenario:
     )
     seed: int = 0
     config: dict | None = None  # raw config the scenario was built from
+
+    def __post_init__(self):
+        _check_thresholds(self.p_hat, self.q_hat)
 
     @property
     def capacities(self) -> dict[int, int]:

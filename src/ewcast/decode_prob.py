@@ -283,6 +283,15 @@ def _checked_erasure(erasure) -> np.ndarray:
     return p
 
 
+def _check_thresholds(p_hat: float = 0.0, q_hat: float = 1.0) -> None:
+    """Refuse by name a report loss ``p_hat`` outside [0, 1) or a QoS ``q_hat`` outside (0, 1]."""
+    # written so that NaN fails them: every comparison with NaN is false
+    if not 0.0 <= p_hat < 1.0:
+        raise ValueError(f"p_hat must lie in [0, 1), got {p_hat!r}")
+    if not 0.0 < q_hat <= 1.0:
+        raise ValueError(f"q_hat must lie in (0, 1], got {q_hat!r}")
+
+
 def _validate_inputs(layers: LayerConfig, plan: TransmissionPlan, erasure) -> np.ndarray:
     if plan.num_windows != layers.num_layers:
         raise ValueError("plan must cover every window")

@@ -20,9 +20,9 @@ Two Monte Carlo estimators of the decode probability are provided:
   are therefore geometric, P(G_d >= g) = q^(-d*g), independent across
   deficits, windows and trials (the exact finite-field law of
   Trullols-Cruces, Barcelo-Ordinas and Fiore, IEEE Comm. Letters 2011).  The
-  sampler draws only the trials with some G_d >= 1 - a few per window over
-  GF(2^8) - and gives every other trial one rank per received element, so
-  it never steps element by element.
+  sampler moves whole (rank, received blocks) groups of trials and labels
+  only those with some G_d >= 1, so its cost grows with distinct ranks times
+  block counts plus about trials/q hit trials, not with the trial count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     _checked_erasure,
+    receive_pmf,
 )
 
 # Irreducible polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).  Any irreducible
@@ -124,11 +125,11 @@ def simulate_decode_prob(
     Every trial erases each of the ``N_l`` blocks independently (a lost block
     drops all of its ``n_l`` elements) and tests window-by-window
     decodability of the survivors' random coefficients.  The rank-chain
-    method draws, per window, the received elements of every trial and the
-    geometric dependent-row counts G_d of the few trials that meet any; a
-    trial then gains one rank per element until its deficit is cleared or
-    its elements run out, each dependent row costing one element.  All draws
-    come from one ``default_rng(seed)``.
+    method draws, per window, how many trials at each rank receive each
+    block count and the geometric dependent-row counts G_d of the few trials
+    that meet any; a trial then gains one rank per element until its
+    deficit is cleared or its elements run out, each dependent row costing
+    one element.  All draws come from one ``default_rng(seed)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -162,43 +163,54 @@ def simulate_decode_prob(
 def _rank_chain_counts(layers, plan, erasure, trials, rng, q) -> np.ndarray:
     """Sample the rank evolution of the stacked coefficient matrix.
 
-    At deficit ``d`` the trial meets G_d dependent rows before the next
-    independent one, P(G_d >= 1) = q^-d, and G_d given G_d >= 1 is
-    ``geometric(1 - q^-d)`` (memoryless).  Per window and deficit, the number
-    of trials with G_d >= 1 is one binomial draw and those trials are a
-    uniform subset, which has the law of one Bernoulli per trial.  Trials
-    without a dependent row gain ``min(gap, elements)``; for the others,
-    clearing deficits ``gap..d`` costs the sum of ``1 + G_d'`` over them, and
-    the trial gains the number of deficits it can afford.
+    The state is ``pop[r]``, the number of trials at rank ``r``; trials at
+    one rank are exchangeable, so a multinomial draw splits each rank group
+    by received blocks.  At deficit ``d`` a trial meets G_d dependent rows,
+    P(G_d >= 1) = q^-d, and G_d given G_d >= 1 is ``geometric(1 - q^-d)``.
+    Per rank group and open deficit, the trials with G_d >= 1 are a binomial
+    count drawn as a uniform subset of the group (one Bernoulli per trial in
+    law), labelled by their place in the (rank, blocks) order.  A hit trial
+    clears deficits ``gap..d`` for the sum of ``1 + G_d'`` and gains as many
+    as it can afford; every other trial gains ``min(gap, elements)``.
     """
     sizes = layers.window_sizes
     counts = np.zeros(layers.num_layers, dtype=np.int64)
-    rank = np.zeros(trials, dtype=np.int64)
-    for i in range(layers.num_layers):
+    pop = np.zeros(sizes[-1] + 1, dtype=np.int64)
+    pop[0] = trials
+    for i, size in enumerate(sizes):
         n_tb = plan.tb_counts[i]
         cap = plan.elements_per_tb[i]
         if n_tb > 0 and cap > 0:
-            elements = rng.binomial(n_tb, 1.0 - erasure[i], size=trials) * cap
-            gap = sizes[i] - rank
-            top = int(gap.max())
-            deficit = np.arange(1, top + 1)
+            live = np.flatnonzero(pop)
+            group, gap = pop[live], size - live
+            elements = np.arange(n_tb + 1) * cap
+            # cell[j * (n_tb + 1) + b]: trials at rank live[j] receiving b blocks
+            cell = rng.multinomial(group, receive_pmf(n_tb, erasure[i])).ravel()
+            dest = (live[:, None] + np.minimum(gap[:, None], elements)).ravel()
+            deficit = np.arange(1, int(gap.max()) + 1)
             stall = np.power(float(q), -deficit)  # P(G_d >= 1)
-            hit = rng.binomial(trials, stall)
-            gain = np.minimum(gap, elements)
+            hit = rng.binomial(group[:, None], np.where(deficit <= gap[:, None], stall, 0.0))
+            pop = np.zeros_like(pop)
             if hit.any():
-                who = np.concatenate([rng.choice(trials, h, replace=False)
-                                      for h in hit[hit > 0]])
-                col = np.repeat(deficit - 1, hit)
+                hj, col = np.nonzero(hit)
+                h = hit[hj, col]
+                first = np.cumsum(group) - group  # label of each group's first trial
+                who = np.concatenate([first[j] + rng.choice(group[j], n, replace=False)
+                                      for j, n in zip(hj.tolist(), h.tolist())])
+                col = np.repeat(col, h)
                 affected, row = np.unique(who, return_inverse=True)
-                cost = np.zeros((affected.size, top), dtype=np.int64)
+                flat = np.searchsorted(np.cumsum(cell), affected, side="right")
+                j, b = np.divmod(flat, n_tb + 1)
+                cost = np.zeros((affected.size, deficit.size), dtype=np.int64)
                 cost[row, col] = rng.geometric(1.0 - stall[col])
-                open_ = deficit <= gap[affected, None]
+                open_ = deficit <= gap[j, None]
                 cost = (cost + 1) * open_
                 need = np.cumsum(cost[:, ::-1], axis=1)[:, ::-1]
-                gain[affected] = np.count_nonzero(
-                    open_ & (need <= elements[affected, None]), axis=1)
-            rank += gain
-        counts[i] = int(np.count_nonzero(rank == sizes[i]))
+                gain = np.count_nonzero(open_ & (need <= elements[b, None]), axis=1)
+                np.subtract.at(cell, flat, 1)
+                np.add.at(pop, live[j] + gain, 1)
+            np.add.at(pop, dest, cell)
+        counts[i] = pop[size]
     return counts
 
 

@@ -323,16 +323,22 @@ class TestSolveAndMain:
                                               ("q_hat", -1.0), ("p_hat", math.nan),
                                               ("p_hat", 1.5)])
     def test_main_bad_threshold_names_field(self, tmp_path, capsys, field, value):
-        bad = dict(DEFAULT_SC_CONFIG, users={"pattern": "radial", "count": 10,
-                                             "step_m": 2.5, "start_m": 90.0})
-        bad[field] = value
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(bad))
-        code = main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "ValueError" in err and field in err
-        assert not (tmp_path / "coverage_sc.csv").exists()
+        # with users the thresholds reach the allocators; without any the
+        # scenario itself must refuse them, not write an empty map
+        cases = [("coverage-sc", DEFAULT_SC_CONFIG, "coverage_sc.csv", 10),
+                 ("coverage-sc", DEFAULT_SC_CONFIG, "coverage_sc.csv", 0),
+                 ("psnr-map-sfn", DEFAULT_SFN_CONFIG, "psnr_map_sfn.csv", 0)]
+        for command, config, csv_name, count in cases:
+            bad = dict(config, users={"pattern": "radial", "count": count,
+                                      "step_m": 2.5, "start_m": 90.0})
+            bad[field] = value
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(bad))
+            code = main([command, "--scenario", str(path), "--out", str(tmp_path)])
+            assert code == 1, (command, count)
+            err = capsys.readouterr().err
+            assert "ValueError" in err and field in err
+            assert not (tmp_path / csv_name).exists()
 
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):

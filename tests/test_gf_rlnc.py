@@ -81,13 +81,13 @@ class TestSimulateDecodeProb:
         b = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2], 4000, seed=9)
         assert a == b
 
-    def test_partition_merge_matches_total_trials(self):
-        merged = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2],
+    def test_estimates_are_counts_over_echoed_trials(self):
+        result = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2],
                                       4000, seed=9)
-        assert merged.trials == 4000
-        assert merged.std_err is not None
+        assert result.trials == 4000
+        assert result.std_err is not None
         # estimates are success counts over trials: multiples of 1/trials
-        for p in merged.p_win:
+        for p in result.p_win:
             assert abs(p * 4000 - round(p * 4000)) < 1e-9
 
     def test_chain_and_matrix_paths_agree(self):
@@ -212,15 +212,50 @@ class TestExactFieldOracle:
         "tight_reception": (LayerConfig((4,)),
                             TransmissionPlan((0,), (5,), (1,)),
                             [0.05]),
+        # window 2 is entered with trials spread over ranks 0, 2, 4 and 6
+        "several_ranks_entering": (LayerConfig((6, 4)),
+                                   TransmissionPlan((0, 0), (3, 4), (2, 2)),
+                                   [0.4, 0.2]),
+        # certain reception, then certain loss: one-hot block-count pmfs
+        "lossless_then_lost": (LayerConfig((2, 2)),
+                               TransmissionPlan((0, 0), (3, 2), (1, 1)),
+                               [0.0, 1.0]),
+        "lost_then_lossless": (LayerConfig((2, 2)),
+                               TransmissionPlan((0, 0), (3, 5), (1, 1)),
+                               [1.0, 0.0]),
     }
+
+    def assert_within_four_se(self, case, q, trials, seed):
+        layers, plan, erasure = self.CASES[case]
+        exact = exact_decode_probs(layers, plan, erasure, q)
+        sim = simulate_decode_prob(layers, plan, erasure, trials, seed=seed, q=q)
+        for w, (e, s) in enumerate(zip(exact, sim.p_win)):
+            se = math.sqrt(e * (1.0 - e) / trials)
+            assert abs(s - e) <= 4.0 * se + 1e-12, (case, q, w + 1, e, s)
 
     @pytest.mark.parametrize("q", [2, 4, 256])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_sampler_within_four_se_of_exact(self, case, q):
-        layers, plan, erasure = self.CASES[case]
-        trials = 40_000
-        exact = exact_decode_probs(layers, plan, erasure, q)
-        sim = simulate_decode_prob(layers, plan, erasure, trials, seed=31, q=q)
-        for w, (e, s) in enumerate(zip(exact, sim.p_win)):
-            se = math.sqrt(e * (1.0 - e) / trials)
-            assert abs(s - e) <= 4.0 * se + 1e-12, (case, q, w + 1, e, s)
+        self.assert_within_four_se(case, q, 40_000, seed=31)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ten_million_trials_over_gf256(self, case):
+        # 4 SE shrinks to a few 1e-4: the rank histogram keeps this cheap
+        self.assert_within_four_se(case, 256, 10**7, seed=32)
+
+    @pytest.mark.parametrize("q", [2, 4, 256])
+    def test_single_trial_runs_pool_to_exact(self, q):
+        # one trial per run: every estimate is 0 or 1, and the mean over
+        # independent seeds is a Bernoulli mean of the exact probability
+        runs = 400
+        for case in sorted(self.CASES):
+            layers, plan, erasure = self.CASES[case]
+            exact = exact_decode_probs(layers, plan, erasure, q)
+            hits = np.zeros(layers.num_layers)
+            for seed in range(runs):
+                sim = simulate_decode_prob(layers, plan, erasure, 1, seed=seed, q=q)
+                assert sim.trials == 1 and set(sim.p_win) <= {0.0, 1.0}
+                hits += sim.p_win
+            for w, (e, s) in enumerate(zip(exact, hits / runs)):
+                se = math.sqrt(e * (1.0 - e) / runs)
+                assert abs(s - e) <= 4.0 * se + 1e-12, (case, q, w + 1, e, s)
