@@ -371,15 +371,6 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     q_thresh = pr.q_hat - _PROB_EPS
     p_hat = pr.p_hat
 
-    pmf_cache: dict[int, np.ndarray] = {}
-
-    def pmf_for(count: int) -> np.ndarray:
-        pmf = pmf_cache.get(count)
-        if pmf is None:
-            pmf = receive_pmf(count, p_hat)
-            pmf_cache[count] = pmf
-        return pmf
-
     # path key: one step per window, None (nothing received) or (capacity, count)
     dist_cache: dict[tuple, np.ndarray] = {(): np.ones(1)}
 
@@ -392,13 +383,13 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             if step is None:
                 dist = np.concatenate([np.zeros(k[depth]), prev])
             else:
-                dist = advance_deficit(prev, k[depth], step[0], pmf_for(step[1]))
+                dist = advance_deficit(prev, k[depth], step[0], receive_pmf(step[1], p_hat))
             dist_cache[key] = dist
         return dist
 
     # success_over_budget is linear in the incoming deficit distribution,
     # whose length is fixed per window: its matrix for a (window, capacity)
-    # is read off once, row by row from unit distributions, and each success
+    # is read off once, from the stacked unit distributions, and each success
     # table is then the same vector-matrix product the primitive forms
     matrix_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -406,9 +397,7 @@ def direct_uep_ram(scenario) -> AllocationSolution:
         matrix = matrix_cache.get((depth, capacity))
         if matrix is None:
             units = np.eye(1 + sum(k[:depth]))
-            matrix = np.array([success_over_budget(unit, k[depth], capacity,
-                                                   budgets[depth], p_hat)
-                               for unit in units])
+            matrix = success_over_budget(units, k[depth], capacity, budgets[depth], p_hat)
             matrix_cache[(depth, capacity)] = matrix
         return matrix
 

@@ -120,6 +120,10 @@ def run_validate_approx(
     hold the analytic value, the simulated value with its standard error, and
     the absolute gap.
     """
+    if t_max is not None and t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if trials < 10_000:
         warnings.warn("fewer than 1e4 trials gives wide confidence bands", stacklevel=2)
     start = time.perf_counter()

@@ -180,10 +180,23 @@ def binomial_pmf_rows(count: int, loss) -> np.ndarray:
 def receive_pmf(tb_count: int, loss) -> np.ndarray:
     """P[r blocks received] for r = 0..tb_count under i.i.d. block loss.
 
-    ``loss`` may carry leading batch axes; only the last Pascal row is kept.
+    A scalar ``loss`` is served from a bounded memo of read-only rows keyed
+    on ``(tb_count, loss)``, shared by every caller.  ``loss`` may also carry
+    leading batch axes (one receiver each); such rows are built afresh and
+    never cached.  Either way only the last Pascal row is kept.
     """
-    for row in _pascal_rows(tb_count, loss):
-        pass
+    # a Python float (np.float64 too) skips np.ndim, which would build an
+    # array from it at several times the cost of a memo hit
+    if isinstance(loss, float) or np.ndim(loss) == 0:
+        return _scalar_receive_pmf(int(tb_count), float(loss))
+    *_, row = _pascal_rows(tb_count, loss)
+    return row
+
+
+@functools.lru_cache(maxsize=256)
+def _scalar_receive_pmf(tb_count: int, loss: float) -> np.ndarray:
+    *_, row = _pascal_rows(tb_count, loss)
+    row.flags.writeable = False
     return row
 
 
@@ -252,7 +265,7 @@ def receive_tail_table(budget: int, loss: float) -> np.ndarray:
 
     One read-only table serves every count up to ``budget``.  Only the
     allocators' scenario-wide loss reaches this cache; per-user evaluation
-    losses go through :func:`window_decode_probs`, which caches nothing.
+    losses reach :func:`receive_pmf` in batches, which it never caches.
     """
     table = receive_tail(binomial_pmf_rows(budget, loss))
     table.flags.writeable = False
@@ -264,11 +277,12 @@ def success_over_budget(
 ) -> np.ndarray:
     """Window recovery probability for every block count 0..budget.
 
-    ``dist`` is the incoming deficit distribution; entry ``N`` of the result
-    is the chance the window's receptions cover ``k_w`` plus the deficit when
-    ``N`` blocks are sent.
+    ``dist`` is the incoming deficit distribution, on its last axis (leading
+    axes stack distributions); entry ``N`` of the result is the chance the
+    window's receptions cover ``k_w`` plus the deficit when ``N`` blocks are
+    sent.
     """
-    needed = _needed_blocks(k_w + np.arange(dist.size), capacity)
+    needed = _needed_blocks(k_w + np.arange(dist.shape[-1]), capacity)
     tail = receive_tail_table(budget, loss)
     rows = np.clip(needed, 0, budget + 1)
     return dist @ tail[np.arange(budget + 1)[None, :], rows[:, None]]

@@ -20,6 +20,7 @@ from ewcast.cli import (
 )
 from ewcast.decode_prob import (
     LayerConfig,
+    _scalar_receive_pmf,
     max_psnr_mrt,
     uncoded_survival,
     window_decode_probs,
@@ -74,6 +75,13 @@ class TestValidateApprox:
         first = run_validate_approx(**kwargs).write_csv(tmp_path / "a.csv")
         second = run_validate_approx(**kwargs).write_csv(tmp_path / "b.csv")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_cold_and_warm_pmf_memo_give_identical_rows(self):
+        _scalar_receive_pmf.cache_clear()
+        cold = run_validate_approx(trials=12000, seed=4, t_max=3)
+        assert _scalar_receive_pmf.cache_info().currsize > 0
+        warm = run_validate_approx(trials=12000, seed=4, t_max=3)
+        assert cold.rows == warm.rows
 
     def test_warns_on_few_trials(self):
         with pytest.warns(UserWarning, match="confidence"):
@@ -354,6 +362,16 @@ class TestSolveAndMain:
             with pytest.raises(SystemExit) as info:
                 main(argv)
             assert info.value.code == 1, argv
+
+    @pytest.mark.parametrize("argv, field", [(["--t-max", "0"], "t_max"),
+                                             (["--t-max", "-3"], "t_max"),
+                                             (["--seed", "-1"], "seed")])
+    def test_main_validate_bad_input_names_field(self, tmp_path, capsys, argv, field):
+        code = main(["validate-approx", "--trials", "12000", "--out", str(tmp_path), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and field in err
+        assert not (tmp_path / "validate_approx.csv").exists()
 
     def test_main_validate_writes_csv(self, tmp_path):
         code = main(["validate-approx", "--trials", "12000", "--t-max", "3",

@@ -12,6 +12,8 @@ from ewcast.decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
+    _pascal_rows,
+    _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
     brute_force_decode_prob,
@@ -19,6 +21,7 @@ from ewcast.decode_prob import (
     max_psnr_mrt,
     max_psnr_uep,
     qos_levels,
+    receive_pmf,
     receive_tail,
     receive_tail_table,
     uncoded_survival,
@@ -252,6 +255,48 @@ class TestBinomialPrimitive:
         with pytest.raises(ValueError):
             table[3, 1] = 0.5
         assert receive_tail_table(6, 0.25) is table
+
+
+class TestReceivePmfMemo:
+    def test_memoised_rows_equal_fresh_pascal_rows_bitwise(self):
+        # every loss is asked at the same N before N moves on, so a memo
+        # that ignored the loss would hand one loss's row to the next; row N
+        # of one 0..400 pass is the fresh N-block row followed by zeros
+        losses = [0.0, -0.0, 1.0, 0.1, *np.random.default_rng(11).uniform(0.0, 1.0, 2)]
+        _scalar_receive_pmf.cache_clear()
+        fresh = zip(*(_pascal_rows(400, loss) for loss in losses))
+        for N, rows in enumerate(fresh):
+            for loss, row in zip(losses, rows):
+                for form in (float(loss), np.float64(loss), np.array(loss)):
+                    got = receive_pmf(N, form)
+                    assert got.tobytes() == row[: N + 1].tobytes(), (N, loss, type(form))
+
+    def test_scalar_row_is_shared_and_read_only(self):
+        row = receive_pmf(7, 0.3)
+        assert receive_pmf(np.int64(7), np.float64(0.3)) is row
+        with pytest.raises(ValueError):
+            row[2] = 0.5
+        assert row.tobytes() == list(_pascal_rows(7, 0.3))[-1].tobytes()
+
+    def test_batched_rows_are_fresh_writable_and_uncached(self):
+        _scalar_receive_pmf.cache_clear()
+        losses = np.array([[0.3], [0.05]])
+        rows = receive_pmf(6, losses)
+        assert rows.shape == (2, 1, 7)
+        rows[0, 0, 0] = 0.5  # the caller's own array
+        again = receive_pmf(6, losses)
+        assert again is not rows and again[0, 0, 0] != 0.5
+        assert receive_pmf(6, np.array([0.3])).flags.writeable
+        assert _scalar_receive_pmf.cache_info().currsize == 0
+        for loss, row in zip(losses.ravel(), again[:, 0]):
+            assert row.tobytes() == receive_pmf(6, loss).tobytes()
+
+    def test_cache_stays_within_its_bound(self):
+        bound = _scalar_receive_pmf.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 50):
+            receive_pmf(3, i / (bound + 50))
+        assert _scalar_receive_pmf.cache_info().currsize <= bound
 
 
 class TestUncodedSurvival:
