@@ -28,11 +28,10 @@ from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
-    deficit_distribution,
     mrt_block_counts,
     qos_levels,
     receive_pmf,
-    success_over_budget,
+    success_table,
     uncoded_survival,
 )
 
@@ -182,10 +181,11 @@ def solve_s2(
     if len(tb_prefix) != window - 1:
         raise ValueError("prefix must fix the counts of all earlier windows")
     k = layers.k
-    losses = [p_hat] * (window - 1)
-    dist = deficit_distribution(k, capacities, tb_prefix, losses, window - 1)
-    success = success_over_budget(dist, k[window - 1], capacities[window - 1],
-                                  budget, p_hat)
+    dist = np.ones(1)
+    for i, count in enumerate(tb_prefix):
+        dist = advance_deficit(dist, k[i], capacities[i], receive_pmf(count, p_hat))
+    success = dist @ success_table(len(dist), k[window - 1], capacities[window - 1],
+                                   budget, p_hat)
     hits = np.nonzero(success >= q_hat - _PROB_EPS)[0]
     return int(hits[0]) if hits.size else None
 
@@ -377,29 +377,11 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     def dist_for(key: tuple) -> np.ndarray:
         dist = dist_cache.get(key)
         if dist is None:
-            prev = dist_for(key[:-1])
-            depth = len(key) - 1
-            step = key[-1]
-            if step is None:
-                dist = np.concatenate([np.zeros(k[depth]), prev])
-            else:
-                dist = advance_deficit(prev, k[depth], step[0], receive_pmf(step[1], p_hat))
+            capacity, count = key[-1] or (0, 0)
+            dist = advance_deficit(dist_for(key[:-1]), k[len(key) - 1], capacity,
+                                   receive_pmf(count, p_hat))
             dist_cache[key] = dist
         return dist
-
-    # success_over_budget is linear in the incoming deficit distribution,
-    # whose length is fixed per window: its matrix for a (window, capacity)
-    # is read off once, from the stacked unit distributions, and each success
-    # table is then the same vector-matrix product the primitive forms
-    matrix_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def success_matrix(depth: int, capacity: int) -> np.ndarray:
-        matrix = matrix_cache.get((depth, capacity))
-        if matrix is None:
-            units = np.eye(1 + sum(k[:depth]))
-            matrix = success_over_budget(units, k[depth], capacity, budgets[depth], p_hat)
-            matrix_cache[(depth, capacity)] = matrix
-        return matrix
 
     # Every MCS vector but the all-off one, in lexicographic order.  A user
     # can only decode a window it qualifies on (0 < m <= report), so level l
@@ -432,7 +414,7 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             return entry[1]
         d = len(template)
         axes = [j for j in range(d) if template[j] is not None]
-        matrix = success_matrix(d, capacity)
+        matrix = success_table(1 + sum(k[:d]), k[d], capacity, budgets[d], p_hat)
         rows = []
         for counts in product(*(range(1, budgets[j] + 1) for j in axes)):
             if sum(counts) >= limit:

@@ -416,11 +416,10 @@ def build_scenario(config: dict) -> Scenario:
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")
     element_bits = int(cfg.get("element_bits", round(float(cfg.get("element_kb", 2.0)) * 1024 * 8)))
     gop_seconds = float(cfg.get("gop_seconds", 0.533))
-    bitrates = tuple(1000.0 * b for b in stream["bitrates_kbps"])
-    k = tuple(source_elements(b, gop_seconds, element_bits) for b in bitrates)
+    k = tuple(source_elements(1000.0 * b, gop_seconds, element_bits)
+              for b in stream["bitrates_kbps"])
     layers = LayerConfig(
         k=k,
-        bitrates=bitrates,
         psnr=tuple(stream["psnr_db"]),
         coverage_targets=tuple(stream["coverage_targets"]),
     )

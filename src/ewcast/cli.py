@@ -120,6 +120,8 @@ def run_validate_approx(
     hold the analytic value, the simulated value with its standard error, and
     the absolute gap.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     if seed < 0:
@@ -132,10 +134,16 @@ def run_validate_approx(
     rows = []
     for ci, cap in enumerate(capacities):
         for pi, loss in enumerate(losses):
-            limit = t_max if t_max is not None else _saturation_t(layers, cap, loss)
-            for t in range(1, limit + 1):
+            limit = SATURATION_CAP if t_max is None else t_max
+            saturated = t_max is not None
+            t = 0
+            while t < limit:
+                t += 1
                 plan = TransmissionPlan.uniform(L, t, cap)
                 analytic = window_decode_probs(layers, plan, [loss] * L)
+                if not saturated and analytic[-1] >= 1.0 - SATURATION_TAIL:
+                    saturated = True
+                    limit = min(t + SATURATION_MARGIN, SATURATION_CAP)
                 sim = simulate_decode_prob(
                     layers, plan, [loss] * L, trials,
                     _point_seed(seed, ci, pi, t),
@@ -146,6 +154,10 @@ def run_validate_approx(
                         float(analytic[w]), sim.p_win[w], sim.std_err[w],
                         abs(float(analytic[w]) - sim.p_win[w]),
                     ))
+            if not saturated:
+                warnings.warn(
+                    f"deepest window not saturated within {SATURATION_CAP} blocks "
+                    f"(capacity {cap}, loss {loss}); sweep truncated there", stacklevel=2)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     config = {
         "layer_elements": list(layer_elements), "capacities": list(capacities),
@@ -161,19 +173,6 @@ def run_validate_approx(
         runtime_s=time.perf_counter() - start,
         meta={"trials": trials},
     )
-
-
-def _saturation_t(layers: LayerConfig, cap: int, loss: float) -> int:
-    L = layers.num_layers
-    for t in range(1, SATURATION_CAP + 1):
-        plan = TransmissionPlan.uniform(L, t, cap)
-        probs = window_decode_probs(layers, plan, [loss] * L)
-        if probs[-1] >= 1.0 - SATURATION_TAIL:
-            return min(t + SATURATION_MARGIN, SATURATION_CAP)
-    warnings.warn(
-        f"deepest window not saturated within {SATURATION_CAP} blocks "
-        f"(capacity {cap}, loss {loss}); sweep truncated there", stacklevel=3)
-    return SATURATION_CAP
 
 
 def run_rbp_sweep(

@@ -8,12 +8,14 @@ elements collected from windows ``1..l`` contain enough information to span
 all ``K_l`` unknowns.  In the large-field limit that event reduces to a
 threshold test on the received element counts: each window carries a residual
 requirement ("deficit") forward, receptions settle it, and window ``l``
-decodes when its own receptions cover the leftover plus its fresh elements.
+decodes exactly when it leaves no deficit behind.
 
 The exact probability of that threshold event is computed here by dynamic
 programming over the deficit value, which is equivalent to the full nested
-summation over all reception outcomes but runs in O(L * K * max N) time.  A
-literal nested-sum evaluator is kept as an independent cross-check.
+summation over all reception outcomes but runs in O(L * K * max N) time.  The
+allocators push the same deficit step through earlier windows and read the
+last window off one cached success table.  A literal nested-sum evaluator is
+kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ class LayerConfig:
     """Layered source message: per-layer element counts plus stream metadata.
 
     ``k[i]`` is the number of source elements in layer ``i+1``; window sizes
-    are the running sums.  Bitrates (bits/s), PSNR plateaus (dB) and coverage
-    targets (user fractions) are optional and only needed by the allocators.
+    are the running sums.  PSNR plateaus (dB) are optional and only needed by
+    the quality metrics and the uncoded baseline; coverage targets (user
+    fractions) are optional and only needed by the allocators.
     """
 
     k: tuple[int, ...]
-    bitrates: tuple[float, ...] | None = None
     psnr: tuple[float, ...] | None = None
     coverage_targets: tuple[float, ...] | None = None
 
@@ -53,7 +55,7 @@ class LayerConfig:
             raise ValueError("at least one layer is required")
         if any(v < 1 for v in self.k):
             raise ValueError("layer element counts must be >= 1")
-        for name in ("bitrates", "psnr", "coverage_targets"):
+        for name in ("psnr", "coverage_targets"):
             val = getattr(self, name)
             if val is None:
                 continue
@@ -125,27 +127,18 @@ class TransmissionPlan:
     def num_windows(self) -> int:
         return len(self.tb_counts)
 
-    @property
-    def total_tbs(self) -> int:
-        return sum(self.tb_counts)
-
 
 @dataclass(frozen=True)
 class DecodeProbability:
-    """Per-window recovery probabilities with provenance."""
+    """Simulated per-window recovery probabilities with standard errors."""
 
     p_win: tuple[float, ...]
-    provenance: str  # "analytic" or "simulated"
-    std_err: tuple[float, ...] | None = None
-    trials: int | None = None
+    std_err: tuple[float, ...]
+    trials: int
 
     def __post_init__(self):
-        if self.provenance not in ("analytic", "simulated"):
-            raise ValueError("provenance must be 'analytic' or 'simulated'")
         if any(not -_PROB_EPS <= p <= 1.0 + _PROB_EPS for p in self.p_win):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.provenance == "simulated" and self.std_err is None:
-            raise ValueError("simulated results must carry standard errors")
 
 
 def _pascal_rows(count: int, loss):
@@ -244,21 +237,6 @@ def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray
     return new
 
 
-def deficit_distribution(
-    k: Sequence[int],
-    capacities: Sequence[int],
-    tb_counts: Sequence[int],
-    losses: Sequence[float],
-    upto: int,
-) -> np.ndarray:
-    """Distribution of the residual deficit after the first ``upto`` windows."""
-    dist = np.ones(1)
-    for i in range(upto):
-        pmf = receive_pmf(tb_counts[i], losses[i])
-        dist = advance_deficit(dist, k[i], capacities[i], pmf)
-    return dist
-
-
 @functools.lru_cache(maxsize=256)
 def receive_tail_table(budget: int, loss: float) -> np.ndarray:
     """``table[N, j] = P(at least j of N sent blocks arrive)``, cached.
@@ -272,20 +250,20 @@ def receive_tail_table(budget: int, loss: float) -> np.ndarray:
     return table
 
 
-def success_over_budget(
-    dist: np.ndarray, k_w: int, capacity: int, budget: int, loss: float
-) -> np.ndarray:
-    """Window recovery probability for every block count 0..budget.
+@functools.lru_cache(maxsize=256)
+def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) -> np.ndarray:
+    """``table[e, N]``: chance that a window recovers, cached and read-only.
 
-    ``dist`` is the incoming deficit distribution, on its last axis (leading
-    axes stack distributions); entry ``N`` of the result is the chance the
-    window's receptions cover ``k_w`` plus the deficit when ``N`` blocks are
-    sent.
+    The window adds ``k_w`` fresh elements to an incoming deficit ``e`` (for
+    e < ``size``) and is sent as ``N`` blocks (0..budget) of ``capacity``
+    elements, each lost with probability ``loss``.  A deficit distribution
+    times the table gives the window's success for every block count.
     """
-    needed = _needed_blocks(k_w + np.arange(dist.shape[-1]), capacity)
-    tail = receive_tail_table(budget, loss)
+    needed = _needed_blocks(k_w + np.arange(size), capacity)
     rows = np.clip(needed, 0, budget + 1)
-    return dist @ tail[np.arange(budget + 1)[None, :], rows[:, None]]
+    table = receive_tail_table(budget, loss)[np.arange(budget + 1)[None, :], rows[:, None]]
+    table.flags.writeable = False
+    return table
 
 
 def _checked_erasure(erasure) -> np.ndarray:
@@ -332,12 +310,10 @@ def window_decode_probs(
     probs = np.zeros(p.shape)
     dist = np.ones(p.shape[:-1] + (1,))
     for i in range(len(k)):
-        pmf = receive_pmf(N[i], p[..., i])
-        needed = _needed_blocks(k[i] + np.arange(dist.shape[-1]), n[i])
-        tail = receive_tail(pmf)[..., np.minimum(needed, N[i] + 1)]
-        # one dot product per receiver
-        probs[..., i] = (dist[..., None, :] @ tail[..., :, None])[..., 0, 0]
-        dist = advance_deficit(dist, k[i], n[i], pmf)
+        dist = advance_deficit(dist, k[i], n[i], receive_pmf(N[i], p[..., i]))
+        # max(k + e - r*n, 0) == 0 exactly when r*n >= k + e: the window
+        # decodes when it leaves no deficit behind
+        probs[..., i] = dist[..., 0]
     return probs
 
 

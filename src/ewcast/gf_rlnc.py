@@ -154,7 +154,6 @@ def simulate_decode_prob(
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return DecodeProbability(
         p_win=tuple(float(v) for v in p_hat),
-        provenance="simulated",
         std_err=tuple(float(v) for v in std_err),
         trials=trials,
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ewcast.cli import (
     DEFAULT_SC_CONFIG,
     DEFAULT_SFN_CONFIG,
     SATURATION_CAP,
-    _saturation_t,
     main,
     run_coverage_sc,
     run_psnr_map_sfn,
@@ -19,7 +19,6 @@ from ewcast.cli import (
     run_validate_approx,
 )
 from ewcast.decode_prob import (
-    LayerConfig,
     _scalar_receive_pmf,
     max_psnr_mrt,
     uncoded_survival,
@@ -91,7 +90,9 @@ class TestValidateApprox:
     def test_saturation_cap_warns(self):
         # every block lost: the deepest window never saturates
         with pytest.warns(UserWarning, match=f"within {SATURATION_CAP} blocks"):
-            assert _saturation_t(LayerConfig((3, 4)), 2, 1.0) == SATURATION_CAP
+            result = run_validate_approx(trials=10_000, capacities=(2,), losses=(1.0,),
+                                         layer_elements=(3, 4))
+        assert max(row[2] for row in result.rows) == SATURATION_CAP
 
 
 class TestRbpSweep:
@@ -186,6 +187,14 @@ class TestPsnrMap:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
         assert main(["psnr-map-sfn", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("runner, config", [(run_coverage_sc, SMALL_SC),
+                                            (run_psnr_map_sfn, SFN_5X5)])
+def test_map_rerun_writes_identical_csv(tmp_path, runner, config):
+    first = runner(config).write_csv(tmp_path / "a.csv")
+    second = runner(config).write_csv(tmp_path / "b.csv")
+    assert first.read_bytes() == second.read_bytes()
 
 
 def _reference(config, view="evaluation"):
@@ -371,6 +380,16 @@ class TestSolveAndMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err
+        assert not (tmp_path / "validate_approx.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_main_validate_bad_trials_fails_before_warning(self, tmp_path, capsys, trials):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would surface as its own error
+            code = main(["validate-approx", "--trials", trials, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "trials" in err
         assert not (tmp_path / "validate_approx.csv").exists()
 
     def test_main_validate_writes_csv(self, tmp_path):

@@ -24,6 +24,7 @@ from ewcast.decode_prob import (
     receive_pmf,
     receive_tail,
     receive_tail_table,
+    success_table,
     uncoded_survival,
     window_decode_prob,
     window_decode_probs,
@@ -225,12 +226,14 @@ class TestScalarMetrics:
 
 class TestDecodeProbabilityType:
     def test_simulated_requires_std_err(self):
-        with pytest.raises(ValueError):
-            DecodeProbability((0.5,), "simulated")
+        with pytest.raises(TypeError):
+            DecodeProbability((0.5,))
+        with pytest.raises(TypeError):
+            DecodeProbability((0.5,), (0.1,))
 
-    def test_rejects_bad_provenance(self):
+    def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            DecodeProbability((0.5,), "guessed")
+            DecodeProbability((1.5,), (0.0,), 10)
 
 
 class TestBinomialPrimitive:
@@ -255,6 +258,50 @@ class TestBinomialPrimitive:
         with pytest.raises(ValueError):
             table[3, 1] = 0.5
         assert receive_tail_table(6, 0.25) is table
+
+
+class TestSuccessTable:
+    @pytest.mark.parametrize("loss", [0.0, 1.0, 0.1, 0.2871, 0.63, 0.914])
+    def test_matches_exact_rational_threshold(self, loss):
+        # oracle: P(Bin(N, 1 - loss) * capacity >= k + e) in exact rationals
+        p = Fraction(loss)
+        for size, k_w, capacity, budget in ((1, 4, 2, 9), (7, 3, 5, 12), (12, 9, 1, 25)):
+            table = success_table(size, k_w, capacity, budget, loss)
+            assert table.shape == (size, budget + 1)
+            for e in range(size):
+                for N in range(budget + 1):
+                    exact = sum(math.comb(N, r) * (1 - p) ** r * p ** (N - r)
+                                for r in range(N + 1) if r * capacity >= k_w + e)
+                    assert abs(table[e, N] - float(exact)) <= 1e-15
+
+    def test_without_capacity_nothing_recovers(self):
+        assert np.all(success_table(3, 2, 0, 5, 0.1) == 0.0)
+
+    def test_read_only_and_shared(self):
+        table = success_table(5, 3, 2, 8, 0.25)
+        with pytest.raises(ValueError):
+            table[1, 2] = 0.5
+        assert success_table(5, 3, 2, 8, 0.25) is table
+
+    def test_prefix_walk_times_table_is_the_window_dp(self):
+        # the allocators' path (deficit walk over earlier windows, then the
+        # success table) against the window DP at the same block count
+        rng = np.random.default_rng(20250811)
+        worst = 0.0
+        for _ in range(300):
+            L = int(rng.integers(1, 4))
+            k = tuple(int(v) for v in rng.integers(1, 12, size=L))
+            n = tuple(int(v) for v in rng.integers(1, 6, size=L))
+            N = tuple(int(v) for v in rng.integers(0, 9, size=L))
+            loss = float(rng.uniform(0.0, 1.0))
+            probs = window_decode_probs(LayerConfig(k), plan(N, n), [loss] * L)
+            dist = np.ones(1)
+            for w in range(L):
+                budget = N[w] + int(rng.integers(0, 4))
+                row = dist @ success_table(len(dist), k[w], n[w], budget, loss)
+                worst = max(worst, abs(row[N[w]] - probs[w]))
+                dist = advance_deficit(dist, k[w], n[w], receive_pmf(N[w], loss))
+        assert worst <= 1e-15
 
 
 class TestReceivePmfMemo:
