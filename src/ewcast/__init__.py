@@ -6,18 +6,12 @@ from .decode_prob import (
     TransmissionPlan,
     brute_force_decode_prob,
     expected_psnr,
-    max_psnr_mrt,
-    max_psnr_uep,
     qos_levels,
     uncoded_survival,
     window_decode_prob,
     window_decode_probs,
 )
-from .gf_rlnc import (
-    field_inv,
-    field_mul,
-    simulate_decode_prob,
-)
+from .gf_rlnc import simulate_decode_prob
 from .channel import (
     NetworkLayout,
     Scenario,
@@ -26,7 +20,6 @@ from .channel import (
     build_scenario,
     cqi_mcs,
     erasure_prob,
-    load_scenario,
     n_hat,
     place_users,
     sinr_at,

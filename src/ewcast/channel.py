@@ -370,7 +370,10 @@ _BLER_KEYS = frozenset({"decade_db", "thresholds_db"})
 
 
 def _check_keys(section: str, cfg: Mapping, known: frozenset,
-                    required: frozenset = frozenset()) -> None:
+                required: frozenset = frozenset()) -> dict:
+    """A copy of config section ``cfg`` once it is an object with known keys."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"{section} must be an object, got {type(cfg).__name__}")
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown {section} key(s) {unknown}; "
@@ -378,26 +381,29 @@ def _check_keys(section: str, cfg: Mapping, known: frozenset,
     missing = sorted(required - set(cfg))
     if missing:
         raise ValueError(f"{section} is missing key(s) {missing}")
+    return dict(cfg)
 
 
 def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema).
 
-    Unknown keys, at the top level or under ``bler``, ``users`` or an
-    explicit ``stream``, raise ``ValueError`` naming them, so a misspelt
-    field cannot silently fall back to its default; so do missing required
-    ``users`` and ``stream`` fields.
+    Unknown keys (top level, ``bler``, ``users``, ``stream``), sections that
+    are not objects, missing required fields and out-of-range values raise a
+    ``ValueError`` naming the field, so a misspelt or bad field can neither
+    fall back to its default silently nor fail late.
     """
-    cfg = dict(config)
-    _check_keys("scenario", cfg, _SCENARIO_KEYS)
-    _check_keys("bler", cfg.get("bler", {}), _BLER_KEYS)
+    cfg = _check_keys("scenario", config, _SCENARIO_KEYS)
+    bler_cfg = _check_keys("bler", cfg.get("bler", {}), _BLER_KEYS)
     mode = cfg.get("mode", "SC")
     isd = float(cfg.get("isd_m", 500.0))
     layout_kwargs = {key: cfg[key] for key in _LAYOUT_KEYS if key in cfg}
     if mode == "SC":
         layout = single_cell_layout(isd, **layout_kwargs)
     elif mode == "SFN":
-        members = tuple(cfg.get("sfn_members", (0, 1, 2, 3)))
+        members, sites = cfg.get("sfn_members", (0, 1, 2, 3)), len(hex_grid(isd))
+        if not (isinstance(members, (list, tuple)) and members
+                and all(isinstance(i, int) and 0 <= i < sites for i in members)):
+            raise ValueError(f"sfn_members must be a list of site indices, got {members!r}")
         layout = sfn_layout(isd, members=members, **layout_kwargs)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -408,9 +414,8 @@ def build_scenario(config: dict) -> Scenario:
             raise ValueError(f"unknown stream_preset {cfg['stream_preset']!r}; "
                              f"valid presets: {sorted(STREAM_PRESETS)}")
     elif "stream" in cfg:
-        stream = cfg["stream"]
         fields = frozenset({"bitrates_kbps", "psnr_db", "coverage_targets"})
-        _check_keys("stream", stream, fields, required=fields)
+        stream = _check_keys("stream", cfg["stream"], fields, required=fields)
     else:
         raise ValueError("config needs a stream_preset (one of "
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")
@@ -425,17 +430,25 @@ def build_scenario(config: dict) -> Scenario:
     )
 
     p_hat = float(cfg.get("p_hat", 0.1))
-    bler_cfg = cfg.get("bler", {})
     decade_db = float(bler_cfg.get("decade_db", 1.0))
+    if not 0.0 < decade_db < math.inf:
+        raise ValueError(f"bler.decade_db must be finite and > 0, got {decade_db!r}")
     thresholds = dict(DEFAULT_MCS_THRESHOLDS_DB)
     if "thresholds_db" in bler_cfg:
-        thresholds = {i + 1: float(v) for i, v in enumerate(bler_cfg["thresholds_db"])}
+        values = bler_cfg["thresholds_db"]
+        if not (isinstance(values, (list, tuple)) and len(values) == len(thresholds) and all(
+                isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
+            raise ValueError(f"bler.thresholds_db must hold 15 finite values, got {values!r}")
+        thresholds = {i + 1: float(v) for i, v in enumerate(values)}
+    n_rbp = int(cfg.get("n_rbp", 5))
+    if n_rbp < 1:
+        raise ValueError(f"n_rbp must be >= 1, got {n_rbp}")
     seed = int(cfg.get("seed", 0))
 
-    users_cfg = dict(cfg.get("users", {"pattern": "radial", "count": 80, "step_m": 2.0}))
     required = frozenset({"pattern", "count", "step_m"})
-    _check_keys("users", users_cfg, required | {"start_m", "angle_deg", "center"},
-                    required=required)
+    users_cfg = cfg.get("users", {"pattern": "radial", "count": 80, "step_m": 2.0})
+    users_cfg = _check_keys("users", users_cfg, required | {"start_m", "angle_deg", "center"},
+                            required=required)
     pattern = users_cfg.pop("pattern")
     rng = np.random.default_rng(seed) if layout.shadow_sigma_db > 0 else None
     users = place_users(
@@ -448,7 +461,7 @@ def build_scenario(config: dict) -> Scenario:
         layers=layers,
         layout=layout,
         users=users,
-        n_rbp=int(cfg.get("n_rbp", 5)),
+        n_rbp=n_rbp,
         element_bits=element_bits,
         gop_seconds=gop_seconds,
         p_hat=p_hat,
@@ -458,8 +471,3 @@ def build_scenario(config: dict) -> Scenario:
         seed=seed,
         config=cfg,
     )
-
-
-def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_scenario(json.load(fh))

@@ -417,7 +417,10 @@ def _load_config(path: Path | None, fallback: dict) -> dict:
     if path is None:
         return dict(fallback)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"scenario config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def main(argv=None) -> int:

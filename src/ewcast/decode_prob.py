@@ -399,15 +399,6 @@ def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:
     return np.maximum(np.max(np.asarray(layers.psnr) * probs, axis=-1), 0.0)[()]
 
 
-def max_psnr_uep(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure,
-) -> float:
-    """Best expected quality of the coded plan, from the window probabilities."""
-    return expected_psnr(layers, window_decode_probs(layers, plan, erasure))
-
-
 def uncoded_survival(losses, tb_counts) -> np.ndarray:
     """Probability that every block of windows ``1..l`` arrives, per level ``l``.
 
@@ -425,18 +416,3 @@ def uncoded_survival(losses, tb_counts) -> np.ndarray:
 def mrt_block_counts(layers: LayerConfig, capacities: Sequence[int]) -> tuple[int, ...]:
     """Lossless block count ceil(k_i / n_i) per layer; 0 without capacity."""
     return tuple(-(-k // n) if n >= 1 else 0 for k, n in zip(layers.k, capacities))
-
-
-def max_psnr_mrt(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure,
-) -> float:
-    """Quality metric of the uncoded multi-rate baseline.
-
-    Without coding, level ``l`` requires every block of layers ``1..l`` to
-    arrive: ceil(k_i / n_i) blocks per layer, each surviving independently.
-    """
-    p = _validate_inputs(layers, plan, erasure)
-    survive = uncoded_survival(p, mrt_block_counts(layers, plan.elements_per_tb))
-    return expected_psnr(layers, survive)

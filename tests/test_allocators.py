@@ -168,19 +168,26 @@ class TestDirect:
         assert sol.tau == pytest.approx(best_tau)
         assert (sol.plan.mcs[0], sol.plan.tb_counts[0]) == best
 
-    def test_matches_brute_force_on_shrunk_instances(self):
-        rng = np.random.default_rng(5150)
+    @pytest.mark.parametrize("seed, depth, instances, min_feasible, mcs_count, budget", [
+        (5150, (1, 3), 60, 25, (3, 5), (1, 4)),
+        (5151, (3, 4), 16, 5, (3, 4), (1, 3)),
+        (5152, (4, 5), 8, 3, (3, 4), (1, 3)),
+    ], ids=["L1-2", "L3", "L4"])
+    def test_matches_brute_force_on_shrunk_instances(self, seed, depth, instances,
+                                                     min_feasible, mcs_count, budget):
+        # the last two cases reach the four layers of the SFN default
+        rng = np.random.default_rng(seed)
         feasible = 0
-        for _ in range(60):
-            L = int(rng.integers(1, 3))
-            mcs = sorted(int(m) for m in rng.choice(np.arange(1, 13), int(rng.integers(3, 5)),
+        for _ in range(instances):
+            L = int(rng.integers(*depth))
+            mcs = sorted(int(m) for m in rng.choice(np.arange(1, 13), int(rng.integers(*mcs_count)),
                                                     replace=False))
             caps = dict(zip(mcs, sorted(int(c) for c in rng.integers(1, 7, len(mcs)))))
             targets = sorted((float(t) for t in rng.uniform(0.2, 0.8, L)), reverse=True)
             layers = LayerConfig(tuple(int(v) for v in rng.integers(1, 7, L)),
                                  coverage_targets=targets)
             pr = AllocationProblem(layers, tuple(int(u) for u in rng.integers(6, 16, 8)),
-                                   tuple(int(b) for b in rng.integers(1, 4, L)), caps,
+                                   tuple(int(b) for b in rng.integers(*budget, L)), caps,
                                    float(rng.choice([0.05, 0.1])),
                                    float(rng.choice([0.9, 0.99])))
             best = brute_force_optimum(pr)
@@ -189,7 +196,7 @@ class TestDirect:
             if best is not None:
                 feasible += 1
                 assert (sol.plan.mcs, sol.plan.tb_counts) == best
-        assert feasible >= 25
+        assert feasible >= min_feasible
 
     def test_equal_tau_and_cost_takes_first_plan(self):
         # across MCS vectors: MCS 3 and 7 carry equal blocks and every user

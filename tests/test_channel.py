@@ -15,7 +15,6 @@ from ewcast.channel import (
     cqi_mcs,
     erasure_prob,
     hex_grid,
-    load_scenario,
     n_hat,
     place_users,
     sfn_layout,
@@ -328,7 +327,7 @@ class TestScenario:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(self.CONFIG))
-        scenario = load_scenario(path)
+        scenario = build_scenario(json.loads(path.read_text()))
         assert scenario.layers.k == (2, 11, 46)
         assert len(scenario.users) == 16
 

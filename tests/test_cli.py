@@ -20,7 +20,7 @@ from ewcast.cli import (
 )
 from ewcast.decode_prob import (
     _scalar_receive_pmf,
-    max_psnr_mrt,
+    expected_psnr,
     uncoded_survival,
     window_decode_probs,
 )
@@ -219,7 +219,7 @@ def _reference(config, view="evaluation"):
         mrt_losses = losses(mrt.plan, user)
         p_mrt = uncoded_survival(mrt_losses, mrt.plan.tb_counts)
         per_user.append((user, [float(v) for v in p_win], [float(v) for v in p_mrt],
-                         float(max_psnr_mrt(scenario.layers, mrt.plan, mrt_losses))))
+                         float(expected_psnr(scenario.layers, p_mrt))))
     meta = {"erasure_view": view, "uep_feasible": int(heur.feasible),
             "uep_plan_mcs": list(heur.plan.mcs), "uep_plan_tb": list(heur.plan.tb_counts),
             "mrt_plan_mcs": list(mrt.plan.mcs), "mrt_plan_tb": list(mrt.plan.tb_counts)}
@@ -327,15 +327,6 @@ class TestSolveAndMain:
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1
 
-    def test_main_unknown_preset_names_field(self, tmp_path, capsys):
-        bad = dict(SMALL_SC)
-        bad["stream_preset"] = "C"
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(bad))
-        assert main(["solve", "--scenario", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "ValueError" in err and "stream_preset" in err and "'A'" in err
-
     @pytest.mark.parametrize("field, value", [("q_hat", math.nan), ("q_hat", 1.5),
                                               ("q_hat", -1.0), ("p_hat", math.nan),
                                               ("p_hat", 1.5)])
@@ -356,6 +347,28 @@ class TestSolveAndMain:
             err = capsys.readouterr().err
             assert "ValueError" in err and field in err
             assert not (tmp_path / csv_name).exists()
+
+    @pytest.mark.parametrize("argv, change, field", [
+        (["coverage-sc"], {"stream_preset": "C"}, "stream_preset"),
+        (["coverage-sc"], {"bler": {"decade_db": 0}}, "bler.decade_db"),
+        (["coverage-sc"], {"bler": {"decade_db": -5}}, "bler.decade_db"),
+        (["coverage-sc"], {"bler": {"thresholds_db": [-9.4, -7.6]}}, "bler.thresholds_db"),
+        (["coverage-sc"], {"n_rbp": 0}, "n_rbp"),
+        (["sweep-rbp", "--rbp", "0"], {}, "n_rbp"),
+        (["coverage-sc"], {"bler": 5}, "bler"),
+        (["coverage-sc"], {"users": [80, 2.5]}, "users"),
+        (["psnr-map-sfn"], {"sfn_members": 5}, "sfn_members"),
+        (["psnr-map-sfn"], {"sfn_members": [0, 19]}, "sfn_members"),
+        (["coverage-sc"], None, "scenario config"),  # a JSON list, not an object
+    ])
+    def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
+        config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps([config] if change is None else {**config, **change}))
+        assert main([*argv, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and field in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):

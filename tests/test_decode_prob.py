@@ -18,8 +18,7 @@ from ewcast.decode_prob import (
     binomial_pmf_rows,
     brute_force_decode_prob,
     expected_psnr,
-    max_psnr_mrt,
-    max_psnr_uep,
+    mrt_block_counts,
     qos_levels,
     receive_pmf,
     receive_tail,
@@ -34,6 +33,15 @@ from ewcast.decode_prob import (
 def plan(tb_counts, elements_per_tb, mcs=None):
     L = len(tb_counts)
     return TransmissionPlan(mcs or (0,) * L, tb_counts, elements_per_tb)
+
+
+def max_psnr_uep(layers, pl, erasure):
+    return expected_psnr(layers, window_decode_probs(layers, pl, erasure))
+
+
+def max_psnr_mrt(layers, pl, erasure):  # every block of layers 1..l must arrive
+    blocks = mrt_block_counts(layers, pl.elements_per_tb)
+    return expected_psnr(layers, uncoded_survival(erasure, blocks))
 
 
 def carried(carry, k_new, capacity, received, sent):
@@ -382,10 +390,6 @@ class TestErasureValidation:
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 2),
         "qos_levels": lambda e: qos_levels(
             TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e, 0.9),
-        "max_psnr_uep": lambda e: max_psnr_uep(
-            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
-        "max_psnr_mrt": lambda e: max_psnr_mrt(
-            TestErasureValidation.LAYERS, TestErasureValidation.PLAN, e),
         "uncoded_survival": lambda e: uncoded_survival(e, [1, 1]),
     }
 
@@ -395,8 +399,7 @@ class TestErasureValidation:
         with pytest.raises(ValueError, match="erasure probabilities"):
             self.ENTRY_POINTS[entry]([bad, 0.1])
 
-    @pytest.mark.parametrize("entry", ["window_decode_probs", "qos_levels", "max_psnr_mrt",
-                                       "uncoded_survival"])
+    @pytest.mark.parametrize("entry", ["window_decode_probs", "qos_levels", "uncoded_survival"])
     def test_rejects_nan_anywhere_in_a_batch(self, entry):
         batch = np.full((4, 2), 0.1)
         batch[2, 1] = math.nan

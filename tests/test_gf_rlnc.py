@@ -4,36 +4,41 @@ import numpy as np
 import pytest
 
 from ewcast.decode_prob import LayerConfig, TransmissionPlan, window_decode_probs
-from ewcast.gf_rlnc import (
-    FIELD_SIZE,
-    RankTracker,
-    field_inv,
-    field_mul,
-    simulate_decode_prob,
-)
+from ewcast.gf_rlnc import FIELD_SIZE, simulate_decode_prob
+from gf256 import INV, MUL, PRIMITIVE_POLY, BatchRank, RankTracker, matrix_counts
+
+FIELD = np.arange(FIELD_SIZE)
 
 
 class TestFieldArithmetic:
+    def test_tables_match_shift_and_add_product(self):
+        # carry-less multiplication reduced by the polynomial, bit by bit
+        a, b = FIELD[:, None], FIELD[None, :]
+        product = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.int64)
+        for _ in range(8):
+            product ^= np.where(b & 1, a, 0)
+            a, b = np.where(a & 0x80, (a << 1) ^ PRIMITIVE_POLY, a << 1), b >> 1
+        assert np.array_equal(MUL, product)
+
     def test_identity_and_zero(self):
-        for a in range(FIELD_SIZE):
-            assert field_mul(a, 1) == a
-            assert field_mul(a, 0) == 0
-            assert field_mul(0, a) == 0
+        assert np.array_equal(MUL[:, 1], FIELD) and np.array_equal(MUL[1, :], FIELD)
+        assert not MUL[:, 0].any() and not MUL[0, :].any()
 
     def test_inverse_exhaustive(self):
-        for a in range(1, FIELD_SIZE):
-            assert field_mul(a, field_inv(a)) == 1
+        assert (MUL[FIELD[1:], INV[1:]] == 1).all()
+        # each nonzero element has exactly one inverse
+        assert ((MUL[1:] == 1).sum(axis=1) == 1).all()
 
     def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            field_inv(0)
+        assert not (MUL[0] == 1).any()
 
-    def test_associativity_and_distributivity_spot(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            a, b, c = (int(v) for v in rng.integers(0, FIELD_SIZE, 3))
-            assert field_mul(field_mul(a, b), c) == field_mul(a, field_mul(b, c))
-            assert field_mul(a, b ^ c) == field_mul(a, b) ^ field_mul(a, c)
+    def test_associativity_and_distributivity_exhaustive(self):
+        # every triple (a, b, c), one a at a time
+        sums = np.bitwise_xor.outer(FIELD, FIELD)
+        assert np.array_equal(MUL, MUL.T)
+        for a in range(FIELD_SIZE):
+            assert np.array_equal(MUL[MUL[a]], MUL[a][MUL])
+            assert np.array_equal(MUL[a][sums], MUL[a][:, None] ^ MUL[a][None, :])
 
 
 class TestRankTracker:
@@ -58,6 +63,25 @@ class TestRankTracker:
         assert not tracker.add(np.array([2, 4, 6], dtype=np.uint8))
         assert tracker.add(np.array([0, 1, 0], dtype=np.uint8))
         assert tracker.rank == 2
+
+    def test_batch_matches_scalar_tracker_row_by_row(self):
+        # 14 rows per trial, each of its own width in 2..10; row 6 repeats row 2, row 9 is
+        # zero and row 12 combines rows 4 and 10, so none of those adds rank
+        rng = np.random.default_rng(8)
+        trials, K = 300, 10
+        rows = rng.integers(0, FIELD_SIZE, size=(14, trials, K), dtype=np.uint8)
+        rows *= np.arange(K) < rng.integers(2, K + 1, size=(14, trials, 1))
+        a, b = rng.integers(1, FIELD_SIZE, size=(2, trials, 1))
+        rows[6], rows[9], rows[12] = rows[2], 0, MUL[a, rows[4]] ^ MUL[b, rows[10]]
+        batch, scalar = BatchRank(trials, K), [RankTracker(K) for _ in range(trials)]
+        before = batch.rank
+        for j, row in enumerate(rows):
+            batch.add(row)
+            for tracker, r in zip(scalar, row):
+                tracker.add(r)
+            assert batch.rank.tolist() == [t.rank for t in scalar]
+            assert j not in (6, 9, 12) or np.array_equal(batch.rank, before)
+            before = batch.rank
 
 
 class TestSimulateDecodeProb:
@@ -94,11 +118,11 @@ class TestSimulateDecodeProb:
         # same quantity estimated two ways: z-scores stay small
         trials = 30000
         chain = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2],
-                                     trials, seed=5, method="rank-chain")
-        matrix = simulate_decode_prob(self.layers, self.plan, [0.3, 0.2],
-                                      trials, seed=6, method="matrix")
-        for pc, pm, sc, sm in zip(chain.p_win, matrix.p_win,
-                                  chain.std_err, matrix.std_err):
+                                     trials, seed=5)
+        matrix = matrix_counts(self.layers, self.plan, [0.3, 0.2], trials,
+                               np.random.default_rng(6)) / trials
+        for pc, pm, sc in zip(chain.p_win, matrix, chain.std_err):
+            sm = np.sqrt(pm * (1.0 - pm) / trials)
             z = abs(pc - pm) / max(np.hypot(sc, sm), 1e-12)
             assert z < 4.0
 
@@ -108,10 +132,10 @@ class TestSimulateDecodeProb:
         # 3-element window cannot decode from its own block alone
         layers = LayerConfig((1, 2))
         one_block = TransmissionPlan((0, 0), (0, 1), (2, 2))
-        result = simulate_decode_prob(layers, one_block, [0.0, 0.0], 2000,
-                                      seed=3, method="matrix")
-        assert result.p_win[0] == 0.0  # window 1 got nothing
-        assert result.p_win[1] == 0.0  # 2 elements < 3 unknowns, always
+        counts = matrix_counts(layers, one_block, [0.0, 0.0], 2000,
+                               np.random.default_rng(3))
+        assert counts[0] == 0  # window 1 got nothing
+        assert counts[1] == 0  # 2 elements < 3 unknowns, always
 
     def test_agrees_with_analytic_model(self):
         layers = LayerConfig((4, 6))
@@ -127,9 +151,6 @@ class TestSimulateDecodeProb:
             simulate_decode_prob(self.layers, self.plan, [0.1, 0.1], 0, seed=1)
         with pytest.raises(ValueError):
             simulate_decode_prob(self.layers, self.plan, [0.1], 10, seed=1)
-        with pytest.raises(ValueError):
-            simulate_decode_prob(self.layers, self.plan, [0.1, 0.1], 10,
-                                 seed=1, method="guess")
 
     @pytest.mark.parametrize("q", [1, 0, -3])
     def test_rejects_field_size_below_two(self, q):
@@ -153,17 +174,12 @@ class TestSimulateDecodeProb:
         trials = 100_000
         layers = LayerConfig((2, 1))
         plan = TransmissionPlan((0, 0), (1, 2), (1, 1))
-        chain = simulate_decode_prob(layers, plan, [0.0, 0.0], trials, seed=21,
-                                     method="rank-chain")
+        chain = simulate_decode_prob(layers, plan, [0.0, 0.0], trials, seed=21)
         rng = np.random.default_rng(22)
-        hits = 0
-        for _ in range(trials):
-            tracker = RankTracker(3)
-            tracker.add(rng.integers(0, FIELD_SIZE, size=2, dtype=np.uint8))
-            tracker.add(rng.integers(0, FIELD_SIZE, size=3, dtype=np.uint8))
-            tracker.add(rng.integers(0, FIELD_SIZE, size=3, dtype=np.uint8))
-            hits += tracker.rank == 3
-        freq = hits / trials
+        tracker = BatchRank(trials, 3)
+        for width in (2, 3, 3):
+            tracker.add(rng.integers(0, FIELD_SIZE, size=(trials, width), dtype=np.uint8))
+        freq = np.count_nonzero(tracker.rank == 3) / trials
         spread = np.hypot(chain.std_err[1],
                           np.sqrt(freq * (1 - freq) / trials))
         assert abs(chain.p_win[1] - freq) <= 3.0 * max(spread, 1e-12)
