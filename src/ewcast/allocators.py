@@ -28,6 +28,7 @@ from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
+    binomial_pmf_rows,
     mrt_block_counts,
     qos_levels,
     receive_pmf,
@@ -347,19 +348,20 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     vector, then the smaller count vector.  MCS vectors are visited in
     lexicographic order, each evaluated as one array over its count grid.
     Two exact bounds skip work without changing the answer: an MCS vector
-    on which too few users qualify for some level is skipped, and count
-    prefixes whose profit ceiling over cost floor cannot beat the incumbent
-    are cut before their success tables are built.  ``stats`` on the result
-    counts both, the count vectors evaluated ("leaves"), the success tables
-    formed and the deficit distributions memoised.
+    on which too few users qualify for some level is skipped, and one whose
+    profit ceiling over cost floor cannot beat the incumbent is cut whole.
+    ``stats`` on the result counts both ("vectors_skipped", "vectors_cut"),
+    the count vectors evaluated ("leaves"), the (template, capacity) success
+    products formed ("tables") and the deficit grids memoised ("grids").
     """
     pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
-    # reception with a given capacity and count.  Deficit distributions are
-    # therefore memoised on that path, and the per-count decode outcomes of
-    # a window on the paths through it (window_levels), shared across all
-    # MCS vectors and user profiles.
+    # reception with a given capacity and count.  A window template (the
+    # capacity of each earlier window the user qualifies on, None elsewhere)
+    # therefore fixes one deficit distribution per count vector, memoised as
+    # one grid (grid_dist), and the decode outcomes of the next window over
+    # that grid (window_levels), shared across all MCS vectors and profiles.
     layers = pr.layers
     L = layers.num_layers
     k = layers.k
@@ -370,18 +372,6 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     report_vals, report_counts = np.unique(np.asarray(pr.user_mcs), return_counts=True)
     q_thresh = pr.q_hat - _PROB_EPS
     p_hat = pr.p_hat
-
-    # path key: one step per window, None (nothing received) or (capacity, count)
-    dist_cache: dict[tuple, np.ndarray] = {(): np.ones(1)}
-
-    def dist_for(key: tuple) -> np.ndarray:
-        dist = dist_cache.get(key)
-        if dist is None:
-            capacity, count = key[-1] or (0, 0)
-            dist = advance_deficit(dist_for(key[:-1]), k[len(key) - 1], capacity,
-                                   receive_pmf(count, p_hat))
-            dist_cache[key] = dist
-        return dist
 
     # Every MCS vector but the all-off one, in lexicographic order.  A user
     # can only decode a window it qualifies on (0 < m <= report), so level l
@@ -394,65 +384,63 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     reachable = report_counts @ (top[:, :, None] >= np.arange(1, L + 1))
     viable = np.all(reachable >= required, axis=1)
     ceilings = reachable.sum(axis=1)
-    # sent windows from each depth on: each costs at least one block
-    sent_after = np.cumsum((m_vecs > 0)[:, ::-1], axis=1)[:, ::-1]
     stats = {"mcs_vectors": len(m_vecs), "vectors_skipped": int(np.sum(~viable)),
-             "prefixes_pruned": 0, "leaves": 0, "tables": 0}
+             "vectors_cut": 0, "leaves": 0, "tables": 0}
 
-    # (template, capacity) -> (prefix limit, levels array); see window_levels
-    levels_cache: dict[tuple, tuple[int, np.ndarray]] = {}
+    # pmfs of counts 1..budget, zero-padded to budget + 1, window j's on axis j
+    pascal = [binomial_pmf_rows(b, p_hat)[1:].reshape((1,) * j + (b, b + 1))
+              for j, b in enumerate(budgets)]
+    grid_cache: dict[tuple, np.ndarray] = {(): np.ones(1)}
 
-    def window_levels(template: tuple, capacity: int, limit: int) -> np.ndarray:
-        # Window d = len(template) sent at ``capacity``, for a user who
-        # qualifies on the earlier windows where the template holds a
-        # capacity (None elsewhere): d + 1 where the window decodes, else 0,
-        # over the counts of those windows and of window d (size-1 axes
-        # elsewhere).  Count prefixes summing to ``limit`` or more read 0
-        # without a table: the bound has cut every plan through them.
-        entry = levels_cache.get((template, capacity))
-        if entry is not None and entry[0] >= limit:
-            return entry[1]
-        d = len(template)
-        axes = [j for j in range(d) if template[j] is not None]
-        matrix = success_table(1 + sum(k[:d]), k[d], capacity, budgets[d], p_hat)
-        rows = []
-        for counts in product(*(range(1, budgets[j] + 1) for j in axes)):
-            if sum(counts) >= limit:
-                stats["prefixes_pruned"] += 1
-                rows.append(np.zeros(budgets[d], dtype=bool))
-                continue
-            steps = iter(counts)
-            key = tuple(None if c is None else (c, next(steps)) for c in template)
+    def grid_dist(template: tuple) -> np.ndarray:
+        # deficit distribution after the windows of ``template``: axis j holds
+        # window j's counts 1..budget where the template holds a capacity,
+        # else size 1 (nothing received); the deficit axis comes last
+        if template not in grid_cache:
+            j, capacity = len(template) - 1, template[-1]
+            pmf = np.ones((1,) * (j + 2)) if capacity is None else pascal[j]
+            prev = grid_dist(template[:-1])[..., None, :]
+            prev = np.broadcast_to(prev, prev.shape[:-2] + pmf.shape[-2:-1] + prev.shape[-1:])
+            grid_cache[template] = advance_deficit(prev, k[j], capacity or 0, pmf)
+        return grid_cache[template]
+
+    levels_cache: dict[tuple, np.ndarray] = {}
+
+    def window_levels(template: tuple, capacity: int) -> np.ndarray:
+        # window d = len(template) sent at ``capacity``: d + 1 where it
+        # decodes, else 0, over the count grid of ``template`` and the
+        # counts of window d (size-1 axes for the windows after it)
+        if (template, capacity) not in levels_cache:
+            d, dist = len(template), grid_dist(template)
             stats["tables"] += 1
-            rows.append((dist_for(key) @ matrix)[1:] >= q_thresh)
-        shape = tuple(budgets[j] if j in axes or j == d else 1 for j in range(L))
-        levels = np.array(rows).reshape(shape) * np.int8(d + 1)
-        levels_cache[(template, capacity)] = (limit, levels)
-        return levels
+            table = success_table(dist.shape[-1], k[d], capacity, budgets[d], p_hat)
+            hit = (dist @ table)[..., 1:] >= q_thresh
+            levels_cache[(template, capacity)] = (hit * np.int8(d + 1)).reshape(
+                hit.shape + (1,) * (L - d - 1))
+        return levels_cache[(template, capacity)]
 
     # sent pattern -> per-window count choices (only 0 when off) and the
     # cost over their grid, whose C order is the lexicographic count order
-    grids: dict[tuple[bool, ...], tuple[list[range], np.ndarray]] = {}
+    cost_grids: dict[tuple[bool, ...], tuple[list[range], np.ndarray]] = {}
     level_axis = np.arange(L).reshape((L,) + (1,) * L)
     best_profit, best_cost = -1, 1
     best_assignment: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for vi in np.flatnonzero(viable):
         m_vec = tuple(int(m) for m in m_vecs[vi])
-        rest = [int(s) for s in sent_after[vi]]
         # cheapest cost at which no count vector (profit at most the
         # ceiling) beats the incumbent or ties it at a lower cost
         cut = unbounded = np.iinfo(np.int64).max
         if best_profit > 0:
             cut, rem = divmod(int(ceilings[vi]) * best_cost, best_profit)
             cut += 0 if rem == 0 and cut >= best_cost else 1
-        if rest[0] >= cut:
-            stats["prefixes_pruned"] += 1
-            continue
         sent = tuple(m > 0 for m in m_vec)
-        if sent not in grids:
+        if sent not in cost_grids:
             choices = [range(1, budgets[d] + 1) if sent[d] else range(1) for d in range(L)]
-            grids[sent] = (choices, sum(np.ix_(*choices)))
-        choices, cost = grids[sent]
+            cost_grids[sent] = (choices, sum(np.ix_(*choices)))
+        choices, cost = cost_grids[sent]
+        if sum(sent) >= cut:  # one block per sent window, the cheapest
+            stats["vectors_cut"] += 1
+            continue
         caps = [pr.capacity(m) for m in m_vec]
         # users sharing a qualification profile share every probability
         profiles: dict[tuple[bool, ...], int] = {}
@@ -462,13 +450,9 @@ def direct_uep_ram(scenario) -> AllocationSolution:
         deepest = np.zeros((len(profiles),) + cost.shape, dtype=np.int8)
         for reached, good in zip(deepest, profiles):
             template = ()
-            skipped = 0  # sent windows the profile does not qualify on
             for d in range(L):
                 if good[d]:
-                    levels = window_levels(template, caps[d], cut - rest[d] - skipped)
-                    np.maximum(reached, levels, out=reached)
-                else:
-                    skipped += sent[d]
+                    np.maximum(reached, window_levels(template, caps[d]), out=reached)
                 template += (caps[d] if good[d] else None,)
         weights = np.array(list(profiles.values())).reshape((-1,) + (1,) * (L + 1))
         coverage = (weights * (deepest[:, None] > level_axis)).sum(axis=0)
@@ -486,7 +470,7 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             best_profit, best_cost = int(profit[pick]), int(cost[pick])
             best_assignment = (m_vec, tuple(choices[d][pick[d]] for d in range(L)))
 
-    stats["dist_cache"] = len(dist_cache)
+    stats["grids"] = len(grid_cache)
     if best_assignment is None:
         return _no_solution(pr, solver="direct", stats=stats)
     m_best, counts_best = best_assignment

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -265,13 +267,13 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
     sites' centroid, row by row, until ``count`` positions exist.
     """
     if count < 0:
-        raise ValueError("count must be >= 0")
+        raise ValueError(f"users.count must be >= 0, got {count!r}")
     if step_m <= 0:
-        raise ValueError("step must be positive")
+        raise ValueError(f"users.step_m must be > 0, got {step_m!r}")
     positions: list[tuple[float, float]] = []
     if pattern == "radial":
         if start_m <= 0:
-            raise ValueError("start distance must be positive")
+            raise ValueError(f"users.start_m must be > 0, got {start_m!r}")
         origin = layout.sites[layout.serving[0]]
         direction = np.array([math.cos(math.radians(angle_deg)),
                               math.sin(math.radians(angle_deg))])
@@ -360,8 +362,8 @@ class Scenario:
         return config_digest(payload)
 
 
-_LAYOUT_KEYS = ("tx_power_dbm", "bandwidth_hz", "noise_figure_db", "antenna_gain_db",
-                "shadow_sigma_db")
+_LAYOUT_KEYS = {"tx_power_dbm": "", "bandwidth_hz": "> 0", "noise_figure_db": "",
+                "antenna_gain_db": "", "shadow_sigma_db": ">= 0"}
 _SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
     "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_bits",
     "element_kb", "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",
@@ -384,6 +386,17 @@ def _check_keys(section: str, cfg: Mapping, known: frozenset,
     return dict(cfg)
 
 
+def _number(name: str, value, bound: str = "", integer: bool = False):
+    """Config field ``name`` as a finite float (an int when ``integer``) meeting
+    ``bound`` ("", "> 0" or ">= 0"), else a ``ValueError`` naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or (integer and value % 1 != 0)
+            or (value <= 0 if bound == "> 0" else bound == ">= 0" and value < 0)):
+        raise ValueError(f"{name} must be a finite {'integer' if integer else 'number'}"
+                         f"{' ' + bound if bound else ''}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema).
 
@@ -395,15 +408,18 @@ def build_scenario(config: dict) -> Scenario:
     cfg = _check_keys("scenario", config, _SCENARIO_KEYS)
     bler_cfg = _check_keys("bler", cfg.get("bler", {}), _BLER_KEYS)
     mode = cfg.get("mode", "SC")
-    isd = float(cfg.get("isd_m", 500.0))
-    layout_kwargs = {key: cfg[key] for key in _LAYOUT_KEYS if key in cfg}
+    isd = _number("isd_m", cfg.get("isd_m", 500.0), "> 0")
+    layout_kwargs = {key: _number(key, cfg[key], bound)
+                     for key, bound in _LAYOUT_KEYS.items() if key in cfg}
+    members = cfg.get("sfn_members", (0, 1, 2, 3))
+    if not (isinstance(members, (list, tuple)) and members):
+        raise ValueError(f"sfn_members must be a list of site indices, got {members!r}")
+    members = [_number("sfn_members", i, ">= 0", integer=True) for i in members]
+    if max(members) >= len(hex_grid(isd)):
+        raise ValueError(f"sfn_members must index the {len(hex_grid(isd))} sites, got {members!r}")
     if mode == "SC":
         layout = single_cell_layout(isd, **layout_kwargs)
     elif mode == "SFN":
-        members, sites = cfg.get("sfn_members", (0, 1, 2, 3)), len(hex_grid(isd))
-        if not (isinstance(members, (list, tuple)) and members
-                and all(isinstance(i, int) and 0 <= i < sites for i in members)):
-            raise ValueError(f"sfn_members must be a list of site indices, got {members!r}")
         layout = sfn_layout(isd, members=members, **layout_kwargs)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -419,42 +435,42 @@ def build_scenario(config: dict) -> Scenario:
     else:
         raise ValueError("config needs a stream_preset (one of "
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")
-    element_bits = int(cfg.get("element_bits", round(float(cfg.get("element_kb", 2.0)) * 1024 * 8)))
-    gop_seconds = float(cfg.get("gop_seconds", 0.533))
-    k = tuple(source_elements(1000.0 * b, gop_seconds, element_bits)
-              for b in stream["bitrates_kbps"])
+    element_kb = _number("element_kb", cfg.get("element_kb", 2.0), "> 0")
+    element_bits = _number("element_bits", cfg.get("element_bits", round(element_kb * 8192)),
+                           "> 0", integer=True)
+    gop_seconds = _number("gop_seconds", cfg.get("gop_seconds", 0.533), "> 0")
+    k = tuple(source_elements(1000.0 * _number("stream.bitrates_kbps", b, "> 0"), gop_seconds,
+                              element_bits) for b in stream["bitrates_kbps"])
     layers = LayerConfig(
         k=k,
         psnr=tuple(stream["psnr_db"]),
         coverage_targets=tuple(stream["coverage_targets"]),
     )
 
-    p_hat = float(cfg.get("p_hat", 0.1))
-    decade_db = float(bler_cfg.get("decade_db", 1.0))
-    if not 0.0 < decade_db < math.inf:
-        raise ValueError(f"bler.decade_db must be finite and > 0, got {decade_db!r}")
+    p_hat = _number("p_hat", cfg.get("p_hat", 0.1))
+    decade_db = _number("bler.decade_db", bler_cfg.get("decade_db", 1.0), "> 0")
     thresholds = dict(DEFAULT_MCS_THRESHOLDS_DB)
     if "thresholds_db" in bler_cfg:
         values = bler_cfg["thresholds_db"]
-        if not (isinstance(values, (list, tuple)) and len(values) == len(thresholds) and all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
-            raise ValueError(f"bler.thresholds_db must hold 15 finite values, got {values!r}")
-        thresholds = {i + 1: float(v) for i, v in enumerate(values)}
-    n_rbp = int(cfg.get("n_rbp", 5))
-    if n_rbp < 1:
-        raise ValueError(f"n_rbp must be >= 1, got {n_rbp}")
-    seed = int(cfg.get("seed", 0))
+        if not (isinstance(values, (list, tuple)) and len(values) == len(thresholds)):
+            raise ValueError(f"bler.thresholds_db must hold 15 values, got {values!r}")
+        thresholds = {i + 1: _number("bler.thresholds_db", v) for i, v in enumerate(values)}
+    n_rbp = _number("n_rbp", cfg.get("n_rbp", 5), "> 0", integer=True)
+    seed = _number("seed", cfg.get("seed", 0), ">= 0", integer=True)
 
     required = frozenset({"pattern", "count", "step_m"})
     users_cfg = cfg.get("users", {"pattern": "radial", "count": 80, "step_m": 2.0})
     users_cfg = _check_keys("users", users_cfg, required | {"start_m", "angle_deg", "center"},
                             required=required)
-    pattern = users_cfg.pop("pattern")
+    pattern, center = users_cfg.pop("pattern"), users_cfg.pop("center", None)
+    if center is not None and not (isinstance(center, (list, tuple)) and len(center) == 2):
+        raise ValueError(f"users.center must hold two coordinates, got {center!r}")
     rng = np.random.default_rng(seed) if layout.shadow_sigma_db > 0 else None
     users = place_users(
-        layout, pattern, p_hat=p_hat, decade_db=decade_db,
-        thresholds=thresholds, rng=rng,
-        **{key: (tuple(v) if key == "center" else v) for key, v in users_cfg.items()},
+        layout, pattern, p_hat=p_hat, decade_db=decade_db, thresholds=thresholds, rng=rng,
+        center=None if center is None else tuple(_number("users.center", v) for v in center),
+        **{key: _number(f"users.{key}", v, integer=key == "count")
+           for key, v in users_cfg.items()},
     )
 
     return Scenario(
@@ -465,7 +481,7 @@ def build_scenario(config: dict) -> Scenario:
         element_bits=element_bits,
         gop_seconds=gop_seconds,
         p_hat=p_hat,
-        q_hat=float(cfg.get("q_hat", 0.99)),
+        q_hat=_number("q_hat", cfg.get("q_hat", 0.99)),
         bler_decade_db=decade_db,
         mcs_thresholds=thresholds,
         seed=seed,

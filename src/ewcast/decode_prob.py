@@ -13,9 +13,9 @@ decodes exactly when it leaves no deficit behind.
 The exact probability of that threshold event is computed here by dynamic
 programming over the deficit value, which is equivalent to the full nested
 summation over all reception outcomes but runs in O(L * K * max N) time.  The
-allocators push the same deficit step through earlier windows and read the
-last window off one cached success table.  A literal nested-sum evaluator is
-kept as an independent cross-check.
+allocators push the same step through earlier windows (the exact search one
+whole count grid at a time) and read the last window off one cached success
+table.  A literal nested-sum evaluator is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -193,24 +193,6 @@ def _scalar_receive_pmf(tb_count: int, loss: float) -> np.ndarray:
     return row
 
 
-def receive_tail(pmf: np.ndarray) -> np.ndarray:
-    """``tail[..., j] = P(at least j blocks arrive)`` for j = 0..N+1.
-
-    The trailing zero column answers every requirement above the block count.
-    """
-    tail = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-    tail[..., :-1] = pmf[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return tail
-
-
-def _needed_blocks(requirement: np.ndarray, capacity: int) -> np.ndarray:
-    """Minimum received blocks that satisfy each element requirement."""
-    req = np.asarray(requirement, dtype=np.int64)
-    if capacity < 1:
-        return np.where(req <= 0, 0, np.iinfo(np.int64).max // 2)
-    return np.maximum((req + capacity - 1) // capacity, 0)
-
-
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
     """Push the deficit distribution through one window.
 
@@ -238,19 +220,6 @@ def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
-def receive_tail_table(budget: int, loss: float) -> np.ndarray:
-    """``table[N, j] = P(at least j of N sent blocks arrive)``, cached.
-
-    One read-only table serves every count up to ``budget``.  Only the
-    allocators' scenario-wide loss reaches this cache; per-user evaluation
-    losses reach :func:`receive_pmf` in batches, which it never caches.
-    """
-    table = receive_tail(binomial_pmf_rows(budget, loss))
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=256)
 def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) -> np.ndarray:
     """``table[e, N]``: chance that a window recovers, cached and read-only.
 
@@ -259,9 +228,14 @@ def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) 
     elements, each lost with probability ``loss``.  A deficit distribution
     times the table gives the window's success for every block count.
     """
-    needed = _needed_blocks(k_w + np.arange(size), capacity)
-    rows = np.clip(needed, 0, budget + 1)
-    table = receive_tail_table(budget, loss)[np.arange(budget + 1)[None, :], rows[:, None]]
+    # tail[j, N] = P(at least j of N blocks arrive), j = 0..budget + 1
+    rows = np.pad(binomial_pmf_rows(budget, loss), ((0, 0), (0, 1)))
+    tail = rows[:, ::-1].cumsum(axis=1)[:, ::-1].T
+    # fewest arrivals covering k_w + e elements; none suffice without capacity
+    needed = np.full(size, budget + 1)
+    if capacity >= 1:
+        needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity, budget + 1)
+    table = tail[needed]
     table.flags.writeable = False
     return table
 

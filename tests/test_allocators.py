@@ -198,6 +198,17 @@ class TestDirect:
                 assert (sol.plan.mcs, sol.plan.tb_counts) == best
         assert feasible >= min_feasible
 
+    @pytest.mark.parametrize("budget", [(0,), (0, 4), (4, 0)])
+    def test_window_without_budget_matches_brute_force(self, budget):
+        # a window of budget 0 has no count to send: only plans that leave
+        # it off remain, and with none of those a solve finds nothing
+        pr = small_problem([9] * 5, k=(2,) * len(budget), targets=(0.5,) * len(budget),
+                           budget=budget)
+        best, sol = brute_force_optimum(pr), direct_uep_ram(pr)
+        assert sol.feasible == (best is not None)
+        if best is not None:
+            assert (sol.plan.mcs, sol.plan.tb_counts) == best
+
     def test_equal_tau_and_cost_takes_first_plan(self):
         # across MCS vectors: MCS 3 and 7 carry equal blocks and every user
         # qualifies on both
@@ -242,10 +253,22 @@ class TestDirect:
         stats = sol.stats
         assert stats["mcs_vectors"] == (len(scenario.capacities) + 1) ** 4 - 1
         assert 0 < stats["vectors_skipped"] < stats["mcs_vectors"]
-        assert stats["prefixes_pruned"] > 0
-        assert stats["leaves"] > 0 and stats["tables"] > 0 and stats["dist_cache"] > 1
+        assert stats["vectors_cut"] > 0
+        assert stats["leaves"] > 0 and stats["tables"] > 0 and stats["grids"] > 1
         assert sol.feasible
         assert heuristic_uep_ram(scenario).stats == {}
+
+    @pytest.mark.parametrize("n_rbp, direct, heuristic", [
+        (2, ((0, 5, 0, 9), (0, 2, 0, 4), 1628, 6), ((0, 5, 0, 10), (0, 2, 0, 4), 1576, 6)),
+        (5, ((0, 0, 5, 9), (0, 0, 2, 2), 1688, 4), ((0, 0, 5, 11), (0, 0, 2, 2), 1628, 4)),
+    ], ids=["n_rbp2", "n_rbp5"])
+    def test_four_layer_sfn_default_plans(self, n_rbp, direct, heuristic):
+        # the full 4-layer exact path on the SFN default, pinned to its plans
+        scenario = build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=n_rbp))
+        for solver, expected in ((direct_uep_ram, direct), (heuristic_uep_ram, heuristic)):
+            sol = solver(scenario)
+            assert sol.feasible
+            assert (sol.plan.mcs, sol.plan.tb_counts, sol.profit, sol.cost) == expected
 
 
 def brute_force_optimum(pr: AllocationProblem):

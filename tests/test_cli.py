@@ -121,6 +121,12 @@ class TestRbpSweep:
         assert len(result.rows) == 1
         assert result.rows[0][1] == 0  # heuristic infeasible, still emitted
 
+    def test_zero_budget_point_recorded_by_both_solvers(self):
+        starved = dict(SMALL_SC)
+        starved["gop_seconds"] = 0.001  # no whole subframe: every budget is 0
+        result = run_rbp_sweep(starved, rbp_values=(1,), direct="exhaustive")
+        assert [row[1] for row in result.rows] == [0] and result.rows[0][4] == 0
+
 
 class TestCoverage:
     def test_zero_users_empty_result(self):
@@ -320,8 +326,8 @@ class TestSolveAndMain:
         assert "stats" not in captured.out
         stats = [ln for ln in captured.err.splitlines() if ln.startswith("direct stats: ")]
         assert len(stats) == 1
-        for key in ("mcs_vectors", "vectors_skipped", "prefixes_pruned", "leaves",
-                    "tables", "dist_cache"):
+        for key in ("mcs_vectors", "vectors_skipped", "vectors_cut", "leaves",
+                    "tables", "grids"):
             assert f" {key}=" in stats[0]
 
     def test_main_error_exit_code(self, tmp_path):
@@ -359,6 +365,9 @@ class TestSolveAndMain:
         (["coverage-sc"], {"users": [80, 2.5]}, "users"),
         (["psnr-map-sfn"], {"sfn_members": 5}, "sfn_members"),
         (["psnr-map-sfn"], {"sfn_members": [0, 19]}, "sfn_members"),
+        (["coverage-sc"], {"sfn_members": [True, 2]}, "sfn_members"),
+        (["psnr-map-sfn"], {"sfn_members": [True, 2]}, "sfn_members"),
+        (["coverage-sc"], {"bler": {"thresholds_db": [True] + [0.0] * 14}}, "bler.thresholds_db"),
         (["coverage-sc"], None, "scenario config"),  # a JSON list, not an object
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
@@ -366,6 +375,42 @@ class TestSolveAndMain:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps([config] if change is None else {**config, **change}))
         assert main([*argv, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and field in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("change, field", [
+        ({"bler": {"decade_db": "x"}}, "bler.decade_db"),
+        ({"n_rbp": "five"}, "n_rbp"),
+        ({"n_rbp": 2.7}, "n_rbp"),
+        ({"n_rbp": True}, "n_rbp"),
+        ({"p_hat": "x"}, "p_hat"),
+        ({"seed": "s"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"gop_seconds": -1}, "gop_seconds"),
+        ({"element_kb": 0}, "element_kb"),
+        ({"element_bits": 0.5}, "element_bits"),
+        ({"isd_m": -5}, "isd_m"),
+        ({"isd_m": math.inf}, "isd_m"),
+        ({"tx_power_dbm": "hi"}, "tx_power_dbm"),
+        ({"shadow_sigma_db": -1.0}, "shadow_sigma_db"),
+        ({"users": {"pattern": "radial", "count": "ten", "step_m": 2.5}}, "users.count"),
+        ({"users": {"pattern": "radial", "count": 10, "step_m": math.nan}}, "users.step_m"),
+        ({"users": {"pattern": "grid", "count": 4, "step_m": 9.0, "center": [0, "x"]}},
+         "users.center"),
+        ({"users": {"pattern": "grid", "count": 4, "step_m": 9.0, "center": 5}},
+         "users.center"),
+        ({"stream": {"bitrates_kbps": [47.3, "x", 1396.7], "psnr_db": [27.9, 35.9, 45.8],
+                     "coverage_targets": [0.99, 0.8, 0.6]}}, "stream.bitrates_kbps"),
+    ])
+    def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
+        # a value of the wrong type, sign or finiteness is refused by name
+        config = {**DEFAULT_SC_CONFIG, **change}
+        if "stream" in change:  # a preset would take precedence
+            del config["stream_preset"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err
         assert not list(tmp_path.glob("*.csv"))
