@@ -29,6 +29,7 @@ from .decode_prob import (
     TransmissionPlan,
     advance_deficit,
     binomial_pmf_rows,
+    expected_psnr,
     mrt_block_counts,
     qos_levels,
     receive_pmf,
@@ -506,7 +507,7 @@ def solve_mrt(scenario) -> AllocationSolution:
     losses = np.where(np.array(m_vecs)[:, None, :] <= report_vals[:, None],
                       pr.p_hat, 1.0)
     survive = uncoded_survival(losses, blocks[:, None, :])
-    best_u = np.maximum((np.asarray(layers.psnr) * survive).max(axis=-1), 0.0)
+    best_u = expected_psnr(layers, survive)
     # summed user by user in report order (cumsum is sequential), so the
     # first best vector wins ties exactly as a running comparison would
     scores = np.cumsum(report_counts * best_u, axis=-1)[:, -1]

@@ -308,6 +308,7 @@ class Scenario:
     n_rbp: int
     element_bits: int
     gop_seconds: float
+    config: dict  # raw config the scenario was built from
     p_hat: float = 0.1
     q_hat: float = 0.99
     bler_decade_db: float = 1.0
@@ -315,7 +316,6 @@ class Scenario:
         default_factory=lambda: dict(DEFAULT_MCS_THRESHOLDS_DB)
     )
     seed: int = 0
-    config: dict | None = None  # raw config the scenario was built from
 
     def __post_init__(self):
         _check_thresholds(self.p_hat, self.q_hat)
@@ -348,25 +348,15 @@ class Scenario:
         )
 
     def digest(self) -> str:
-        """Stable hash of the originating config (or the derived state)."""
-        payload = self.config if self.config is not None else {
-            "k": self.layers.k,
-            "users": [(u.position, u.mcs_feedback) for u in self.users],
-            "n_rbp": self.n_rbp,
-            "element_bits": self.element_bits,
-            "gop_seconds": self.gop_seconds,
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "seed": self.seed,
-        }
-        return config_digest(payload)
+        """Stable hash of the originating config."""
+        return config_digest(self.config)
 
 
 _LAYOUT_KEYS = {"tx_power_dbm": "", "bandwidth_hz": "> 0", "noise_figure_db": "",
                 "antenna_gain_db": "", "shadow_sigma_db": ">= 0"}
 _SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
-    "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_bits",
-    "element_kb", "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",
+    "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_kb",
+    "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",
 }
 _BLER_KEYS = frozenset({"decade_db", "thresholds_db"})
 
@@ -401,7 +391,8 @@ def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema).
 
     Unknown keys (top level, ``bler``, ``users``, ``stream``), sections that
-    are not objects, missing required fields and out-of-range values raise a
+    are not objects, missing required fields, out-of-range values and a
+    config giving both ``stream_preset`` and ``stream`` raise a
     ``ValueError`` naming the field, so a misspelt or bad field can neither
     fall back to its default silently nor fail late.
     """
@@ -424,23 +415,32 @@ def build_scenario(config: dict) -> Scenario:
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    if "stream_preset" in cfg and "stream" in cfg:
+        raise ValueError("config gives both stream_preset and stream; give one")
     if "stream_preset" in cfg:
         stream = STREAM_PRESETS.get(cfg["stream_preset"])
         if stream is None:
             raise ValueError(f"unknown stream_preset {cfg['stream_preset']!r}; "
                              f"valid presets: {sorted(STREAM_PRESETS)}")
     elif "stream" in cfg:
-        fields = frozenset({"bitrates_kbps", "psnr_db", "coverage_targets"})
-        stream = _check_keys("stream", cfg["stream"], fields, required=fields)
+        bounds = {"bitrates_kbps": "> 0", "psnr_db": "", "coverage_targets": ""}
+        stream = _check_keys("stream", cfg["stream"], frozenset(bounds),
+                             required=frozenset(bounds))
+        for key, bound in bounds.items():
+            if not (isinstance(stream[key], (list, tuple)) and stream[key]):
+                raise ValueError(f"stream.{key} must be a non-empty list, got {stream[key]!r}")
+            stream[key] = [_number(f"stream.{key}", v, bound) for v in stream[key]]
     else:
         raise ValueError("config needs a stream_preset (one of "
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")
     element_kb = _number("element_kb", cfg.get("element_kb", 2.0), "> 0")
-    element_bits = _number("element_bits", cfg.get("element_bits", round(element_kb * 8192)),
-                           "> 0", integer=True)
+    if not 0.5 < element_kb * 8192 <= sys.float_info.max:  # round() must give >= 1 bit
+        raise ValueError(f"element_kb must come to at least one bit and stay finite in bits, "
+                         f"got {element_kb!r}")
+    element_bits = round(element_kb * 8192)
     gop_seconds = _number("gop_seconds", cfg.get("gop_seconds", 0.533), "> 0")
-    k = tuple(source_elements(1000.0 * _number("stream.bitrates_kbps", b, "> 0"), gop_seconds,
-                              element_bits) for b in stream["bitrates_kbps"])
+    k = tuple(source_elements(1000.0 * b, gop_seconds, element_bits)
+              for b in stream["bitrates_kbps"])
     layers = LayerConfig(
         k=k,
         psnr=tuple(stream["psnr_db"]),

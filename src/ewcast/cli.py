@@ -75,15 +75,19 @@ DEFAULT_SFN_CONFIG = {
 
 @dataclass
 class ExperimentResult:
-    """Rows plus enough provenance to reproduce them exactly."""
+    """Rows plus enough provenance to reproduce them exactly.
+
+    ``feasible`` is down when a solver found no plan; the CLI exits 2 on it,
+    and it is never written to the CSV.
+    """
 
     experiment: str
     digest: str
     seeds: dict[str, int]
     columns: list[str]
     rows: list[tuple]
-    runtime_s: float = 0.0
     meta: dict = field(default_factory=dict)
+    feasible: bool = True
 
     def write_csv(self, path) -> Path:
         path = Path(path)
@@ -128,7 +132,6 @@ def run_validate_approx(
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if trials < 10_000:
         warnings.warn("fewer than 1e4 trials gives wide confidence bands", stacklevel=2)
-    start = time.perf_counter()
     layers = LayerConfig(layer_elements)
     L = layers.num_layers
     rows = []
@@ -170,7 +173,6 @@ def run_validate_approx(
         columns=["elements_per_tb", "loss", "tb_count", "window",
                  "analytic", "simulated", "std_err", "abs_gap"],
         rows=rows,
-        runtime_s=time.perf_counter() - start,
         meta={"trials": trials},
     )
 
@@ -183,9 +185,9 @@ def run_rbp_sweep(
     """Solve the allocation at several block sizes and compare the solvers.
 
     Infeasible points are emitted with their feasibility flags down and NaN
-    ratios rather than being dropped.
+    ratios rather than being dropped; the result is feasible when every
+    heuristic point is.
     """
-    start = time.perf_counter()
     rows = []
     for rbp in sorted(rbp_values):
         cfg = dict(config)
@@ -211,8 +213,8 @@ def run_rbp_sweep(
         columns=["n_rbp", "heuristic_feasible", "tau_heuristic", "cost_heuristic",
                  "direct_feasible", "tau_direct", "cost_direct", "relative_gap"],
         rows=rows,
-        runtime_s=time.perf_counter() - start,
         meta={"direct": direct},
+        feasible=all(row[1] for row in rows),
     )
 
 
@@ -256,17 +258,9 @@ def _evaluate_users(scenario: Scenario, view: str):
     return p_win, p_uep, p_mrt, meta
 
 
-def _map_result(experiment: str, scenario: Scenario, columns, rows, meta,
-                start: float) -> ExperimentResult:
-    return ExperimentResult(
-        experiment=experiment,
-        digest=scenario.digest(),
-        seeds={"scenario": scenario.seed},
-        columns=columns,
-        rows=rows,
-        runtime_s=time.perf_counter() - start,
-        meta=meta,
-    )
+def _map_result(experiment: str, scenario: Scenario, columns, rows, meta) -> ExperimentResult:
+    return ExperimentResult(experiment, scenario.digest(), {"scenario": scenario.seed},
+                            columns, rows, meta, feasible=bool(meta["uep_feasible"]))
 
 
 def _coverage_radius(distances, covered) -> float:
@@ -278,10 +272,7 @@ def _coverage_radius(distances, covered) -> float:
     return radius
 
 
-def run_coverage_sc(
-    config: dict | None = None,
-    erasure_view: str = "evaluation",
-) -> ExperimentResult:
+def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> ExperimentResult:
     """Radial coverage curves for the coded allocation and the baseline.
 
     Users sit on a line through the serving cell; for every user and level
@@ -290,14 +281,12 @@ def run_coverage_sc(
     radii at the scenario's QoS threshold.  A scenario without users gives
     no rows and ``uep_feasible=0``.
     """
-    start = time.perf_counter()
-    cfg = dict(DEFAULT_SC_CONFIG if config is None else config)
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(config)
     columns = ["distance_m", "mcs_feedback", "level",
                "p_uep", "p_mrt", "covered_uep", "covered_mrt"]
     if not scenario.users:
         return _map_result("coverage-sc", scenario, columns, [],
-                           {"erasure_view": erasure_view, "uep_feasible": 0}, start)
+                           {"erasure_view": erasure_view, "uep_feasible": 0})
     _, p_uep, p_mrt, meta = _evaluate_users(scenario, erasure_view)
     origin = scenario.layout.sites[scenario.layout.serving[0]]
     offsets = np.array([u.position for u in scenario.users]) - origin
@@ -319,26 +308,21 @@ def run_coverage_sc(
     for lv in range(L):
         meta[f"uep_radius_l{lv + 1}"] = _coverage_radius(distances, covered_uep[:, lv])
         meta[f"mrt_radius_l{lv + 1}"] = _coverage_radius(distances, covered_mrt[:, lv])
-    return _map_result("coverage-sc", scenario, columns, rows, meta, start)
+    return _map_result("coverage-sc", scenario, columns, rows, meta)
 
 
-def run_psnr_map_sfn(
-    config: dict | None = None,
-    erasure_view: str = "evaluation",
-) -> ExperimentResult:
+def run_psnr_map_sfn(config: dict, erasure_view: str = "evaluation") -> ExperimentResult:
     """Grid map of the best expected quality over the synchronised-cell area.
 
     Emits one row per grid point with both strategies' quality metric, and
     per-level recovery fractions at the QoS threshold in the meta block.  A
     scenario without users gives no rows and ``uep_feasible=0``.
     """
-    start = time.perf_counter()
-    cfg = dict(DEFAULT_SFN_CONFIG if config is None else config)
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(config)
     columns = ["x_m", "y_m", "sinr_db", "psnr_uep", "psnr_mrt"]
     if not scenario.users:
         return _map_result("psnr-map-sfn", scenario, columns, [],
-                           {"erasure_view": erasure_view, "uep_feasible": 0}, start)
+                           {"erasure_view": erasure_view, "uep_feasible": 0})
     p_win, _, p_mrt, meta = _evaluate_users(scenario, erasure_view)
     layers = scenario.layers
     rows = [
@@ -349,7 +333,7 @@ def run_psnr_map_sfn(
             expected_psnr(layers, p_mrt).tolist())
     ]
     rows.sort(key=lambda r: (r[1], r[0]))
-    return _map_result("psnr-map-sfn", scenario, columns, rows, meta, start)
+    return _map_result("psnr-map-sfn", scenario, columns, rows, meta)
 
 
 def run_solve(
@@ -375,48 +359,47 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ewcast", description="Layered coded multicast experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario(p):
-        p.add_argument("--scenario", type=Path, default=None,
-                       help="scenario config JSON (see README for the schema)")
+    def command(name, summary, scenario=None, out=True):
+        """A subcommand, with ``--scenario`` when it reads one (``scenario``
+        is its default config) and ``--out`` when it writes a CSV."""
+        p = sub.add_parser(name, help=summary)
+        if scenario is not None:
+            p.add_argument("--scenario", type=Path, default=None,
+                           help="scenario config JSON (see README for the schema)")
+        if out:
+            p.add_argument("--out", type=Path, default=Path("results"),
+                           help="output directory for CSV files")
+        p.set_defaults(default_scenario=scenario)
+        return p
 
-    def add_out(p):
-        p.add_argument("--out", type=Path, default=Path("results"),
-                       help="output directory for CSV files")
-
-    p = sub.add_parser("validate-approx", help="analytic model vs Monte Carlo")
-    add_out(p)
+    p = command("validate-approx", "analytic model vs Monte Carlo")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--t-max", type=int, default=None)
 
-    p = sub.add_parser("sweep-rbp", help="profit-cost ratio vs resource-block pairs")
-    add_scenario(p)
-    add_out(p)
+    p = command("sweep-rbp", "profit-cost ratio vs resource-block pairs", DEFAULT_SC_CONFIG)
     p.add_argument("--rbp", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--direct", choices=("off", "exhaustive"), default="exhaustive")
 
-    p = sub.add_parser("coverage-sc", help="radial coverage curves, single cell")
-    add_scenario(p)
-    add_out(p)
-    p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
-                   default="evaluation")
+    for name, summary, scenario in (
+            ("coverage-sc", "radial coverage curves, single cell", DEFAULT_SC_CONFIG),
+            ("psnr-map-sfn", "quality map over the synchronised area", DEFAULT_SFN_CONFIG)):
+        p = command(name, summary, scenario)
+        p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
+                       default="evaluation")
 
-    p = sub.add_parser("psnr-map-sfn", help="quality map over the synchronised area")
-    add_scenario(p)
-    add_out(p)
-    p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
-                   default="evaluation")
-
-    p = sub.add_parser("solve", help="solve one scenario and print the plans")
-    add_scenario(p)
+    p = command("solve", "solve one scenario and print the plans", DEFAULT_SC_CONFIG,
+                out=False)
     p.add_argument("--direct", choices=("off", "exhaustive"), default="off")
     return parser
 
 
-def _load_config(path: Path | None, fallback: dict) -> dict:
-    if path is None:
-        return dict(fallback)
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_config(args) -> dict | None:
+    """The ``--scenario`` config, else the subcommand's default one (None
+    for a subcommand that reads no scenario)."""
+    if getattr(args, "scenario", None) is None:
+        return args.default_scenario
+    with open(args.scenario, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"scenario config must be a JSON object, got {type(config).__name__}")
@@ -433,37 +416,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "validate-approx":
-        result = run_validate_approx(trials=args.trials, seed=args.seed,
-                                     t_max=args.t_max)
-        path = result.write_csv(args.out / "validate_approx.csv")
-        print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
-        return 0
-
-    if args.command == "sweep-rbp":
-        config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        result = run_rbp_sweep(config, rbp_values=args.rbp, direct=args.direct)
-        path = result.write_csv(args.out / "sweep_rbp.csv")
-        print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
-        feasible = all(row[1] for row in result.rows)
-        return 0 if feasible else 2
-
-    if args.command == "coverage-sc":
-        config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
-        result = run_coverage_sc(config, erasure_view=args.erasure_view)
-        path = result.write_csv(args.out / "coverage_sc.csv")
-        print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
-        return 0 if result.meta.get("uep_feasible") else 2
-
-    if args.command == "psnr-map-sfn":
-        config = _load_config(args.scenario, DEFAULT_SFN_CONFIG)
-        result = run_psnr_map_sfn(config, erasure_view=args.erasure_view)
-        path = result.write_csv(args.out / "psnr_map_sfn.csv")
-        print(f"wrote {path} ({len(result.rows)} rows, {result.runtime_s:.1f}s)")
-        return 0 if result.meta.get("uep_feasible") else 2
-
+    config = _load_config(args)
     if args.command == "solve":
-        config = _load_config(args.scenario, DEFAULT_SC_CONFIG)
         scenario, solutions = run_solve(config, direct=args.direct)
         print(f"scenario digest={scenario.digest()} users={len(scenario.users)} "
               f"budget={scenario.tb_budget}")
@@ -477,7 +431,17 @@ def _dispatch(args) -> int:
             print(f"direct stats: {counters}", file=sys.stderr)
         return 0 if solutions["heuristic"].feasible else 2
 
-    raise ValueError(f"unknown command {args.command!r}")
+    start = time.perf_counter()
+    if args.command == "validate-approx":
+        result = run_validate_approx(trials=args.trials, seed=args.seed, t_max=args.t_max)
+    elif args.command == "sweep-rbp":
+        result = run_rbp_sweep(config, rbp_values=args.rbp, direct=args.direct)
+    else:
+        run = run_coverage_sc if args.command == "coverage-sc" else run_psnr_map_sfn
+        result = run(config, erasure_view=args.erasure_view)
+    path = result.write_csv(args.out / f"{args.command.replace('-', '_')}.csv")
+    print(f"wrote {path} ({len(result.rows)} rows, {time.perf_counter() - start:.1f}s)")
+    return 0 if result.feasible else 2
 
 
 if __name__ == "__main__":

@@ -37,6 +37,9 @@ SMALL_SC = {
 SFN_5X5 = dict(DEFAULT_SFN_CONFIG,
                users={"pattern": "grid", "count": 25, "step_m": 150.0})
 
+STREAM_A = {"bitrates_kbps": [47.3, 326.1, 1396.7], "psnr_db": [27.9, 35.9, 45.8],
+            "coverage_targets": [0.99, 0.8, 0.6]}
+
 
 class TestValidateApprox:
     def test_small_sweep_columns_and_gap(self):
@@ -389,7 +392,9 @@ class TestSolveAndMain:
         ({"seed": -1}, "seed"),
         ({"gop_seconds": -1}, "gop_seconds"),
         ({"element_kb": 0}, "element_kb"),
-        ({"element_bits": 0.5}, "element_bits"),
+        ({"element_kb": 5e-5}, "element_kb"),  # 0.41 bits
+        ({"element_kb": 1e305}, "element_kb"),  # no finite bit count
+        ({"element_kb": 1.0, "element_bits": 16384}, "element_bits"),  # one size knob
         ({"isd_m": -5}, "isd_m"),
         ({"isd_m": math.inf}, "isd_m"),
         ({"tx_power_dbm": "hi"}, "tx_power_dbm"),
@@ -400,20 +405,54 @@ class TestSolveAndMain:
          "users.center"),
         ({"users": {"pattern": "grid", "count": 4, "step_m": 9.0, "center": 5}},
          "users.center"),
-        ({"stream": {"bitrates_kbps": [47.3, "x", 1396.7], "psnr_db": [27.9, 35.9, 45.8],
-                     "coverage_targets": [0.99, 0.8, 0.6]}}, "stream.bitrates_kbps"),
+        ({"stream": {**STREAM_A, "bitrates_kbps": [47.3, "x", 1396.7]}},
+         "stream.bitrates_kbps"),
+        ({"stream": {**STREAM_A, "bitrates_kbps": 5}}, "stream.bitrates_kbps"),
+        ({"stream": {**STREAM_A, "psnr_db": ["a", 2, 3]}}, "stream.psnr_db"),
+        ({"stream": {**STREAM_A, "psnr_db": [True, 2.0, 3.0]}}, "stream.psnr_db"),
+        ({"stream": {**STREAM_A, "coverage_targets": "ab"}}, "stream.coverage_targets"),
+        ({"stream_preset": "A", "stream": STREAM_A}, "stream_preset and stream"),
+        ({"stream_preset": "A", "stream": {"bogus": 1}}, "stream_preset and stream"),
     ])
     def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
         # a value of the wrong type, sign or finiteness is refused by name
-        config = {**DEFAULT_SC_CONFIG, **change}
-        if "stream" in change:  # a preset would take precedence
-            del config["stream_preset"]
+        base = dict(DEFAULT_SC_CONFIG)
+        if "stream" in change:  # a config gives one of stream_preset and stream
+            del base["stream_preset"]
+        config = {**base, **change}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
         assert main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv, csv_name, config, starved", [
+        (["validate-approx", "--trials", "12000", "--t-max", "2"], "validate_approx.csv",
+         None, None),
+        (["sweep-rbp", "--rbp", "5"], "sweep_rbp.csv", SMALL_SC, {"gop_seconds": 0.001}),
+        (["coverage-sc"], "coverage_sc.csv", SMALL_SC,
+         {"users": {"pattern": "radial", "count": 0, "step_m": 2.0}}),
+        (["psnr-map-sfn"], "psnr_map_sfn.csv", SFN_5X5,
+         {"users": {"pattern": "grid", "count": 0, "step_m": 38.0}}),
+    ])
+    def test_main_csv_subcommands(self, tmp_path, capsys, argv, csv_name, config, starved):
+        # every CSV subcommand writes <name>.csv and exits 0 when feasible; a
+        # run with no plan exits 2 and still writes its CSV; feasibility
+        # steers the exit code only and is never written
+        runs = [(config, 0)] if starved is None else [(config, 0), ({**config, **starved}, 2)]
+        for i, (cfg, code) in enumerate(runs):
+            out, scenario = tmp_path / f"out{i}", []
+            if cfg is not None:
+                path = tmp_path / f"scenario{i}.json"
+                path.write_text(json.dumps(cfg))
+                scenario = ["--scenario", str(path)]
+            assert main([*argv, *scenario, "--out", str(out)]) == code
+            assert [p.name for p in out.iterdir()] == [csv_name]
+            text = (out / csv_name).read_text()
+            assert text.startswith(f"# experiment={argv[0]}\n")
+            assert "# feasible=" not in text
+            assert capsys.readouterr().out.startswith(f"wrote {out / csv_name} (")
 
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):
