@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .decode_prob import (
 )
 
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
+_CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds at once
 
 
 @dataclass(frozen=True)
@@ -346,14 +347,18 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     A window is either off, or carries 1..budget blocks at a table-backed
     MCS; the feasible assignment with the largest profit-cost ratio wins,
     ties preferring fewer blocks, then the lexicographically smaller MCS
-    vector, then the smaller count vector.  MCS vectors are visited in
-    lexicographic order, each evaluated as one array over its count grid.
+    vector, then the smaller count vector.  MCS vectors sharing a sent
+    pattern share one count grid and are evaluated a chunk at a time as one
+    array; the per-vector winners are then scanned in lexicographic order.
     Two exact bounds skip work without changing the answer: an MCS vector
-    on which too few users qualify for some level is skipped, and one whose
-    profit ceiling over cost floor cannot beat the incumbent is cut whole.
-    ``stats`` on the result counts both ("vectors_skipped", "vectors_cut"),
-    the count vectors evaluated ("leaves"), the (template, capacity) success
-    products formed ("tables") and the deficit grids memoised ("grids").
+    on which too few users qualify for some level is skipped, and count
+    vectors whose profit ceiling over cost cannot beat or tie the best plan
+    found so far are cut (a whole MCS vector when none is left).  ``stats``
+    counts both ("vectors_skipped", "vectors_cut"), the count vectors
+    evaluated ("leaves"), the (template, capacity) success products formed
+    ("tables") and the deficit grids memoised ("grids").  The cut sees the
+    incumbents in batch order, so all counts but "vectors_skipped" depend
+    on that order; the plan does not.
     """
     pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
@@ -369,20 +374,25 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     U = len(pr.user_mcs)
     required = np.array([_required_count(U, t) for t in layers.coverage_targets])
     budgets = pr.tb_budget
-    mcs_choices = [0] + sorted(pr.capacities)
-    report_vals, report_counts = np.unique(np.asarray(pr.user_mcs), return_counts=True)
+    mcs_choices = np.array([0] + sorted(pr.capacities))
+    caps_of = [pr.capacity(m) for m in mcs_choices.tolist()]
     q_thresh = pr.q_hat - _PROB_EPS
     p_hat = pr.p_hat
+    # users reporting at least MCS m, for m = 0..top; index top counts none
+    top = int(mcs_choices[-1]) + 1
+    at_least = np.append(np.count_nonzero(
+        np.asarray(pr.user_mcs)[:, None] >= np.arange(top), axis=0), 0)
 
-    # Every MCS vector but the all-off one, in lexicographic order.  A user
-    # can only decode a window it qualifies on (0 < m <= report), so level l
-    # is reachable only by users qualifying on some sent window >= l: that
-    # count must meet the level's requirement, and summed over levels it
-    # caps the profit of every count vector under the MCS vector.
-    m_vecs = np.array(list(product(mcs_choices, repeat=L)))[1:]
-    qualify = (m_vecs[:, None, :] > 0) & (m_vecs[:, None, :] <= report_vals[None, :, None])
-    top = np.max(qualify * np.arange(1, L + 1), axis=2)  # (vectors, reports)
-    reachable = report_counts @ (top[:, :, None] >= np.arange(1, L + 1))
+    # Every MCS vector but the all-off one, in lexicographic order, with its
+    # choice indices.  A user can only decode a window it qualifies on
+    # (0 < m <= report), so level l is reachable only by users reporting at
+    # least the lowest MCS sent at a window >= l: that count must meet the
+    # level's requirement, and summed over levels it caps the profit of
+    # every count vector under the MCS vector.
+    choice = np.indices((len(mcs_choices),) * L).reshape(L, -1).T[1:]
+    m_vecs = mcs_choices[choice]
+    lowest = np.minimum.accumulate(np.where(m_vecs > 0, m_vecs, top)[:, ::-1], axis=1)
+    reachable = at_least[lowest[:, ::-1]]
     viable = np.all(reachable >= required, axis=1)
     ceilings = reachable.sum(axis=1)
     stats = {"mcs_vectors": len(m_vecs), "vectors_skipped": int(np.sum(~viable)),
@@ -396,13 +406,14 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     def grid_dist(template: tuple) -> np.ndarray:
         # deficit distribution after the windows of ``template``: axis j holds
         # window j's counts 1..budget where the template holds a capacity,
-        # else size 1 (nothing received); the deficit axis comes last
-        if template not in grid_cache:
-            j, capacity = len(template) - 1, template[-1]
-            pmf = np.ones((1,) * (j + 2)) if capacity is None else pascal[j]
-            prev = grid_dist(template[:-1])[..., None, :]
-            prev = np.broadcast_to(prev, prev.shape[:-2] + pmf.shape[-2:-1] + prev.shape[-1:])
-            grid_cache[template] = advance_deficit(prev, k[j], capacity or 0, pmf)
+        # else size 1 (nothing received); the deficit axis comes last.  A loop,
+        # as a recursive closure would keep the memo alive past the solve
+        for j, capacity in enumerate(template):
+            if template[:j + 1] not in grid_cache:
+                pmf = np.ones((1,) * (j + 2)) if capacity is None else pascal[j]
+                prev = grid_cache[template[:j]][..., None, :]
+                prev = np.broadcast_to(prev, prev.shape[:-2] + pmf.shape[-2:-1] + prev.shape[-1:])
+                grid_cache[template[:j + 1]] = advance_deficit(prev, k[j], capacity or 0, pmf)
         return grid_cache[template]
 
     levels_cache: dict[tuple, np.ndarray] = {}
@@ -420,61 +431,89 @@ def direct_uep_ram(scenario) -> AllocationSolution:
                 hit.shape + (1,) * (L - d - 1))
         return levels_cache[(template, capacity)]
 
-    # sent pattern -> per-window count choices (only 0 when off) and the
-    # cost over their grid, whose C order is the lexicographic count order
-    cost_grids: dict[tuple[bool, ...], tuple[list[range], np.ndarray]] = {}
-    level_axis = np.arange(L).reshape((L,) + (1,) * L)
+    place = len(mcs_choices) ** np.arange(L)
     best_profit, best_cost = -1, 1
-    best_assignment: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for vi in np.flatnonzero(viable):
-        m_vec = tuple(int(m) for m in m_vecs[vi])
-        # cheapest cost at which no count vector (profit at most the
-        # ceiling) beats the incumbent or ties it at a lower cost
-        cut = unbounded = np.iinfo(np.int64).max
-        if best_profit > 0:
-            cut, rem = divmod(int(ceilings[vi]) * best_cost, best_profit)
-            cut += 0 if rem == 0 and cut >= best_cost else 1
-        sent = tuple(m > 0 for m in m_vec)
-        if sent not in cost_grids:
-            choices = [range(1, budgets[d] + 1) if sent[d] else range(1) for d in range(L)]
-            cost_grids[sent] = (choices, sum(np.ix_(*choices)))
-        choices, cost = cost_grids[sent]
-        if sum(sent) >= cut:  # one block per sent window, the cheapest
-            stats["vectors_cut"] += 1
+    winners = []  # (vector index, profit, cost, grid shape, flat cell) of each best cell
+    vis = np.flatnonzero(viable)
+    pattern = (m_vecs[vis] > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
+    for code in np.unique(pattern):
+        # the count grid of the sent pattern, its cells in order of cost and
+        # then of C order (the lexicographic count order)
+        group = vis[pattern == code]
+        sent = m_vecs[group[0]] > 0
+        shape = tuple(np.where(sent, budgets, 1).tolist())
+        cost = sum(np.ix_(*(np.arange(1, n + 1) * s for n, s in zip(shape, sent)))).ravel()
+        if not cost.size:  # a sent window without budget: no count vector
             continue
-        caps = [pr.capacity(m) for m in m_vec]
-        # users sharing a qualification profile share every probability
-        profiles: dict[tuple[bool, ...], int] = {}
-        for good, cnt in zip(map(tuple, qualify[vi].tolist()), report_counts.tolist()):
-            profiles[good] = profiles.get(good, 0) + cnt
-        # deepest decoded window per profile: it yields every level up to it
-        deepest = np.zeros((len(profiles),) + cost.shape, dtype=np.int8)
-        for reached, good in zip(deepest, profiles):
-            template = ()
-            for d in range(L):
-                if good[d]:
-                    np.maximum(reached, window_levels(template, caps[d]), out=reached)
-                template += (caps[d] if good[d] else None,)
-        weights = np.array(list(profiles.values())).reshape((-1,) + (1,) * (L + 1))
-        coverage = (weights * (deepest[:, None] > level_axis)).sum(axis=0)
-        live = cost < cut
-        stats["leaves"] += int(np.count_nonzero(live))
-        feasible = live & np.all(coverage >= required.reshape(level_axis.shape), axis=0)
-        if not feasible.any():
-            continue
-        profit = coverage.sum(axis=0)
-        taus = np.where(feasible, profit / cost, -1.0)
-        # best ratio, then fewest blocks, then the first in count order
-        ties = np.where(taus == taus.max(), cost, unbounded)
-        pick = np.unravel_index(int(np.argmin(ties)), cost.shape)
-        if _better(int(profit[pick]), int(cost[pick]), best_profit, best_cost):
-            best_profit, best_cost = int(profit[pick]), int(cost[pick])
-            best_assignment = (m_vec, tuple(choices[d][pick[d]] for d in range(L)))
+        order = np.argsort(cost, kind="stable")
+        cost = cost[order]
+        step = max(1, _CHUNK // (sent.sum() * cost.size))
+        for start in range(0, len(group), step):
+            vecs = group[start:start + step]
+            # live cells: count vectors (profit at most the ceiling) that may
+            # beat or tie the incumbent, a prefix of the cost order; a tie
+            # must stay, as a vector batched later may precede the incumbent's
+            live = np.searchsorted(cost * max(best_profit, 0), ceilings[vecs] * best_cost,
+                                   side="right")
+            stats["vectors_cut"] += int(np.count_nonzero(live == 0))
+            vecs, live = vecs[live > 0], live[live > 0]
+            if not vecs.size:
+                continue
+            stats["leaves"] += int(live.sum())
+            width = int(live.max())
+            # profile i: users reporting from the i-th lowest sent MCS up to
+            # the next qualify on the sent windows up to it and share every
+            # probability; empty profiles ask for no table
+            idx, m = choice[vecs], m_vecs[vecs]
+            bounds = np.sort(m[:, sent], axis=1)
+            shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
+            qualify = ((m[:, None, :] <= bounds[:, :, None]) & sent
+                       & (shares > 0)[:, :, None])  # (vectors, profiles, windows)
+            # the template of window d is the choice index of each earlier
+            # window qualified on (0 elsewhere), one digit per window; window
+            # d's own choice index is its leading digit
+            digits = np.where(qualify, idx[:, None, :] * place, 0)
+            keys = np.cumsum(digits, axis=2) - digits + idx[:, None, :] * place
+            found, at, rows = np.unique(keys[qualify], return_index=True, return_inverse=True)
+            hits = np.zeros((len(found) + 1,) + shape, dtype=np.int8)
+            depths = np.nonzero(qualify)[2][at]
+            for row, key, d in zip(hits[1:], found.tolist(), depths.tolist()):
+                code = [key // b % len(mcs_choices) for b in place[:d + 1].tolist()]
+                row[...] = window_levels(tuple(caps_of[c] if c else None for c in code[:d]),
+                                         caps_of[code[d]])
+            hits = hits.reshape(len(hits), -1)[:, order[:width]]
+            ids = np.zeros(qualify.shape, dtype=np.intp)
+            ids[qualify] = rows + 1
+            # deepest decoded window per profile: it yields every level up to it
+            deepest = np.zeros(ids.shape[:2] + (width,), dtype=np.int8)
+            for d in np.flatnonzero(sent):
+                np.maximum(deepest, hits[ids[:, :, d]], out=deepest)
+            feasible = np.arange(width) < live[:, None]
+            profit = np.zeros(feasible.shape, dtype=np.min_scalar_type(U * L))
+            for level, need in enumerate(required.tolist()):
+                covered = np.einsum("vp,vpc->vc", shares, deepest > level)
+                feasible &= covered >= need
+                profit += covered
+            # best ratio, then fewest blocks, then the first in count order:
+            # the first best cell in cell order
+            taus = np.where(feasible, profit / cost[:width], -1.0)
+            picks = np.argmax(taus == taus.max(axis=1, keepdims=True), axis=1)
+            for v in np.flatnonzero(feasible.any(axis=1)).tolist():
+                p, c = int(profit[v, picks[v]]), int(cost[picks[v]])
+                winners.append((int(vecs[v]), p, c, shape, order[picks[v]]))
+                if _better(p, c, best_profit, best_cost):
+                    best_profit, best_cost = p, c
 
     stats["grids"] = len(grid_cache)
-    if best_assignment is None:
+    best = (None, -1, 1)
+    for winner in sorted(winners):  # lexicographic: an exact tie keeps the first vector
+        if _better(*winner[1:3], *best[1:3]):
+            best = winner
+    if best[0] is None:
         return _no_solution(pr, solver="direct", stats=stats)
-    m_best, counts_best = best_assignment
+    vi, _, _, shape, cell = best
+    m_best = tuple(int(m) for m in m_vecs[vi])
+    counts_best = tuple(int(i) + (m > 0) for m, i in zip(m_best, np.unravel_index(cell, shape)))
     ev = evaluate_plan(pr, m_best, counts_best)
     return _solution(pr, m_best, counts_best, ev, solver="direct", stats=stats)
 
@@ -500,18 +539,19 @@ def solve_mrt(scenario) -> AllocationSolution:
             f"{len(mcs_list)} table entries"
         )
     report_vals, report_counts = np.unique(np.asarray(pr.user_mcs), return_counts=True)
-    m_vecs = list(combinations(mcs_list, L))
-    blocks = np.array([mrt_block_counts(layers, [pr.capacity(m) for m in m_vec])
-                       for m_vec in m_vecs])  # (C, L)
-    # (C, V, L): a user loses every block sent above its reported MCS
-    losses = np.where(np.array(m_vecs)[:, None, :] <= report_vals[:, None],
-                      pr.p_hat, 1.0)
-    survive = uncoded_survival(losses, blocks[:, None, :])
-    best_u = expected_psnr(layers, survive)
+    idx = np.array(list(combinations(range(len(mcs_list)), L)))  # (C, L)
+    m_vecs = np.array(mcs_list)[idx]
+    blocks = mrt_block_counts(layers, np.array([pr.capacity(m) for m in mcs_list])[idx])
+    # MCS rise across layers, so a user qualifying on n windows (a prefix)
+    # scores their survival at p_hat and loses every block after them
+    survive = uncoded_survival(np.full(L, pr.p_hat), blocks)
+    prefix = np.where(np.tri(L + 1, L, -1, dtype=bool), survive[:, None, :], 0.0)
+    qualified = np.count_nonzero(m_vecs[:, None, :] <= report_vals[:, None], axis=2)
+    best_u = np.take_along_axis(expected_psnr(layers, prefix), qualified, axis=1)
     # summed user by user in report order (cumsum is sequential), so the
     # first best vector wins ties exactly as a running comparison would
     scores = np.cumsum(report_counts * best_u, axis=-1)[:, -1]
     pick = int(np.argmax(scores))
-    m_vec, counts = m_vecs[pick], tuple(int(b) for b in blocks[pick])
+    m_vec, counts = tuple(int(m) for m in m_vecs[pick]), tuple(int(b) for b in blocks[pick])
     ev = evaluate_plan(pr, m_vec, counts)
     return _solution(pr, m_vec, counts, ev, solver="mrt")

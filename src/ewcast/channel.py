@@ -430,6 +430,12 @@ def build_scenario(config: dict) -> Scenario:
             if not (isinstance(stream[key], (list, tuple)) and stream[key]):
                 raise ValueError(f"stream.{key} must be a non-empty list, got {stream[key]!r}")
             stream[key] = [_number(f"stream.{key}", v, bound) for v in stream[key]]
+            if len(stream[key]) != len(stream["bitrates_kbps"]):
+                raise ValueError(f"stream.{key} must hold one entry per bitrate "
+                                 f"({len(stream['bitrates_kbps'])}), got {stream[key]!r}")
+        if not all(0.0 < t <= 1.0 for t in stream["coverage_targets"]):
+            raise ValueError(f"stream.coverage_targets must lie in (0, 1], "
+                             f"got {stream['coverage_targets']!r}")
     else:
         raise ValueError("config needs a stream_preset (one of "
                          f"{sorted(STREAM_PRESETS)}) or an explicit stream")

@@ -387,6 +387,8 @@ def uncoded_survival(losses, tb_counts) -> np.ndarray:
     return np.cumprod(survive, axis=-1)
 
 
-def mrt_block_counts(layers: LayerConfig, capacities: Sequence[int]) -> tuple[int, ...]:
-    """Lossless block count ceil(k_i / n_i) per layer; 0 without capacity."""
-    return tuple(-(-k // n) if n >= 1 else 0 for k, n in zip(layers.k, capacities))
+def mrt_block_counts(layers: LayerConfig, capacities) -> np.ndarray:
+    """Lossless block count ceil(k_i / n_i) per layer (the last axis of
+    ``capacities``; leading axes batch plans); 0 without capacity."""
+    n = np.asarray(capacities)
+    return np.where(n >= 1, -(-np.asarray(layers.k) // np.maximum(n, 1)), 0)

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ewcast import allocators
 from ewcast.allocators import (
     AllocationProblem,
     check_feasibility,
@@ -244,6 +245,42 @@ class TestDirect:
                 == Fraction(evaluate_plan(pr, (1, 6), (2, 3)).profit, 5) == 2)
         sol = direct_uep_ram(pr)
         assert (sol.plan.mcs, sol.plan.tb_counts) == ((1, 6), (1, 3)) == brute_force_optimum(pr)
+
+    def test_tie_across_patterns_takes_first_vector(self):
+        # (5, 7, 7) and (7, 0, 7) both reach profit 15 at cost 5, the best
+        # ratio.  The search batches the pattern (on, off, on) before (on,
+        # on, on), so it meets (7, 0, 7) first: its cut must keep a cost
+        # that only ties that incumbent (the ceiling of (5, 7, 7) is its
+        # profit, so a cut at exactly ceiling * 5 / 15 drops the tie), and
+        # the final pick must take the lexicographically first vector.  Two
+        # layers cannot show this: every viable vector sends window 2, and
+        # each (0, m) both precedes and is batched before each (m', m).
+        pr = AllocationProblem(LayerConfig((4, 1, 2), coverage_targets=(0.75, 0.5, 0.45)),
+                               (7, 7, 7, 15, 7), (3, 1, 2), {5: 1, 7: 3}, 0.05, 0.99)
+        first, later = ((5, 7, 7), (2, 1, 2)), ((7, 0, 7), (3, 0, 2))
+        for mcs, counts in (first, later):
+            ev = evaluate_plan(pr, mcs, counts)
+            assert ev.feasible and (ev.profit, ev.cost) == (15, 5)
+        sol = direct_uep_ram(pr)
+        assert (sol.plan.mcs, sol.plan.tb_counts) == first == brute_force_optimum(pr)
+
+    @pytest.mark.parametrize("chunk, draws", [(1, 5), (3000, None)])
+    def test_chunk_bound_leaves_plan_unchanged(self, monkeypatch, solver_battery, chunk,
+                                               draws):
+        # 1 evaluates one MCS vector at a time (slow, so on five 3-layer
+        # draws); 3000 splits the all-sent pattern of the SFN default at
+        # n_rbp=5 (32 cells, four profiles per vector) into chunks of 23
+        # vectors, and that of each 3-layer draw into chunks of a few
+        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=5)),
+                  ((0, 0, 5, 9), (0, 0, 2, 2), 1688, 4))]
+        cases += [(problem, (ref.plan.mcs, ref.plan.tb_counts, ref.profit, ref.cost))
+                  for problem, _, ref in solver_battery if problem.layers.num_layers == 3][:draws]
+        assert len(cases) >= 6
+        monkeypatch.setattr(allocators, "_CHUNK", chunk)
+        for problem, expected in cases:
+            sol = direct_uep_ram(problem)
+            assert sol.feasible
+            assert (sol.plan.mcs, sol.plan.tb_counts, sol.profit, sol.cost) == expected
 
     def test_stats_count_both_prunes(self):
         config = dict(DEFAULT_SFN_CONFIG, n_rbp=5,

@@ -413,6 +413,13 @@ class TestSolveAndMain:
         ({"stream": {**STREAM_A, "coverage_targets": "ab"}}, "stream.coverage_targets"),
         ({"stream_preset": "A", "stream": STREAM_A}, "stream_preset and stream"),
         ({"stream_preset": "A", "stream": {"bogus": 1}}, "stream_preset and stream"),
+        ({"stream": {**STREAM_A, "psnr_db": STREAM_A["psnr_db"][:-1]}}, "stream.psnr_db"),
+        ({"stream": {**STREAM_A, "coverage_targets": [0.9, 0.8, 0.7, 0.6]}},
+         "stream.coverage_targets"),
+        ({"stream": {**STREAM_A, "coverage_targets": [0.9, 1.5, 0.5]}},
+         "stream.coverage_targets"),
+        ({"stream": {**STREAM_A, "coverage_targets": [0.9, 0.0, 0.5]}},
+         "stream.coverage_targets"),
     ])
     def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
         # a value of the wrong type, sign or finiteness is refused by name
