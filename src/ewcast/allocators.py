@@ -39,6 +39,7 @@ from .decode_prob import (
 
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
 _CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds at once
+_MAX_ENTRIES = 10**8  # set-up plus level-table entries beyond which the exact search refuses
 
 
 @dataclass(frozen=True)
@@ -341,6 +342,57 @@ def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
     return cost < best_cost
 
 
+def _level_tables(k, counts, caps, p_hat: float, q_thresh: float) -> list[np.ndarray]:
+    """Decode outcome of every window over every window template.
+
+    Window ``j`` is read at position 0 (nothing received: off, or the user
+    does not qualify) or at position ``i``, blocks of ``caps[j][i - 1]``
+    elements each lost with probability ``p_hat``.  A depth-``d`` template
+    codes one position per window before ``d`` in mixed radix, window 0
+    first.  Row ``t * (len(caps[d]) + 1) + i`` of ``tables[d]`` is template
+    ``t`` with window ``d`` at position ``i``; its columns are the count
+    vectors ``1..counts[j]`` of windows ``0..d`` in C order.  An entry is
+    ``d + 1`` where window ``d`` decodes with probability >= ``q_thresh``,
+    else 0 (always 0 at position 0).
+    """
+    radix = [len(c) + 1 for c in caps]
+    tables = [np.zeros((math.prod(radix[:d + 1]), math.prod(counts[:d + 1])), np.int8)
+              for d in range(len(k))]
+    pmfs = [binomial_pmf_rows(n, p_hat)[1:] for n in counts]  # counts 1..n, one row each
+
+    def fill(grid, d, start):
+        # grid: depth-d deficit grids of the templates from ``start`` on, as
+        # (templates, count axes of windows 0..d-1, deficit)
+        rows = tables[d][start * radix[d]:(start + len(grid)) * radix[d]]
+        rows = rows.reshape(len(grid), radix[d], -1, counts[d])
+        for i, cap in enumerate(caps[d], 1):
+            table = success_table(grid.shape[-1], k[d], cap, counts[d], p_hat)
+            hit = (grid.reshape(-1, len(table)) @ table)[:, 1:] >= q_thresh
+            rows[:, i] = hit.reshape(rows[:, i].shape) * np.int8(d + 1)
+
+    def extend(grid, d):
+        # depth d to d + 1: one deficit step per choice of window d, over
+        # its count axis; templates gain window d's choice as last digit
+        prev = np.broadcast_to(grid[..., None, :], grid.shape[:-1] + (counts[d], grid.shape[-1]))
+        pmf = pmfs[d].reshape((1,) * (d + 1) + pmfs[d].shape)
+        new = np.stack([advance_deficit(prev, k[d], 0, np.ones(1))]
+                       + [advance_deficit(prev, k[d], cap, pmf) for cap in caps[d]], axis=1)
+        return new.reshape((-1,) + new.shape[2:])
+
+    grid = np.ones((1, 1))  # depth 0: one template, no count axis, no deficit
+    fill(grid, 0, 0)
+    for d in range(1, len(k)):
+        # the last depth's grids are read by no later window: they are
+        # formed a block of templates at a time (about _CHUNK float entries)
+        size = radix[d - 1] * math.prod(counts[:d]) * (grid.shape[-1] + k[d - 1])
+        step = max(1, _CHUNK // size) if d == len(k) - 1 else len(grid)
+        for start in range(0, len(grid), step):
+            block = extend(grid[start:start + step], d - 1)
+            fill(block, d, start * radix[d - 1])
+        grid = block
+    return tables
+
+
 def direct_uep_ram(scenario) -> AllocationSolution:
     """Exact optimum by branch-and-bound over every canonical assignment.
 
@@ -355,29 +407,35 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     vectors whose profit ceiling over cost cannot beat or tie the best plan
     found so far are cut (a whole MCS vector when none is left).  ``stats``
     counts both ("vectors_skipped", "vectors_cut"), the count vectors
-    evaluated ("leaves"), the (template, capacity) success products formed
-    ("tables") and the deficit grids memoised ("grids").  The cut sees the
-    incumbents in batch order, so all counts but "vectors_skipped" depend
-    on that order; the plan does not.
+    evaluated ("leaves"), the (template, choice) level tables built
+    ("tables") and the deficit grids they are read from, one per template
+    and depth ("grids").  The cut sees the incumbents in batch order, so
+    "vectors_cut" and "leaves" depend on that order; the plan does not, nor
+    do the other counts, fixed by the choices the viable vectors send.
+
+    A search whose set-up and level tables would exceed ``_MAX_ENTRIES``
+    array entries is refused with a ``ValueError`` before anything is built.
     """
     pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
     # reception with a given capacity and count.  A window template (the
-    # capacity of each earlier window the user qualifies on, None elsewhere)
-    # therefore fixes one deficit distribution per count vector, memoised as
-    # one grid (grid_dist), and the decode outcomes of the next window over
-    # that grid (window_levels), shared across all MCS vectors and profiles.
+    # choice of each earlier window, 0 where nothing is received) therefore
+    # fixes the decode outcome of the next window over all count vectors,
+    # shared across all MCS vectors and profiles: one level table per
+    # template and choice, all built up front (_level_tables).
     layers = pr.layers
     L = layers.num_layers
-    k = layers.k
     U = len(pr.user_mcs)
     required = np.array([_required_count(U, t) for t in layers.coverage_targets])
     budgets = pr.tb_budget
     mcs_choices = np.array([0] + sorted(pr.capacities))
-    caps_of = [pr.capacity(m) for m in mcs_choices.tolist()]
-    q_thresh = pr.q_hat - _PROB_EPS
-    p_hat = pr.p_hat
+    n_choices = len(mcs_choices)
+    size = n_choices ** L * L + sum(n_choices ** (d + 1) * math.prod(
+        max(b, 1) for b in budgets[:d + 1]) for d in range(L))
+    if size > _MAX_ENTRIES:
+        raise ValueError(f"exact search needs up to {size:,} array entries, over the "
+                         f"limit of {_MAX_ENTRIES:,}")
     # users reporting at least MCS m, for m = 0..top; index top counts none
     top = int(mcs_choices[-1]) + 1
     at_least = np.append(np.count_nonzero(
@@ -389,52 +447,29 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     # least the lowest MCS sent at a window >= l: that count must meet the
     # level's requirement, and summed over levels it caps the profit of
     # every count vector under the MCS vector.
-    choice = np.indices((len(mcs_choices),) * L).reshape(L, -1).T[1:]
+    choice = np.indices((n_choices,) * L).reshape(L, -1).T[1:]
     m_vecs = mcs_choices[choice]
     lowest = np.minimum.accumulate(np.where(m_vecs > 0, m_vecs, top)[:, ::-1], axis=1)
     reachable = at_least[lowest[:, ::-1]]
     viable = np.all(reachable >= required, axis=1)
     ceilings = reachable.sum(axis=1)
+    vis = np.flatnonzero(viable)
+    # the choices window j is read at: 0 and each one a viable vector sends
+    # there (none without budget); a window read only at 0 has one count
+    opts = [np.union1d(choice[vis, j], 0) if b else np.zeros(1, int)
+            for j, b in enumerate(budgets)]
+    counts = [b if len(o) > 1 else 1 for b, o in zip(budgets, opts)]
+    templates = [math.prod(len(o) for o in opts[:d]) for d in range(L)] if vis.size else []
     stats = {"mcs_vectors": len(m_vecs), "vectors_skipped": int(np.sum(~viable)),
-             "vectors_cut": 0, "leaves": 0, "tables": 0}
+             "vectors_cut": 0, "leaves": 0,
+             "tables": sum(t * (len(o) - 1) for t, o in zip(templates, opts)),
+             "grids": sum(templates)}
+    tables = _level_tables(layers.k, counts, [[pr.capacity(m) for m in mcs_choices[o[1:]]]
+                                              for o in opts],
+                           pr.p_hat, pr.q_hat - _PROB_EPS) if vis.size else []
 
-    # pmfs of counts 1..budget, zero-padded to budget + 1, window j's on axis j
-    pascal = [binomial_pmf_rows(b, p_hat)[1:].reshape((1,) * j + (b, b + 1))
-              for j, b in enumerate(budgets)]
-    grid_cache: dict[tuple, np.ndarray] = {(): np.ones(1)}
-
-    def grid_dist(template: tuple) -> np.ndarray:
-        # deficit distribution after the windows of ``template``: axis j holds
-        # window j's counts 1..budget where the template holds a capacity,
-        # else size 1 (nothing received); the deficit axis comes last.  A loop,
-        # as a recursive closure would keep the memo alive past the solve
-        for j, capacity in enumerate(template):
-            if template[:j + 1] not in grid_cache:
-                pmf = np.ones((1,) * (j + 2)) if capacity is None else pascal[j]
-                prev = grid_cache[template[:j]][..., None, :]
-                prev = np.broadcast_to(prev, prev.shape[:-2] + pmf.shape[-2:-1] + prev.shape[-1:])
-                grid_cache[template[:j + 1]] = advance_deficit(prev, k[j], capacity or 0, pmf)
-        return grid_cache[template]
-
-    levels_cache: dict[tuple, np.ndarray] = {}
-
-    def window_levels(template: tuple, capacity: int) -> np.ndarray:
-        # window d = len(template) sent at ``capacity``: d + 1 where it
-        # decodes, else 0, over the count grid of ``template`` and the
-        # counts of window d (size-1 axes for the windows after it)
-        if (template, capacity) not in levels_cache:
-            d, dist = len(template), grid_dist(template)
-            stats["tables"] += 1
-            table = success_table(dist.shape[-1], k[d], capacity, budgets[d], p_hat)
-            hit = (dist @ table)[..., 1:] >= q_thresh
-            levels_cache[(template, capacity)] = (hit * np.int8(d + 1)).reshape(
-                hit.shape + (1,) * (L - d - 1))
-        return levels_cache[(template, capacity)]
-
-    place = len(mcs_choices) ** np.arange(L)
     best_profit, best_cost = -1, 1
     winners = []  # (vector index, profit, cost, grid shape, flat cell) of each best cell
-    vis = np.flatnonzero(viable)
     pattern = (m_vecs[vis] > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
     for code in np.unique(pattern):
         # the count grid of the sent pattern, its cells in order of cost and
@@ -447,6 +482,9 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             continue
         order = np.argsort(cost, kind="stable")
         cost = cost[order]
+        # each cell's column in the level tables of each window
+        cells = np.unravel_index(order, shape)
+        cols = [np.ravel_multi_index(cells[:d + 1], counts[:d + 1]) for d in range(L)]
         step = max(1, _CHUNK // (sent.sum() * cost.size))
         for start in range(0, len(group), step):
             vecs = group[start:start + step]
@@ -463,31 +501,23 @@ def direct_uep_ram(scenario) -> AllocationSolution:
             width = int(live.max())
             # profile i: users reporting from the i-th lowest sent MCS up to
             # the next qualify on the sent windows up to it and share every
-            # probability; empty profiles ask for no table
+            # probability; empty profiles qualify nowhere
             idx, m = choice[vecs], m_vecs[vecs]
             bounds = np.sort(m[:, sent], axis=1)
             shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
             qualify = ((m[:, None, :] <= bounds[:, :, None]) & sent
                        & (shares > 0)[:, :, None])  # (vectors, profiles, windows)
-            # the template of window d is the choice index of each earlier
-            # window qualified on (0 elsewhere), one digit per window; window
-            # d's own choice index is its leading digit
-            digits = np.where(qualify, idx[:, None, :] * place, 0)
-            keys = np.cumsum(digits, axis=2) - digits + idx[:, None, :] * place
-            found, at, rows = np.unique(keys[qualify], return_index=True, return_inverse=True)
-            hits = np.zeros((len(found) + 1,) + shape, dtype=np.int8)
-            depths = np.nonzero(qualify)[2][at]
-            for row, key, d in zip(hits[1:], found.tolist(), depths.tolist()):
-                code = [key // b % len(mcs_choices) for b in place[:d + 1].tolist()]
-                row[...] = window_levels(tuple(caps_of[c] if c else None for c in code[:d]),
-                                         caps_of[code[d]])
-            hits = hits.reshape(len(hits), -1)[:, order[:width]]
-            ids = np.zeros(qualify.shape, dtype=np.intp)
-            ids[qualify] = rows + 1
+            # window d's table row codes the position of each qualified
+            # window's choice among opts, 0 elsewhere, over windows 0..d
+            row = np.zeros(qualify.shape[:2], dtype=np.intp)
             # deepest decoded window per profile: it yields every level up to it
-            deepest = np.zeros(ids.shape[:2] + (width,), dtype=np.int8)
-            for d in np.flatnonzero(sent):
-                np.maximum(deepest, hits[ids[:, :, d]], out=deepest)
+            deepest = np.zeros(qualify.shape[:2] + (width,), dtype=np.int8)
+            for d in range(L):
+                digit = np.searchsorted(opts[d], idx[:, d])[:, None]
+                row = row * len(opts[d]) + np.where(qualify[:, :, d], digit, 0)
+                if sent[d]:
+                    np.maximum(deepest, tables[d][row[:, :, None], cols[d][:width]],
+                               out=deepest)
             feasible = np.arange(width) < live[:, None]
             profit = np.zeros(feasible.shape, dtype=np.min_scalar_type(U * L))
             for level, need in enumerate(required.tolist()):
@@ -504,7 +534,6 @@ def direct_uep_ram(scenario) -> AllocationSolution:
                 if _better(p, c, best_profit, best_cost):
                     best_profit, best_cost = p, c
 
-    stats["grids"] = len(grid_cache)
     best = (None, -1, 1)
     for winner in sorted(winners):  # lexicographic: an exact tie keeps the first vector
         if _better(*winner[1:3], *best[1:3]):

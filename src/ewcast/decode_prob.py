@@ -13,9 +13,9 @@ decodes exactly when it leaves no deficit behind.
 The exact probability of that threshold event is computed here by dynamic
 programming over the deficit value, which is equivalent to the full nested
 summation over all reception outcomes but runs in O(L * K * max N) time.  The
-allocators push the same step through earlier windows (the exact search one
-whole count grid at a time) and read the last window off one cached success
-table.  A literal nested-sum evaluator is kept as an independent check.
+allocators push the same step through earlier windows (the exact search the
+count grids of every window template of one depth at once) and read the last
+window off one cached success table.  A literal nested-sum evaluator is kept as an independent check.
 """
 
 from __future__ import annotations

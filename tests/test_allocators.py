@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -17,12 +18,27 @@ from ewcast.allocators import (
     solve_s2,
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP, build_scenario
-from ewcast.cli import DEFAULT_SFN_CONFIG
-from ewcast.decode_prob import LayerConfig, TransmissionPlan, window_decode_probs
+from ewcast.cli import DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG
+from ewcast.decode_prob import _PROB_EPS, LayerConfig, TransmissionPlan, window_decode_probs
 
 
 def table(n_rbp):
     return {m: r * n_rbp for m, r in CAPACITY_RATIO_PER_RBP.items()}
+
+
+def deep_sc_config(num_layers):
+    """The SC default with ``num_layers`` layers: bitrates geometric over the
+    range of stream A, PSNR and coverage targets linear over its range."""
+    config = {key: value for key, value in DEFAULT_SC_CONFIG.items() if key != "stream_preset"}
+    streams = {
+        5: {"bitrates_kbps": [47.3, 110.3, 257.0, 599.2, 1396.7],
+            "psnr_db": [27.9, 32.4, 36.8, 41.3, 45.8],
+            "coverage_targets": [0.99, 0.892, 0.795, 0.698, 0.6]},
+        6: {"bitrates_kbps": [47.3, 93.1, 183.2, 360.6, 709.7, 1396.7],
+            "psnr_db": [27.9, 31.5, 35.1, 38.6, 42.2, 45.8],
+            "coverage_targets": [0.99, 0.912, 0.834, 0.756, 0.678, 0.6]},
+    }
+    return dict(config, stream=streams[num_layers])
 
 
 def small_problem(user_mcs, k=(4,), targets=(0.8,), budget=(6,), n_rbp=1,
@@ -294,6 +310,83 @@ class TestDirect:
         assert stats["leaves"] > 0 and stats["tables"] > 0 and stats["grids"] > 1
         assert sol.feasible
         assert heuristic_uep_ram(scenario).stats == {}
+
+    def test_five_layer_stream_plan_and_memory(self):
+        # 371,292 MCS vectors, 51,196 of them viable: the level tables hold
+        # about 53 MB of int8 and the last depth's deficit grids, about
+        # 200 MB whole, are formed a block at a time (the lazy memo of
+        # earlier versions peaked at 276 MB here)
+        scenario = build_scenario(deep_sc_config(5))
+        assert scenario.tb_budget == (2, 2, 2, 3, 6)
+        tracemalloc.start()
+        try:
+            sol = direct_uep_ram(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.feasible
+        assert (sol.plan.mcs, sol.plan.tb_counts, sol.profit, sol.cost) == (
+            (0, 4, 0, 0, 6), (0, 2, 0, 0, 5), 352, 7)
+        assert peak < 160 * 2**20
+
+    def test_oversized_search_refused_before_building(self):
+        # six layers: 13^6 MCS vectors, and level tables of up to 2.8e9 entries
+        scenario = build_scenario(deep_sc_config(6))
+        assert scenario.tb_budget == (2, 2, 2, 3, 4, 6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2,845,550,708 array entries, over the "
+                                                 r"limit of 100,000,000"):
+                direct_uep_ram(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_level_tables_match_window_decode_probs(self, monkeypatch, solver_battery, chunk):
+        # (template, own choice, count vector) entries against one receiver's
+        # window_decode_probs, which loses every block of a window it
+        # receives nothing on: 100 random entries where each window is read
+        # at a random subset of the capacity table, and every entry of a
+        # small-block case where earlier windows carry a deficit forward
+        if chunk is not None:
+            monkeypatch.setattr(allocators, "_CHUNK", chunk)
+        rng = np.random.default_rng(1717)
+        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=2)).to_allocation_problem(), None)]
+        cases += [(problem, None) for problem, _, _ in solver_battery[:40:8]]
+        cases.append((small_problem([9] * 5, k=(5, 6, 7), targets=(0.8, 0.6, 0.5),
+                                    budget=(4, 5, 4)), [[2, 3], [2, 5], [3]]))
+        outcomes = set()
+        for pr, caps in cases:
+            L, k, counts = pr.layers.num_layers, pr.layers.k, list(pr.tb_budget)
+            every = caps is not None
+            if not every:
+                caps = [[pr.capacities[m] for m in sorted(rng.choice(
+                            sorted(pr.capacities), int(rng.integers(1, 4)), replace=False))]
+                        for _ in range(L)]
+            radix = [len(c) + 1 for c in caps]
+            q_thresh = pr.q_hat - _PROB_EPS
+            tables = allocators._level_tables(k, counts, caps, pr.p_hat, q_thresh)
+            shapes = [(math.prod(radix[:d + 1]), math.prod(counts[:d + 1])) for d in range(L)]
+            assert [t.shape for t in tables] == shapes
+            if every:
+                entries = [(d, *ix) for d in range(L) for ix in np.ndindex(shapes[d])]
+            else:
+                entries = [(d, *(int(rng.integers(n)) for n in shapes[d]))
+                           for d in rng.integers(L, size=100).tolist()]
+            for d, row, col in entries:
+                choices = np.unravel_index(row, radix[:d + 1])
+                cells = np.unravel_index(col, counts[:d + 1])
+                plan = TransmissionPlan(
+                    (0,) * (d + 1), tuple(int(c) + 1 for c in cells),
+                    tuple(caps[j][c - 1] if c else 1 for j, c in enumerate(choices)))
+                loss = [pr.p_hat if c else 1.0 for c in choices]
+                prob = window_decode_probs(LayerConfig(k[:d + 1]), plan, loss)[d]
+                expected = d + 1 if choices[d] and prob >= q_thresh else 0
+                assert tables[d][row, col] == expected, (d, row, col, prob)
+                outcomes.add(expected > 0)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("n_rbp, direct, heuristic", [
         (2, ((0, 5, 0, 9), (0, 2, 0, 4), 1628, 6), ((0, 5, 0, 10), (0, 2, 0, 4), 1576, 6)),

@@ -336,6 +336,24 @@ class TestSolveAndMain:
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("argv", [["sweep-rbp", "--rbp", "5"],
+                                      ["solve", "--direct", "exhaustive"]])
+    def test_main_refuses_oversized_exact_search(self, tmp_path, capsys, argv):
+        # a six-layer stream: the exact search would need up to 2.8e9 array
+        # entries at n_rbp=5, and is refused before it builds anything
+        config = {key: value for key, value in DEFAULT_SC_CONFIG.items()
+                  if key != "stream_preset"}
+        config["stream"] = {"bitrates_kbps": [47.3, 93.1, 183.2, 360.6, 709.7, 1396.7],
+                            "psnr_db": [27.9, 31.5, 35.1, 38.6, 42.2, 45.8],
+                            "coverage_targets": [0.99, 0.912, 0.834, 0.756, 0.678, 0.6]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        out = ["--out", str(tmp_path)] if argv[0] == "sweep-rbp" else []
+        assert main([*argv, "--scenario", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "limit of 100,000,000" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("field, value", [("q_hat", math.nan), ("q_hat", 1.5),
                                               ("q_hat", -1.0), ("p_hat", math.nan),
                                               ("p_hat", 1.5)])
