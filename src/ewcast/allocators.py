@@ -25,13 +25,14 @@ import numpy as np
 from .decode_prob import (
     _PROB_EPS,
     _check_thresholds,
+    _met_levels,
+    _window_dp,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
     binomial_pmf_rows,
     expected_psnr,
     mrt_block_counts,
-    qos_levels,
     receive_pmf,
     success_table,
     uncoded_survival,
@@ -118,9 +119,10 @@ def _required_count(num_users: int, fraction: float) -> int:
 def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> PlanEvaluation:
     """QoS indicators, profit/cost and constraint compliance of a plan.
 
-    Users sharing the same per-window qualification pattern get identical
-    probabilities, so the recovery computation runs once per pattern, all
-    patterns in one batched pass.
+    Users with one report share every probability, so the window DP runs
+    once per distinct report, on the memoised ``receive_pmf`` row at
+    ``p_hat`` where the report qualifies (``0 < m <= report``, blocks sent)
+    and the "nothing received" row elsewhere.  The plan needs one entry per layer.
     """
     pr = _as_problem(problem)
     layers = pr.layers
@@ -128,15 +130,13 @@ def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> Plan
     U = len(pr.user_mcs)
     mcs = tuple(int(m) for m in mcs)
     counts = tuple(int(c) for c in tb_counts)
-    caps_vec = tuple(pr.capacity(m) for m in mcs)
-    plan = TransmissionPlan(mcs, counts, caps_vec)
-    m_arr = np.asarray(mcs)
-    good = ((m_arr > 0) & (m_arr <= np.asarray(pr.user_mcs)[:, None])
-            & (np.asarray(counts) > 0))  # (U, L)
-    _, first, inverse = np.unique(good @ (1 << np.arange(L)), return_index=True,
-                                  return_inverse=True)
-    losses = np.where(good[first], pr.p_hat, 1.0)
-    delta = qos_levels(layers, plan, losses, pr.q_hat)[inverse.reshape(-1)]
+    plan = TransmissionPlan(mcs, counts, tuple(pr.capacity(m) for m in mcs))
+    if len(mcs) != L:
+        raise ValueError(f"plan length {len(mcs)} does not match the layer count {L}")
+    reports, _, inverse = np.unique(pr.user_mcs, return_index=True, return_inverse=True)
+    pmfs = [np.where(((0 < m) & (m <= reports) & (c > 0))[:, None],
+                     receive_pmf(c, pr.p_hat), receive_pmf(c, 1.0)) for m, c in zip(mcs, counts)]
+    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), pr.q_hat)[inverse]
     layer_counts = delta.sum(axis=0)
     profit = int(delta.sum())
     cost = int(sum(counts))
@@ -152,17 +152,17 @@ def solve_s1(user_mcs: Sequence[int], t_prime: float) -> int | None:
     """Largest MCS that still reaches the required user fraction.
 
     A user qualifies when its reported MCS is at least the candidate; the
-    answer is the largest candidate in [1, 15] with enough qualifying users,
-    or None when even MCS 1 falls short (only possible for fractions > 1).
+    answer, the largest candidate in [1, 15] with enough qualifying users,
+    is the ``required``-th largest report capped at 15 (15 when no user is
+    required), or None when that is below 1 or exceeds the user count.
     """
     if not len(user_mcs):
         raise ValueError("at least one user report is required")
     required = _required_count(len(user_mcs), t_prime)
-    reports = np.asarray(user_mcs)
-    for m in range(15, 0, -1):
-        if int(np.count_nonzero(reports >= m)) >= required:
-            return m
-    return None
+    if required > len(user_mcs):
+        return None
+    m = min(int(sorted(user_mcs)[-required]), 15) if required > 0 else 15
+    return m if m >= 1 else None
 
 
 def solve_s2(
@@ -283,7 +283,8 @@ def heuristic_uep_ram(scenario) -> AllocationSolution:
                     # unsolvable merge would leave the window untransmitted;
                     # roll the pair back to its intermediate values
                     mcs[i - 1], counts[i - 1], mcs[i], counts[i] = saved
-        refined = evaluate_plan(pr, mcs, counts)
+        refined = (intermediate if (mcs, counts) == (mcs_int, counts_int)
+                   else evaluate_plan(pr, mcs, counts))
         if not refined.feasible or sum(counts_int) < sum(counts):
             mcs, counts, chosen = mcs_int, counts_int, intermediate
         else:

@@ -48,6 +48,9 @@ VALIDATION_LOSSES = (0.1, 0.4)
 SATURATION_TAIL = 1e-4
 SATURATION_MARGIN = 3
 SATURATION_CAP = 400
+# Per window the sampler holds trials / 255 hit trials by up to 100 deficits in
+# three int64 matrices: 9.4 bytes per trial here, 94 MB at the limit, 1 GB at 1e8.
+MAX_TRIALS = 10**7
 
 # Desk-scale default scenarios.  The radial line and the grid both extend to
 # the edge of the lowest table-backed MCS, and the evaluation-view error curve
@@ -124,8 +127,8 @@ def run_validate_approx(
     hold the analytic value, the simulated value with its standard error, and
     the absolute gap.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS:,}], got {trials!r}")
     if t_max is not None and t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max!r}")
     if seed < 0:

@@ -13,9 +13,9 @@ decodes exactly when it leaves no deficit behind.
 The exact probability of that threshold event is computed here by dynamic
 programming over the deficit value, which is equivalent to the full nested
 summation over all reception outcomes but runs in O(L * K * max N) time.  The
-allocators push the same step through earlier windows (the exact search the
-count grids of every window template of one depth at once) and read the last
-window off one cached success table.  A literal nested-sum evaluator is kept as an independent check.
+allocators push the same step: plan evaluation once per distinct user report,
+the exact search over every window template of one depth at once.  A literal
+nested-sum evaluator is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -278,13 +278,16 @@ def window_decode_probs(
     receivers of the same plan, and the result has the shape of ``erasure``.
     """
     p = _validate_inputs(layers, plan, erasure)
-    k = layers.k
-    n = plan.elements_per_tb
-    N = plan.tb_counts
-    probs = np.zeros(p.shape)
-    dist = np.ones(p.shape[:-1] + (1,))
-    for i in range(len(k)):
-        dist = advance_deficit(dist, k[i], n[i], receive_pmf(N[i], p[..., i]))
+    return _window_dp(layers.k, plan.elements_per_tb,
+                      [receive_pmf(N, p[..., i]) for i, N in enumerate(plan.tb_counts)])
+
+
+def _window_dp(k, capacities, pmfs) -> np.ndarray:
+    # pmfs[i][..., r]: chance that r blocks of window i arrive, leading axes batch receivers
+    dist = np.ones(pmfs[0].shape[:-1] + (1,))
+    probs = np.zeros(dist.shape[:-1] + (len(k),))
+    for i, pmf in enumerate(pmfs):
+        dist = advance_deficit(dist, k[i], capacities[i], pmf)
         # max(k + e - r*n, 0) == 0 exactly when r*n >= k + e: the window
         # decodes when it leaves no deficit behind
         probs[..., i] = dist[..., 0]
@@ -356,9 +359,12 @@ def qos_levels(
     q_hat: float,
 ) -> np.ndarray:
     """QoS indicators for every level (last axis), from one probability pass."""
-    probs = window_decode_probs(layers, plan, erasure)
-    hit = probs >= q_hat - _PROB_EPS
+    return _met_levels(window_decode_probs(layers, plan, erasure), q_hat)
+
+
+def _met_levels(probs: np.ndarray, q_hat: float) -> np.ndarray:
     # suffix OR: level l is met if any window >= l clears the threshold
+    hit = probs >= q_hat - _PROB_EPS
     return np.logical_or.accumulate(hit[..., ::-1], axis=-1)[..., ::-1]
 
 

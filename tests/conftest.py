@@ -55,6 +55,12 @@ def random_problem(rng) -> AllocationProblem:
 def solver_battery():
     """110 random desk instances solved by both the heuristic and the exact
     reference; shared by the quality and soundness acceptance criteria."""
+    return solve_battery()
+
+
+def solve_battery():
+    """The instances of the ``solver_battery`` fixture, as
+    (problem, heuristic, reference) triples."""
     rng = np.random.default_rng(20250810)
     instances = []
     attempts = 0

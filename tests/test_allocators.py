@@ -9,6 +9,7 @@ import pytest
 from ewcast import allocators
 from ewcast.allocators import (
     AllocationProblem,
+    AllocationSolution,
     check_feasibility,
     direct_uep_ram,
     evaluate_plan,
@@ -516,6 +517,18 @@ class TestCheckFeasibility:
 
 
 class TestEvaluatePlan:
+    @pytest.mark.parametrize("mcs, counts", [((4,), (1,)), ((4, 6, 8), (1, 1, 1))])
+    def test_plan_of_wrong_length_refused_by_name(self, mcs, counts):
+        pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
+        message = rf"plan length {len(mcs)} does not match the layer count 2"
+        with pytest.raises(ValueError, match=message):
+            evaluate_plan(pr, mcs, counts)
+        plan = TransmissionPlan(mcs, counts, tuple(pr.capacities[m] for m in mcs))
+        solution = AllocationSolution(plan=plan, tau=0.0, feasible=False,
+                                      delta=np.zeros((3, 2), dtype=bool), solver="heuristic")
+        with pytest.raises(ValueError, match=message):
+            check_feasibility(solution, pr)
+
     def test_profile_sharing_matches_direct_probabilities(self):
         pr = small_problem([4, 4, 9, 9, 15], k=(2, 5), targets=(0.8, 0.4),
                            budget=(4, 8), q_hat=0.9)

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from ewcast import cli
 from ewcast.allocators import heuristic_uep_ram, solve_mrt
 from ewcast.channel import build_scenario, erasure_prob
 from ewcast.cli import (
     DEFAULT_SC_CONFIG,
     DEFAULT_SFN_CONFIG,
+    MAX_TRIALS,
     SATURATION_CAP,
     main,
     run_coverage_sc,
@@ -89,6 +91,23 @@ class TestValidateApprox:
         with pytest.warns(UserWarning, match="confidence"):
             run_validate_approx(trials=500, seed=1, capacities=(2,),
                                 losses=(0.1,), layer_elements=(3,), t_max=3)
+
+    def test_trials_above_limit_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "simulate_decode_prob", no_sampling)
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 10,000,000\], "
+                                             r"got 10000001"):
+            run_validate_approx(trials=MAX_TRIALS + 1)
+
+    def test_trials_limit_is_inclusive(self, monkeypatch):
+        # the boundary on a lowered limit, so that no large run starts
+        monkeypatch.setattr(cli, "MAX_TRIALS", 12000)
+        kwargs = dict(seed=1, capacities=(2,), losses=(0.1,), layer_elements=(3,), t_max=1)
+        assert run_validate_approx(trials=12000, **kwargs).meta == {"trials": 12000}
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 12,000\], got 12001"):
+            run_validate_approx(trials=12001, **kwargs)
 
     def test_saturation_cap_warns(self):
         # every block lost: the deepest window never saturates
@@ -512,6 +531,13 @@ class TestSolveAndMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and "trials" in err
+        assert not (tmp_path / "validate_approx.csv").exists()
+
+    def test_main_validate_refuses_trials_above_limit(self, tmp_path, capsys):
+        code = main(["validate-approx", "--trials", str(MAX_TRIALS + 1), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError: trials must lie in [1, 10,000,000]" in err
         assert not (tmp_path / "validate_approx.csv").exists()
 
     def test_main_validate_writes_csv(self, tmp_path):

@@ -1,9 +1,11 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
-window DP against one-receiver calls and literal enumeration, the agreement
-of the two feasibility verdicts on random plans, and plan canonicalisation."""
+window DP against one-receiver calls and literal enumeration, plan
+evaluation against a per-user oracle, the agreement of the two feasibility
+verdicts on random plans, plan canonicalisation, and S1 against its literal
+definition."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewcast.allocators import (
@@ -12,6 +14,7 @@ from ewcast.allocators import (
     _canonical_plan,
     check_feasibility,
     evaluate_plan,
+    solve_s1,
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP
 from ewcast.decode_prob import (
@@ -109,6 +112,31 @@ def problems_and_plans(draw):
 
 @PROPERTY_SETTINGS
 @given(problems_and_plans())
+def test_evaluate_plan_matches_per_user_oracle(case):
+    # one qos_levels call per user on allocator-view losses: p_hat on a
+    # window the user qualifies on (0 < m <= report, blocks sent), else 1.0
+    problem, mcs, counts = case
+    ev = evaluate_plan(problem, mcs, counts)
+    plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
+    delta = np.array([
+        qos_levels(problem.layers, plan,
+                   [problem.p_hat if 0 < m <= report and c > 0 else 1.0
+                    for m, c in zip(mcs, counts)], problem.q_hat)
+        for report in problem.user_mcs])
+    assert ev.delta.dtype == delta.dtype and ev.delta.shape == delta.shape
+    assert ev.delta.tobytes() == delta.tobytes()
+    users = len(problem.user_mcs)
+    layer_counts = delta.sum(axis=0)
+    assert ev.layer_counts.tolist() == layer_counts.tolist()
+    assert (ev.profit, ev.cost) == (int(delta.sum()), sum(counts))
+    assert ev.tau == (ev.profit / ev.cost if ev.cost else 0.0)
+    covered = all(n >= users * t - 1e-9
+                  for n, t in zip(layer_counts, problem.layers.coverage_targets))
+    assert ev.feasible == (covered and all(c <= b for c, b in zip(counts, problem.tb_budget)))
+
+
+@PROPERTY_SETTINGS
+@given(problems_and_plans())
 def test_check_feasibility_agrees_with_evaluate_plan(case):
     problem, mcs, counts = case
     ev = evaluate_plan(problem, mcs, counts)
@@ -134,3 +162,21 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
     assert np.array_equal(raw.delta, ev.delta)
     assert (raw.profit, raw.cost, raw.tau, raw.feasible) == (
         ev.profit, ev.cost, ev.tau, ev.feasible)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 17), min_size=1, max_size=30),
+       st.one_of(st.floats(-0.5, 0.0), st.floats(0.0, 1.0), st.floats(1.0, 1.5)))
+@example([7], 0.5)
+@example([9, 9, 9], 1.0)
+@example([4, 4, 4, 4], 0.0)
+@example([4, 4, 4, 4], -0.25)
+@example([12, 12], 1.2)
+@example([0, 0, 3], 0.5)
+def test_solve_s1_is_largest_mcs_with_enough_users(reports, t_prime):
+    # the literal definition: the largest m from 15 down to 1 that at least
+    # U * t' users report, else None
+    literal = next((m for m in range(15, 0, -1)
+                    if sum(r >= m for r in reports) >= len(reports) * t_prime - 1e-9), None)
+    assert solve_s1(reports, t_prime) == literal
+    assert solve_s1(np.array(reports), t_prime) == literal
