@@ -58,8 +58,8 @@ class AllocationProblem:
         object.__setattr__(self, "user_mcs", tuple(int(v) for v in self.user_mcs))
         object.__setattr__(self, "tb_budget", tuple(int(v) for v in self.tb_budget))
         object.__setattr__(self, "capacities", dict(self.capacities))
-        if not self.user_mcs:
-            raise ValueError("at least one user is required")
+        if not (self.user_mcs and all(1 <= m <= 15 for m in self.user_mcs)):
+            raise ValueError(f"user_mcs must hold reports in [1, 15], got {self.user_mcs!r}")
         if len(self.tb_budget) != self.layers.num_layers:
             raise ValueError("one block budget per window is required")
         if self.layers.coverage_targets is None:

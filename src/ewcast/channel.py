@@ -16,8 +16,8 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -309,16 +309,11 @@ class Scenario:
     element_bits: int
     gop_seconds: float
     config: dict  # raw config the scenario was built from
-    p_hat: float = 0.1
-    q_hat: float = 0.99
-    bler_decade_db: float = 1.0
-    mcs_thresholds: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_MCS_THRESHOLDS_DB)
-    )
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_thresholds(self.p_hat, self.q_hat)
+    p_hat: float
+    q_hat: float
+    bler_decade_db: float
+    mcs_thresholds: dict[int, float]
+    seed: int
 
     @property
     def capacities(self) -> dict[int, int]:
@@ -352,144 +347,148 @@ class Scenario:
         return config_digest(self.config)
 
 
-_LAYOUT_KEYS = {"tx_power_dbm": "", "bandwidth_hz": "> 0", "noise_figure_db": "",
-                "antenna_gain_db": "", "shadow_sigma_db": ">= 0"}
-_SCENARIO_KEYS = frozenset(_LAYOUT_KEYS) | {
-    "mode", "isd_m", "sfn_members", "stream_preset", "stream", "element_kb",
-    "gop_seconds", "n_rbp", "p_hat", "q_hat", "bler", "users", "seed",
+_REQUIRED = object()  # the default of a field a config must give
+
+
+class _Field(NamedTuple):
+    kind: str | tuple  # "number", "integer", "object" (a section) or a tuple of choices
+    default: object = None  # None: absent stays absent, so the callee's default applies
+    bound: tuple | None = None  # (bracket, low, high, bracket), e.g. ("(", 0, 1, "]")
+    length: int | None = None  # None: one value; 0: a non-empty list; n: a list of n
+
+
+_POSITIVE = ("(", 0, math.inf, ")")
+_NON_NEGATIVE = ("[", 0, math.inf, ")")
+
+# The scenario config schema, one row per field by dotted path (see README).
+_SCHEMA: dict[str, _Field] = {
+    "mode": _Field(("SC", "SFN"), "SC"),
+    "isd_m": _Field("number", 500.0, _POSITIVE),
+    "sfn_members": _Field("integer", (0, 1, 2, 3), ("[", 0, 18, "]"), length=0),  # 19 grid sites
+    "tx_power_dbm": _Field("number"),
+    "bandwidth_hz": _Field("number", bound=_POSITIVE),
+    "noise_figure_db": _Field("number"),
+    "antenna_gain_db": _Field("number"),
+    "shadow_sigma_db": _Field("number", bound=_NON_NEGATIVE),
+    "stream_preset": _Field(tuple(STREAM_PRESETS)),
+    "stream": _Field("object"),
+    "stream.bitrates_kbps": _Field("number", _REQUIRED, _POSITIVE, length=0),
+    "stream.psnr_db": _Field("number", _REQUIRED, length=0),
+    "stream.coverage_targets": _Field("number", _REQUIRED, ("(", 0, 1, "]"), length=0),
+    # the element holds round(element_kb * 8192) bits: at least one, and finitely many
+    "element_kb": _Field("number", 2.0, ("(", 0.5 / 8192, sys.float_info.max / 8192, "]")),
+    "gop_seconds": _Field("number", 0.533, _POSITIVE),
+    "n_rbp": _Field("integer", 5, _POSITIVE),
+    "p_hat": _Field("number", 0.1, ("[", 0, 1, ")")),
+    "q_hat": _Field("number", 0.99, ("(", 0, 1, "]")),
+    "bler": _Field("object", {}),
+    "bler.decade_db": _Field("number", 1.0, _POSITIVE),
+    "bler.thresholds_db": _Field("number", tuple(DEFAULT_MCS_THRESHOLDS_DB.values()), length=15),
+    "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.0}),
+    "users.pattern": _Field(("radial", "grid"), _REQUIRED),
+    "users.count": _Field("integer", _REQUIRED, _NON_NEGATIVE),
+    "users.step_m": _Field("number", _REQUIRED, _POSITIVE),
+    "users.start_m": _Field("number", bound=_POSITIVE),
+    "users.angle_deg": _Field("number"),
+    "users.center": _Field("number", length=2),
+    "seed": _Field("integer", 0, _NON_NEGATIVE),
 }
-_BLER_KEYS = frozenset({"decade_db", "thresholds_db"})
+
+# the rows of each section ("" is the top level), keyed by the last part of their path
+_SECTIONS: dict[str, dict[str, _Field]] = {}
+for _path, _row in _SCHEMA.items():
+    _SECTIONS.setdefault(_path.rpartition(".")[0], {})[_path.rpartition(".")[2]] = _row
 
 
-def _check_keys(section: str, cfg: Mapping, known: frozenset,
-                required: frozenset = frozenset()) -> dict:
-    """A copy of config section ``cfg`` once it is an object with known keys."""
+def _value(path: str, value, row: _Field):
+    """``value`` of field ``path`` converted as its row says, else a ``ValueError``."""
+    if row.length is not None:
+        if isinstance(value, (list, tuple)) and (len(value) == row.length if row.length else value):
+            return [_value(path, v, row._replace(length=None)) for v in value]
+        raise ValueError(f"{path} must be a list of {row.length or 'one or more'} {row.kind}s, "
+                         f"got {value!r}")
+    if isinstance(row.kind, tuple):
+        if isinstance(value, str) and value in row.kind:
+            return value
+        raise ValueError(f"unknown {path} {value!r}; valid values: {sorted(row.kind)}")
+    ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+          and abs(value) <= sys.float_info.max and (row.kind == "number" or value % 1 == 0))
+    if ok and row.bound:
+        opening, low, high, closing = row.bound
+        ok = ((value > low if opening == "(" else value >= low)
+              and (value < high if closing == ")" else value <= high))
+    if not ok:
+        within = " in {}{:g}, {:g}{}".format(*row.bound) if row.bound else ""
+        raise ValueError(f"{path} must be a finite {row.kind}{within}, got {value!r}")
+    return float(value) if row.kind == "number" else int(value)
+
+
+def _section(path: str, cfg) -> dict:
+    """Config section ``path`` ("" for the top level) checked and converted field by
+    field through ``_SCHEMA``, defaults filled in; a subsection is kept as given."""
+    name, rows = path or "scenario", _SECTIONS[path]
     if not isinstance(cfg, Mapping):
-        raise ValueError(f"{section} must be an object, got {type(cfg).__name__}")
-    unknown = sorted(set(cfg) - known)
+        raise ValueError(f"{name} must be an object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(rows))
     if unknown:
-        raise ValueError(f"unknown {section} key(s) {unknown}; "
-                         f"valid keys: {sorted(known)}")
-    missing = sorted(required - set(cfg))
+        raise ValueError(f"unknown {name} key(s) {unknown}; valid keys: {sorted(rows)}")
+    out = {key: row.default for key, row in rows.items() if row.default is not None}
+    for key, value in cfg.items():
+        field_path, row = f"{path}.{key}".lstrip("."), rows[key]
+        out[key] = value if row.kind == "object" else _value(field_path, value, row)
+    missing = sorted(key for key, value in out.items() if value is _REQUIRED)
     if missing:
-        raise ValueError(f"{section} is missing key(s) {missing}")
-    return dict(cfg)
-
-
-def _number(name: str, value, bound: str = "", integer: bool = False):
-    """Config field ``name`` as a finite float (an int when ``integer``) meeting
-    ``bound`` ("", "> 0" or ">= 0"), else a ``ValueError`` naming the field."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max or (integer and value % 1 != 0)
-            or (value <= 0 if bound == "> 0" else bound == ">= 0" and value < 0)):
-        raise ValueError(f"{name} must be a finite {'integer' if integer else 'number'}"
-                         f"{' ' + bound if bound else ''}, got {value!r}")
-    return int(value) if integer else float(value)
+        raise ValueError(f"{name} is missing key(s) {missing}")
+    return out
 
 
 def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema).
 
-    Unknown keys (top level, ``bler``, ``users``, ``stream``), sections that
-    are not objects, missing required fields, out-of-range values and a
-    config giving both ``stream_preset`` and ``stream`` raise a
-    ``ValueError`` naming the field, so a misspelt or bad field can neither
-    fall back to its default silently nor fail late.
+    Every field is read through ``_SCHEMA``. A bad field, or a config giving
+    both ``stream_preset`` and ``stream``, raises a ``ValueError`` naming it.
     """
-    cfg = _check_keys("scenario", config, _SCENARIO_KEYS)
-    bler_cfg = _check_keys("bler", cfg.get("bler", {}), _BLER_KEYS)
-    mode = cfg.get("mode", "SC")
-    isd = _number("isd_m", cfg.get("isd_m", 500.0), "> 0")
-    layout_kwargs = {key: _number(key, cfg[key], bound)
-                     for key, bound in _LAYOUT_KEYS.items() if key in cfg}
-    members = cfg.get("sfn_members", (0, 1, 2, 3))
-    if not (isinstance(members, (list, tuple)) and members):
-        raise ValueError(f"sfn_members must be a list of site indices, got {members!r}")
-    members = [_number("sfn_members", i, ">= 0", integer=True) for i in members]
-    if max(members) >= len(hex_grid(isd)):
-        raise ValueError(f"sfn_members must index the {len(hex_grid(isd))} sites, got {members!r}")
-    if mode == "SC":
-        layout = single_cell_layout(isd, **layout_kwargs)
-    elif mode == "SFN":
-        layout = sfn_layout(isd, members=members, **layout_kwargs)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    top = _section("", config)
+    layout = NetworkLayout(
+        sites=hex_grid(top["isd_m"]), serving=top["sfn_members"] if top["mode"] == "SFN" else (0,),
+        **{f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top})
 
-    if "stream_preset" in cfg and "stream" in cfg:
-        raise ValueError("config gives both stream_preset and stream; give one")
-    if "stream_preset" in cfg:
-        stream = STREAM_PRESETS.get(cfg["stream_preset"])
-        if stream is None:
-            raise ValueError(f"unknown stream_preset {cfg['stream_preset']!r}; "
-                             f"valid presets: {sorted(STREAM_PRESETS)}")
-    elif "stream" in cfg:
-        bounds = {"bitrates_kbps": "> 0", "psnr_db": "", "coverage_targets": ""}
-        stream = _check_keys("stream", cfg["stream"], frozenset(bounds),
-                             required=frozenset(bounds))
-        for key, bound in bounds.items():
-            if not (isinstance(stream[key], (list, tuple)) and stream[key]):
-                raise ValueError(f"stream.{key} must be a non-empty list, got {stream[key]!r}")
-            stream[key] = [_number(f"stream.{key}", v, bound) for v in stream[key]]
-            if len(stream[key]) != len(stream["bitrates_kbps"]):
-                raise ValueError(f"stream.{key} must hold one entry per bitrate "
-                                 f"({len(stream['bitrates_kbps'])}), got {stream[key]!r}")
-        if not all(0.0 < t <= 1.0 for t in stream["coverage_targets"]):
-            raise ValueError(f"stream.coverage_targets must lie in (0, 1], "
-                             f"got {stream['coverage_targets']!r}")
+    if ("stream_preset" in top) == ("stream" in top):
+        raise ValueError("config must give one of stream_preset and stream, not both or "
+                         f"neither; valid presets: {sorted(STREAM_PRESETS)}")
+    if "stream_preset" in top:
+        stream = STREAM_PRESETS[top["stream_preset"]]
     else:
-        raise ValueError("config needs a stream_preset (one of "
-                         f"{sorted(STREAM_PRESETS)}) or an explicit stream")
-    element_kb = _number("element_kb", cfg.get("element_kb", 2.0), "> 0")
-    if not 0.5 < element_kb * 8192 <= sys.float_info.max:  # round() must give >= 1 bit
-        raise ValueError(f"element_kb must come to at least one bit and stay finite in bits, "
-                         f"got {element_kb!r}")
-    element_bits = round(element_kb * 8192)
-    gop_seconds = _number("gop_seconds", cfg.get("gop_seconds", 0.533), "> 0")
-    k = tuple(source_elements(1000.0 * b, gop_seconds, element_bits)
-              for b in stream["bitrates_kbps"])
+        stream = _section("stream", top["stream"])
+        for key, values in stream.items():
+            if len(values) != len(stream["bitrates_kbps"]):
+                raise ValueError(f"stream.{key} must hold one entry per bitrate "
+                                 f"({len(stream['bitrates_kbps'])}), got {values!r}")
+    element_bits = round(top["element_kb"] * 8192)
     layers = LayerConfig(
-        k=k,
+        k=tuple(source_elements(1000.0 * b, top["gop_seconds"], element_bits)
+                for b in stream["bitrates_kbps"]),
         psnr=tuple(stream["psnr_db"]),
         coverage_targets=tuple(stream["coverage_targets"]),
     )
 
-    p_hat = _number("p_hat", cfg.get("p_hat", 0.1))
-    decade_db = _number("bler.decade_db", bler_cfg.get("decade_db", 1.0), "> 0")
-    thresholds = dict(DEFAULT_MCS_THRESHOLDS_DB)
-    if "thresholds_db" in bler_cfg:
-        values = bler_cfg["thresholds_db"]
-        if not (isinstance(values, (list, tuple)) and len(values) == len(thresholds)):
-            raise ValueError(f"bler.thresholds_db must hold 15 values, got {values!r}")
-        thresholds = {i + 1: _number("bler.thresholds_db", v) for i, v in enumerate(values)}
-    n_rbp = _number("n_rbp", cfg.get("n_rbp", 5), "> 0", integer=True)
-    seed = _number("seed", cfg.get("seed", 0), ">= 0", integer=True)
-
-    required = frozenset({"pattern", "count", "step_m"})
-    users_cfg = cfg.get("users", {"pattern": "radial", "count": 80, "step_m": 2.0})
-    users_cfg = _check_keys("users", users_cfg, required | {"start_m", "angle_deg", "center"},
-                            required=required)
-    pattern, center = users_cfg.pop("pattern"), users_cfg.pop("center", None)
-    if center is not None and not (isinstance(center, (list, tuple)) and len(center) == 2):
-        raise ValueError(f"users.center must hold two coordinates, got {center!r}")
-    rng = np.random.default_rng(seed) if layout.shadow_sigma_db > 0 else None
-    users = place_users(
-        layout, pattern, p_hat=p_hat, decade_db=decade_db, thresholds=thresholds, rng=rng,
-        center=None if center is None else tuple(_number("users.center", v) for v in center),
-        **{key: _number(f"users.{key}", v, integer=key == "count")
-           for key, v in users_cfg.items()},
-    )
+    bler_cfg = _section("bler", top["bler"])
+    thresholds = dict(enumerate(bler_cfg["thresholds_db"], start=1))
+    rng = np.random.default_rng(top["seed"]) if layout.shadow_sigma_db > 0 else None
+    users = place_users(layout, p_hat=top["p_hat"], decade_db=bler_cfg["decade_db"],
+                        thresholds=thresholds, rng=rng, **_section("users", top["users"]))
 
     return Scenario(
         layers=layers,
         layout=layout,
         users=users,
-        n_rbp=n_rbp,
+        n_rbp=top["n_rbp"],
         element_bits=element_bits,
-        gop_seconds=gop_seconds,
-        p_hat=p_hat,
-        q_hat=_number("q_hat", cfg.get("q_hat", 0.99)),
-        bler_decade_db=decade_db,
+        gop_seconds=top["gop_seconds"],
+        p_hat=top["p_hat"],
+        q_hat=top["q_hat"],
+        bler_decade_db=bler_cfg["decade_db"],
         mcs_thresholds=thresholds,
-        seed=seed,
-        config=cfg,
+        seed=top["seed"],
+        config=dict(config),
     )

@@ -55,6 +55,10 @@ class TestAllocationProblem:
         with pytest.raises(ValueError, match="q_hat"):
             small_problem([5], q_hat=q_hat)
 
+    def test_rejects_report_outside_mcs_range(self):
+        with pytest.raises(ValueError, match="user_mcs"):
+            small_problem([0, 20, -3, 7, 9])
+
     def test_q_hat_of_one_accepted(self):
         assert small_problem([5], q_hat=1.0).q_hat == 1.0
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from ewcast.channel import (
     DEFAULT_MCS_THRESHOLDS_DB,
+    _SCHEMA,
     NetworkLayout,
     UserContext,
     bler,
@@ -313,6 +315,36 @@ class TestScenario:
         stream = {**self.STREAM, "psnr": [27.9, 35.9]}
         with pytest.raises(ValueError, match=r"stream key\(s\) \['psnr'\]"):
             build_scenario({**bare, "stream": stream})
+
+    def test_every_schema_field_refuses_bad_values_by_name(self):
+        # walks the schema table: a value of the wrong type or container, a
+        # non-finite number, null and a value just outside the row's bound
+        # are each a ValueError naming the field's dotted path
+        bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
+        base = {**bare, "stream": self.STREAM, "bler": {}}
+        build_scenario(base)
+        for path, row in _SCHEMA.items():
+            section, _, key = path.rpartition(".")
+            values = ["x", True, math.nan, math.inf, None]
+            if row.bound:  # just outside each finite end
+                opening, low, high, closing = row.bound
+                values.append(low if opening == "(" else low - 1)
+                if high < math.inf:
+                    values.append(high if closing == ")" else 2 * high)
+            bad = values + [[] if row.kind == "object" else {}]
+            if row.length is not None:  # the same values as a list's entries; a wrong length
+                bad += [[v] * max(row.length, 1) for v in values]
+                bad.append([0.0] * (row.length + 1) if row.length else [])
+            for value in bad:
+                config = copy.deepcopy(bare if path == "stream_preset" else base)
+                (config[section] if section else config)[key] = value
+                with pytest.raises(ValueError, match=rf"\b{re.escape(path)}\b"):
+                    build_scenario(config)
+
+    def test_readme_names_every_schema_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = readme.split("## Scenario schema", 1)[1].split("\n## ", 1)[0]
+        assert [path for path in _SCHEMA if f"`{path}`" not in schema] == []
 
     def test_readme_schema_example_builds(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

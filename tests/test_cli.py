@@ -457,6 +457,12 @@ class TestSolveAndMain:
          "stream.coverage_targets"),
         ({"stream": {**STREAM_A, "coverage_targets": [0.9, 0.0, 0.5]}},
          "stream.coverage_targets"),
+        ({"stream_preset": ["A"]}, "stream_preset"),
+        ({"users": {"pattern": "line", "count": 3, "step_m": 2.0}}, "users.pattern"),
+        ({"users": {"pattern": "grid", "count": 4, "step_m": 9.0, "start_m": -1}},
+         "users.start_m"),
+        ({"tx_power_dbm": None}, "tx_power_dbm"),
+        ({"users": None}, "users"),
     ])
     def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
         # a value of the wrong type, sign or finiteness is refused by name
