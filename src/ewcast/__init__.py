@@ -31,7 +31,7 @@ from .channel import (
 from .allocators import (
     AllocationProblem,
     AllocationSolution,
-    FeasibilityReport,
+    PlanEvaluation,
     check_feasibility,
     direct_uep_ram,
     evaluate_plan,

@@ -72,80 +72,79 @@ class AllocationProblem:
 
 @dataclass
 class PlanEvaluation:
-    """Allocator-view assessment of one (MCS, block-count) assignment."""
+    """Allocator-view verdict on one (MCS, block-count) assignment.
 
+    ``plan`` is canonical: a window sent with no blocks carries MCS 0.  The
+    plan is feasible exactly when ``violations`` (coverage targets missed,
+    block counts outside their budgets) is empty.
+    """
+
+    plan: TransmissionPlan
     delta: np.ndarray  # (U, L) QoS indicators
     profit: int
     cost: int
     tau: float
     layer_counts: np.ndarray
-    feasible: bool
+    violations: tuple[str, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
+
+    @property
+    def layer_fractions(self) -> tuple[float, ...]:
+        return tuple(float(c) / len(self.delta) for c in self.layer_counts)
 
 
 @dataclass
-class AllocationSolution:
-    plan: TransmissionPlan
-    tau: float
-    feasible: bool
-    delta: np.ndarray
+class AllocationSolution(PlanEvaluation):
+    """A solver's result: the evaluation of its plan, plus how it was found."""
+
     solver: str  # "heuristic" | "direct" | "mrt"
     skipped_windows: int = 0
-    profit: int = 0
-    cost: int = 0
     intermediate_tb_total: int | None = None  # heuristic only
     stats: dict[str, int] = field(default_factory=dict)  # exact search only
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    layer_fractions: tuple[float, ...]
-    required_fractions: tuple[float, ...]
-    coverage_ok: tuple[bool, ...]
-    budget_ok: tuple[bool, ...]
-    violations: tuple[str, ...]
-
-
-def _as_problem(scenario) -> AllocationProblem:
-    if isinstance(scenario, AllocationProblem):
-        return scenario
-    return scenario.to_allocation_problem()
 
 
 def _required_count(num_users: int, fraction: float) -> int:
     return math.ceil(num_users * fraction - _COUNT_EPS)
 
 
-def evaluate_plan(problem, mcs: Sequence[int], tb_counts: Sequence[int]) -> PlanEvaluation:
-    """QoS indicators, profit/cost and constraint compliance of a plan.
+def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
+                  tb_counts: Sequence[int]) -> PlanEvaluation:
+    """QoS indicators, profit/cost and constraint violations of a plan.
 
     Users with one report share every probability, so the window DP runs
     once per distinct report, on the memoised ``receive_pmf`` row at
     ``p_hat`` where the report qualifies (``0 < m <= report``, blocks sent)
-    and the "nothing received" row elsewhere.  The plan needs one entry per layer.
+    and the "nothing received" row elsewhere.  The plan needs one MCS and
+    one block count per layer.
     """
-    pr = _as_problem(problem)
-    layers = pr.layers
+    layers = problem.layers
     L = layers.num_layers
-    U = len(pr.user_mcs)
-    mcs = tuple(int(m) for m in mcs)
-    counts = tuple(int(c) for c in tb_counts)
-    plan = TransmissionPlan(mcs, counts, tuple(pr.capacity(m) for m in mcs))
     if len(mcs) != L:
         raise ValueError(f"plan length {len(mcs)} does not match the layer count {L}")
-    reports, _, inverse = np.unique(pr.user_mcs, return_index=True, return_inverse=True)
+    if len(tb_counts) != L:
+        raise ValueError(f"{len(tb_counts)} block counts do not match the layer count {L}")
+    counts = tuple(int(c) for c in tb_counts)
+    mcs = tuple(int(m) if c > 0 else 0 for m, c in zip(mcs, counts))
+    plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
+    reports, inverse = np.unique(problem.user_mcs, return_inverse=True)
     pmfs = [np.where(((0 < m) & (m <= reports) & (c > 0))[:, None],
-                     receive_pmf(c, pr.p_hat), receive_pmf(c, 1.0)) for m, c in zip(mcs, counts)]
-    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), pr.q_hat)[inverse]
+                     receive_pmf(c, problem.p_hat), receive_pmf(c, 1.0))
+            for m, c in zip(mcs, counts)]
+    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), problem.q_hat)[inverse]
     layer_counts = delta.sum(axis=0)
+    U = len(delta)
+    violations = [f"layer {i + 1}: coverage {n / U:.4f} < target {t:.4f}"
+                  for i, (n, t) in enumerate(zip(layer_counts.tolist(), layers.coverage_targets))
+                  if n < _required_count(U, t)]
+    violations += [f"window {i + 1}: block count {c} outside [0, {b}]"
+                   for i, (c, b) in enumerate(zip(counts, problem.tb_budget)) if not 0 <= c <= b]
     profit = int(delta.sum())
-    cost = int(sum(counts))
-    tau = profit / cost if cost > 0 else 0.0
-    required = [_required_count(U, t) for t in layers.coverage_targets]
-    coverage_ok = all(int(layer_counts[i]) >= required[i] for i in range(L))
-    budget_ok = all(0 <= counts[i] <= pr.tb_budget[i] for i in range(L))
-    return PlanEvaluation(delta, profit, cost, tau, layer_counts,
-                          coverage_ok and budget_ok)
+    cost = sum(counts)
+    return PlanEvaluation(plan, delta, profit, cost, profit / cost if cost > 0 else 0.0,
+                          layer_counts, tuple(violations))
 
 
 def solve_s1(user_mcs: Sequence[int], t_prime: float) -> int | None:
@@ -194,39 +193,14 @@ def solve_s2(
     return int(hits[0]) if hits.size else None
 
 
-def _canonical_plan(pr: AllocationProblem, mcs, counts) -> TransmissionPlan:
-    mcs = [m if c > 0 else 0 for m, c in zip(mcs, counts)]
-    caps = [pr.capacity(m) for m in mcs]
-    return TransmissionPlan(tuple(mcs), tuple(int(c) for c in counts), tuple(caps))
+def _no_solution(pr: AllocationProblem, solver: str, **extra) -> AllocationSolution:
+    # the all-off plan: nothing sent, every coverage target missed
+    off = (0,) * pr.layers.num_layers
+    return AllocationSolution(**vars(evaluate_plan(pr, off, off)), solver=solver,
+                              skipped_windows=-1, **extra)
 
 
-def _solution(pr, mcs, counts, ev: PlanEvaluation, solver: str, **extra) -> AllocationSolution:
-    return AllocationSolution(
-        plan=_canonical_plan(pr, mcs, counts),
-        tau=ev.tau,
-        feasible=ev.feasible,
-        delta=ev.delta,
-        solver=solver,
-        profit=ev.profit,
-        cost=ev.cost,
-        **extra,
-    )
-
-
-def _no_solution(pr, solver: str, **extra) -> AllocationSolution:
-    L = pr.layers.num_layers
-    return AllocationSolution(
-        plan=TransmissionPlan((0,) * L, (0,) * L, (0,) * L),
-        tau=0.0,
-        feasible=False,
-        delta=np.zeros((len(pr.user_mcs), L), dtype=bool),
-        solver=solver,
-        skipped_windows=-1,
-        **extra,
-    )
-
-
-def heuristic_uep_ram(scenario) -> AllocationSolution:
+def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     """Window-skipping greedy allocation with a merge refinement pass.
 
     Starting from the deepest skip count s = L-1, the first s windows are
@@ -240,7 +214,6 @@ def heuristic_uep_ram(scenario) -> AllocationSolution:
     than the intermediate one.  Otherwise s is decreased; with s exhausted an
     explicit no-solution result is returned.
     """
-    pr = _as_problem(scenario)
     layers = pr.layers
     L = layers.num_layers
     targets = layers.coverage_targets
@@ -285,52 +258,16 @@ def heuristic_uep_ram(scenario) -> AllocationSolution:
                     mcs[i - 1], counts[i - 1], mcs[i], counts[i] = saved
         refined = (intermediate if (mcs, counts) == (mcs_int, counts_int)
                    else evaluate_plan(pr, mcs, counts))
-        if not refined.feasible or sum(counts_int) < sum(counts):
-            mcs, counts, chosen = mcs_int, counts_int, intermediate
-        else:
-            chosen = refined
-        return _solution(pr, mcs, counts, chosen, solver="heuristic",
-                         skipped_windows=skip,
-                         intermediate_tb_total=sum(counts_int))
-    return _no_solution(pr, solver="heuristic", intermediate_tb_total=None)
+        chosen = (refined if refined.feasible and refined.cost <= intermediate.cost
+                  else intermediate)
+        return AllocationSolution(**vars(chosen), solver="heuristic", skipped_windows=skip,
+                                  intermediate_tb_total=intermediate.cost)
+    return _no_solution(pr, solver="heuristic")
 
 
-def check_feasibility(solution: AllocationSolution, scenario) -> FeasibilityReport:
-    """Re-derive the QoS indicators of a solution and verify both constraint
-    families (coverage fractions and block budgets)."""
-    pr = _as_problem(scenario)
-    ev = evaluate_plan(pr, solution.plan.mcs, solution.plan.tb_counts)
-    U = len(pr.user_mcs)
-    targets = pr.layers.coverage_targets
-    fractions = tuple(float(c) / U for c in ev.layer_counts)
-    coverage_ok = tuple(
-        int(ev.layer_counts[i]) >= _required_count(U, targets[i])
-        for i in range(pr.layers.num_layers)
-    )
-    budget_ok = tuple(
-        0 <= solution.plan.tb_counts[i] <= pr.tb_budget[i]
-        for i in range(pr.layers.num_layers)
-    )
-    violations = []
-    for i, ok in enumerate(coverage_ok):
-        if not ok:
-            violations.append(
-                f"layer {i + 1}: coverage {fractions[i]:.4f} < target {targets[i]:.4f}"
-            )
-    for i, ok in enumerate(budget_ok):
-        if not ok:
-            violations.append(
-                f"window {i + 1}: block count {solution.plan.tb_counts[i]} "
-                f"outside [0, {pr.tb_budget[i]}]"
-            )
-    return FeasibilityReport(
-        feasible=all(coverage_ok) and all(budget_ok),
-        layer_fractions=fractions,
-        required_fractions=tuple(targets),
-        coverage_ok=coverage_ok,
-        budget_ok=budget_ok,
-        violations=tuple(violations),
-    )
+def check_feasibility(solution: AllocationSolution, problem: AllocationProblem) -> PlanEvaluation:
+    """Re-derive a solution's verdict: ``evaluate_plan`` of its plan."""
+    return evaluate_plan(problem, solution.plan.mcs, solution.plan.tb_counts)
 
 
 def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
@@ -394,7 +331,7 @@ def _level_tables(k, counts, caps, p_hat: float, q_thresh: float) -> list[np.nda
     return tables
 
 
-def direct_uep_ram(scenario) -> AllocationSolution:
+def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     """Exact optimum by branch-and-bound over every canonical assignment.
 
     A window is either off, or carries 1..budget blocks at a table-backed
@@ -417,7 +354,6 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     A search whose set-up and level tables would exceed ``_MAX_ENTRIES``
     array entries is refused with a ``ValueError`` before anything is built.
     """
-    pr = _as_problem(scenario)
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
     # reception with a given capacity and count.  A window template (the
@@ -544,11 +480,11 @@ def direct_uep_ram(scenario) -> AllocationSolution:
     vi, _, _, shape, cell = best
     m_best = tuple(int(m) for m in m_vecs[vi])
     counts_best = tuple(int(i) + (m > 0) for m, i in zip(m_best, np.unravel_index(cell, shape)))
-    ev = evaluate_plan(pr, m_best, counts_best)
-    return _solution(pr, m_best, counts_best, ev, solver="direct", stats=stats)
+    return AllocationSolution(**vars(evaluate_plan(pr, m_best, counts_best)), solver="direct",
+                              stats=stats)
 
 
-def solve_mrt(scenario) -> AllocationSolution:
+def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     """Uncoded multi-rate baseline.
 
     Each layer is sent on its own MCS, strictly increasing across layers, with
@@ -557,7 +493,6 @@ def solve_mrt(scenario) -> AllocationSolution:
     every block of the first ``l`` layers arrives) over all increasing MCS
     vectors from the capacity table.
     """
-    pr = _as_problem(scenario)
     layers = pr.layers
     L = layers.num_layers
     if layers.psnr is None:
@@ -583,5 +518,4 @@ def solve_mrt(scenario) -> AllocationSolution:
     scores = np.cumsum(report_counts * best_u, axis=-1)[:, -1]
     pick = int(np.argmax(scores))
     m_vec, counts = tuple(int(m) for m in m_vecs[pick]), tuple(int(b) for b in blocks[pick])
-    ev = evaluate_plan(pr, m_vec, counts)
-    return _solution(pr, m_vec, counts, ev, solver="mrt")
+    return AllocationSolution(**vars(evaluate_plan(pr, m_vec, counts)), solver="mrt")

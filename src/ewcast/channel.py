@@ -11,6 +11,7 @@ Unit conventions: kbps = 1000 bit/s, KB = 1024 byte, powers in dBm.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .allocators import AllocationProblem
 from .decode_prob import LayerConfig, _check_thresholds
 
 # Elements a transport block can hold, per resource-block pair, for each MCS
@@ -298,9 +300,11 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
             for pos, s, m in zip(positions, sinr.tolist(), reports.tolist())]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything one experiment needs: stream, cell, users, radio numbers."""
+    """Everything one experiment needs: stream, cell, users, radio numbers.
+
+    Frozen, so the allocation problem it builds once cannot go stale."""
 
     layers: LayerConfig
     layout: NetworkLayout
@@ -315,29 +319,18 @@ class Scenario:
     mcs_thresholds: dict[int, float]
     seed: int
 
-    @property
-    def capacities(self) -> dict[int, int]:
-        return {m: tb_capacity(m, self.n_rbp, self.element_bits)
-                for m in CAPACITY_RATIO_PER_RBP}
-
-    @property
-    def tb_budget(self) -> tuple[int, ...]:
+    @functools.cached_property
+    def problem(self) -> AllocationProblem:
+        """The allocators' input, built on first read: the users' reports,
+        each window's block budget and the capacity of every MCS."""
         n_min = tb_capacity(4, self.n_rbp, self.element_bits)
         cap = subframe_cap(self.gop_seconds)
-        return tuple(min(n_hat(k, self.p_hat, n_min), cap) for k in self.layers.k)
-
-    @property
-    def user_mcs(self) -> tuple[int, ...]:
-        return tuple(u.mcs_feedback for u in self.users)
-
-    def to_allocation_problem(self):
-        from .allocators import AllocationProblem
-
         return AllocationProblem(
             layers=self.layers,
-            user_mcs=self.user_mcs,
-            tb_budget=self.tb_budget,
-            capacities=self.capacities,
+            user_mcs=tuple(u.mcs_feedback for u in self.users),
+            tb_budget=tuple(min(n_hat(k, self.p_hat, n_min), cap) for k in self.layers.k),
+            capacities={m: tb_capacity(m, self.n_rbp, self.element_bits)
+                        for m in CAPACITY_RATIO_PER_RBP},
             p_hat=self.p_hat,
             q_hat=self.q_hat,
         )
@@ -384,7 +377,8 @@ _SCHEMA: dict[str, _Field] = {
     "bler": _Field("object", {}),
     "bler.decade_db": _Field("number", 1.0, _POSITIVE),
     "bler.thresholds_db": _Field("number", tuple(DEFAULT_MCS_THRESHOLDS_DB.values()), length=15),
-    "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.0}),
+    "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.5,
+                               "start_m": 90.0}),
     "users.pattern": _Field(("radial", "grid"), _REQUIRED),
     "users.count": _Field("integer", _REQUIRED, _NON_NEGATIVE),
     "users.step_m": _Field("number", _REQUIRED, _POSITIVE),

@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocators import (
-    AllocationSolution,
-    check_feasibility,
-    direct_uep_ram,
-    heuristic_uep_ram,
-    solve_mrt,
-)
+from .allocators import AllocationSolution, direct_uep_ram, heuristic_uep_ram, solve_mrt
 from .channel import Scenario, build_scenario, config_digest, erasure_prob
 from .decode_prob import (
     _PROB_EPS,
@@ -195,14 +189,14 @@ def run_rbp_sweep(
     for rbp in sorted(rbp_values):
         cfg = dict(config)
         cfg["n_rbp"] = int(rbp)
-        scenario = build_scenario(cfg)
-        heur = heuristic_uep_ram(scenario)
+        problem = build_scenario(cfg).problem
+        heur = heuristic_uep_ram(problem)
         tau_h = heur.tau if heur.feasible else float("nan")
         if direct == "off":
             rows.append((rbp, int(heur.feasible), tau_h, heur.cost,
                          "", "", "", ""))
             continue
-        ref = direct_uep_ram(scenario)
+        ref = direct_uep_ram(problem)
         tau_d = ref.tau if ref.feasible else float("nan")
         gap = ((tau_d - tau_h) / tau_d
                if heur.feasible and ref.feasible and tau_d > 0 else float("nan"))
@@ -237,8 +231,8 @@ def _evaluate_users(scenario: Scenario, view: str):
     (users, levels) array, and the meta block with the plans and the
     per-level fractions of users at the QoS threshold.
     """
-    heur = heuristic_uep_ram(scenario)
-    mrt = solve_mrt(scenario)
+    heur = heuristic_uep_ram(scenario.problem)
+    mrt = solve_mrt(scenario.problem)
     if heur.feasible:
         p_win = window_decode_probs(scenario.layers, heur.plan,
                                     _user_losses(scenario, heur.plan, view))
@@ -345,10 +339,10 @@ def run_solve(
 ) -> tuple[Scenario, dict[str, AllocationSolution]]:
     """Single-scenario debug solve: heuristic, optional reference, baseline."""
     scenario = build_scenario(dict(config))
-    solutions = {"heuristic": heuristic_uep_ram(scenario)}
+    solutions = {"heuristic": heuristic_uep_ram(scenario.problem)}
     if direct != "off":
-        solutions["direct"] = direct_uep_ram(scenario)
-    solutions["mrt"] = solve_mrt(scenario)
+        solutions["direct"] = direct_uep_ram(scenario.problem)
+    solutions["mrt"] = solve_mrt(scenario.problem)
     return scenario, solutions
 
 
@@ -423,12 +417,11 @@ def _dispatch(args) -> int:
     if args.command == "solve":
         scenario, solutions = run_solve(config, direct=args.direct)
         print(f"scenario digest={scenario.digest()} users={len(scenario.users)} "
-              f"budget={scenario.tb_budget}")
+              f"budget={scenario.problem.tb_budget}")
         for name, sol in solutions.items():
-            report = check_feasibility(sol, scenario)
             print(f"{name}: feasible={sol.feasible} tau={sol.tau:.4f} "
                   f"mcs={sol.plan.mcs} tb={sol.plan.tb_counts} "
-                  f"fractions={[round(f, 3) for f in report.layer_fractions]}")
+                  f"fractions={[round(f, 3) for f in sol.layer_fractions]}")
         if "direct" in solutions:
             counters = " ".join(f"{k}={v}" for k, v in solutions["direct"].stats.items())
             print(f"direct stats: {counters}", file=sys.stderr)

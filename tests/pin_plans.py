@@ -30,7 +30,7 @@ SOLVERS = {"direct": direct_uep_ram, "heuristic": heuristic_uep_ram, "mrt": solv
 
 
 def _default(config, n_rbp):
-    return lambda: build_scenario(dict(config, n_rbp=n_rbp))
+    return lambda: build_scenario(dict(config, n_rbp=n_rbp)).problem
 
 
 CASES = {f"{name}-rbp{n}": _default(config, n)

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from ewcast import allocators
 from ewcast.allocators import (
     AllocationProblem,
-    AllocationSolution,
     check_feasibility,
     direct_uep_ram,
     evaluate_plan,
@@ -292,7 +293,7 @@ class TestDirect:
         # draws); 3000 splits the all-sent pattern of the SFN default at
         # n_rbp=5 (32 cells, four profiles per vector) into chunks of 23
         # vectors, and that of each 3-layer draw into chunks of a few
-        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=5)),
+        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=5)).problem,
                   ((0, 0, 5, 9), (0, 0, 2, 2), 1688, 4))]
         cases += [(problem, (ref.plan.mcs, ref.plan.tb_counts, ref.profit, ref.cost))
                   for problem, _, ref in solver_battery if problem.layers.num_layers == 3][:draws]
@@ -306,26 +307,26 @@ class TestDirect:
     def test_stats_count_both_prunes(self):
         config = dict(DEFAULT_SFN_CONFIG, n_rbp=5,
                       users={"pattern": "grid", "count": 49, "step_m": 100.0})
-        scenario = build_scenario(config)
-        sol = direct_uep_ram(scenario)
+        problem = build_scenario(config).problem
+        sol = direct_uep_ram(problem)
         stats = sol.stats
-        assert stats["mcs_vectors"] == (len(scenario.capacities) + 1) ** 4 - 1
+        assert stats["mcs_vectors"] == (len(problem.capacities) + 1) ** 4 - 1
         assert 0 < stats["vectors_skipped"] < stats["mcs_vectors"]
         assert stats["vectors_cut"] > 0
         assert stats["leaves"] > 0 and stats["tables"] > 0 and stats["grids"] > 1
         assert sol.feasible
-        assert heuristic_uep_ram(scenario).stats == {}
+        assert heuristic_uep_ram(problem).stats == {}
 
     def test_five_layer_stream_plan_and_memory(self):
         # 371,292 MCS vectors, 51,196 of them viable: the level tables hold
         # about 53 MB of int8 and the last depth's deficit grids, about
         # 200 MB whole, are formed a block at a time (the lazy memo of
         # earlier versions peaked at 276 MB here)
-        scenario = build_scenario(deep_sc_config(5))
-        assert scenario.tb_budget == (2, 2, 2, 3, 6)
+        problem = build_scenario(deep_sc_config(5)).problem
+        assert problem.tb_budget == (2, 2, 2, 3, 6)
         tracemalloc.start()
         try:
-            sol = direct_uep_ram(scenario)
+            sol = direct_uep_ram(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,13 +337,13 @@ class TestDirect:
 
     def test_oversized_search_refused_before_building(self):
         # six layers: 13^6 MCS vectors, and level tables of up to 2.8e9 entries
-        scenario = build_scenario(deep_sc_config(6))
-        assert scenario.tb_budget == (2, 2, 2, 3, 4, 6)
+        problem = build_scenario(deep_sc_config(6)).problem
+        assert problem.tb_budget == (2, 2, 2, 3, 4, 6)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"2,845,550,708 array entries, over the "
                                                  r"limit of 100,000,000"):
-                direct_uep_ram(scenario)
+                direct_uep_ram(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,7 +359,7 @@ class TestDirect:
         if chunk is not None:
             monkeypatch.setattr(allocators, "_CHUNK", chunk)
         rng = np.random.default_rng(1717)
-        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=2)).to_allocation_problem(), None)]
+        cases = [(build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=2)).problem, None)]
         cases += [(problem, None) for problem, _, _ in solver_battery[:40:8]]
         cases.append((small_problem([9] * 5, k=(5, 6, 7), targets=(0.8, 0.6, 0.5),
                                     budget=(4, 5, 4)), [[2, 3], [2, 5], [3]]))
@@ -399,9 +400,9 @@ class TestDirect:
     ], ids=["n_rbp2", "n_rbp5"])
     def test_four_layer_sfn_default_plans(self, n_rbp, direct, heuristic):
         # the full 4-layer exact path on the SFN default, pinned to its plans
-        scenario = build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=n_rbp))
+        problem = build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=n_rbp)).problem
         for solver, expected in ((direct_uep_ram, direct), (heuristic_uep_ram, heuristic)):
-            sol = solver(scenario)
+            sol = solver(problem)
             assert sol.feasible
             assert (sol.plan.mcs, sol.plan.tb_counts, sol.profit, sol.cost) == expected
 
@@ -495,11 +496,21 @@ class TestCheckFeasibility:
         assert sol.feasible
         bloated = TransmissionPlan(sol.plan.mcs, (pr.tb_budget[0] + 1,),
                                    sol.plan.elements_per_tb)
-        report = check_feasibility(
-            type(sol)(plan=bloated, tau=0.0, feasible=False, delta=sol.delta,
-                      solver="heuristic"), pr)
+        report = check_feasibility(replace(sol, plan=bloated), pr)
         assert not report.feasible
         assert any("block count" in v for v in report.violations)
+
+    def test_coverage_and_budget_violations_named(self):
+        # one user in three reports MCS 12: layer 1 misses its 0.6 target,
+        # layer 2 meets its 0.3, and window 1 carries one block too many
+        pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
+        ev = evaluate_plan(pr, (12, 12), (5, 6))
+        assert ev.layer_counts.tolist() == [1, 1]
+        assert ev.violations == ("layer 1: coverage 0.3333 < target 0.6000",
+                                 "window 1: block count 5 outside [0, 4]")
+        assert not ev.feasible
+        sol = replace(heuristic_uep_ram(pr), plan=ev.plan)
+        assert check_feasibility(sol, pr).violations == ev.violations
 
     def test_coverage_boundary_is_inclusive(self):
         # exactly U * t users covered: feasible under >=, not >
@@ -510,14 +521,14 @@ class TestCheckFeasibility:
         assert sol.feasible and report.feasible
         assert report.layer_fractions[0] == pytest.approx(0.5)
 
-    def test_scenario_object_accepted(self):
+    def test_scenario_problem_accepted(self):
         scenario = build_scenario({
             "mode": "SC", "stream_preset": "A", "n_rbp": 5,
             "users": {"pattern": "radial", "count": 24, "step_m": 6.0, "start_m": 90.0},
         })
-        sol = heuristic_uep_ram(scenario)
+        sol = heuristic_uep_ram(scenario.problem)
         assert sol.feasible
-        assert check_feasibility(sol, scenario).feasible
+        assert check_feasibility(sol, scenario.problem).feasible
 
 
 class TestEvaluatePlan:
@@ -528,8 +539,18 @@ class TestEvaluatePlan:
         with pytest.raises(ValueError, match=message):
             evaluate_plan(pr, mcs, counts)
         plan = TransmissionPlan(mcs, counts, tuple(pr.capacities[m] for m in mcs))
-        solution = AllocationSolution(plan=plan, tau=0.0, feasible=False,
-                                      delta=np.zeros((3, 2), dtype=bool), solver="heuristic")
+        with pytest.raises(ValueError, match=message):
+            check_feasibility(replace(heuristic_uep_ram(pr), plan=plan), pr)
+
+    @pytest.mark.parametrize("mcs, counts", [((4, 6), (1,)), ((4, 6), (1, 1, 1))])
+    def test_counts_of_other_length_refused(self, mcs, counts):
+        # pairing the vectors up would silently drop the longer one's tail
+        pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
+        message = rf"{len(counts)} block counts do not match the layer count 2"
+        with pytest.raises(ValueError, match=message):
+            evaluate_plan(pr, mcs, counts)
+        # TransmissionPlan refuses such a plan, so a stand-in carries it
+        solution = replace(heuristic_uep_ram(pr), plan=SimpleNamespace(mcs=mcs, tb_counts=counts))
         with pytest.raises(ValueError, match=message):
             check_feasibility(solution, pr)
 

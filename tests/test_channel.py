@@ -26,6 +26,7 @@ from ewcast.channel import (
     subframe_cap,
     tb_capacity,
 )
+from ewcast.cli import DEFAULT_SC_CONFIG
 
 
 class TestSourceElements:
@@ -259,14 +260,30 @@ class TestScenario:
         scenario = build_scenario(self.CONFIG)
         assert scenario.layers.k == (2, 11, 46)
         assert scenario.layers.window_sizes == (2, 13, 59)
-        assert scenario.tb_budget == (2, 3, 6)
-        assert scenario.capacities[4] == 10
+        assert scenario.problem.tb_budget == (2, 3, 6)
+        assert scenario.problem.capacities[4] == 10
 
     def test_budget_respects_subframe_cap(self):
         config = dict(self.CONFIG)
         config["gop_seconds"] = 0.01  # cap floor(0.6 * 10) = 6
         scenario = build_scenario(config)
-        assert all(b <= 6 for b in scenario.tb_budget)
+        assert all(b <= 6 for b in scenario.problem.tb_budget)
+
+    def test_users_default_is_the_cli_default_line(self):
+        bare = {key: value for key, value in DEFAULT_SC_CONFIG.items() if key != "users"}
+        assert build_scenario(bare).users == build_scenario(DEFAULT_SC_CONFIG).users
+
+    def test_problem_built_on_first_read(self):
+        # AllocationProblem refuses an empty report list: a scenario without
+        # users still builds, and only reading its problem fails
+        empty = build_scenario({**self.CONFIG, "users": {"pattern": "radial", "count": 0,
+                                                          "step_m": 2.0}})
+        assert "problem" not in vars(empty)
+        with pytest.raises(ValueError, match="user_mcs"):
+            empty.problem
+        scenario = build_scenario(self.CONFIG)
+        assert scenario.problem is scenario.problem
+        assert scenario.problem.user_mcs == tuple(u.mcs_feedback for u in scenario.users)
 
     def test_digest_stable_and_sensitive(self):
         a = build_scenario(self.CONFIG).digest()

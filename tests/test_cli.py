@@ -230,7 +230,7 @@ def _reference(config, view="evaluation"):
     scalar ``erasure_prob`` calls, one ``window_decode_probs`` and one
     ``uncoded_survival`` per user."""
     scenario = build_scenario(config)
-    heur, mrt = heuristic_uep_ram(scenario), solve_mrt(scenario)
+    heur, mrt = heuristic_uep_ram(scenario.problem), solve_mrt(scenario.problem)
 
     def losses(plan, user):
         return [erasure_prob(user, plan.mcs[i], view, scenario.p_hat,
@@ -351,6 +351,19 @@ class TestSolveAndMain:
         for key in ("mcs_vectors", "vectors_skipped", "vectors_cut", "leaves",
                     "tables", "grids"):
             assert f" {key}=" in stats[0]
+
+    def test_main_solve_direct_stdout_pinned(self, capsys):
+        # the SC default: block budgets, then each solver's plan and coverage
+        assert main(["solve", "--direct", "exhaustive"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scenario digest=18b2ea23b7e78141 users=80 budget=(2, 3, 6)",
+            "heuristic: feasible=True tau=29.7143 mcs=(4, 0, 6) tb=(2, 0, 5) "
+            "fractions=[1.0, 0.8, 0.8]",
+            "direct: feasible=True tau=29.7143 mcs=(4, 0, 6) tb=(2, 0, 5) "
+            "fractions=[1.0, 0.8, 0.8]",
+            "mrt: feasible=False tau=0.0000 mcs=(4, 5, 9) tb=(1, 1, 1) "
+            "fractions=[0.0, 0.0, 0.0]",
+        ]
 
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1

@@ -1,8 +1,10 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
 window DP against one-receiver calls and literal enumeration, plan
-evaluation against a per-user oracle, the agreement of the two feasibility
-verdicts on random plans, plan canonicalisation, and S1 against its literal
+evaluation against a per-user oracle, the plan verdict's violations against
+their literal definition, plan canonicalisation, and S1 against its literal
 definition."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -10,10 +12,9 @@ from hypothesis import strategies as st
 
 from ewcast.allocators import (
     AllocationProblem,
-    AllocationSolution,
-    _canonical_plan,
     check_feasibility,
     evaluate_plan,
+    heuristic_uep_ram,
     solve_s1,
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP
@@ -138,14 +139,20 @@ def test_evaluate_plan_matches_per_user_oracle(case):
 @PROPERTY_SETTINGS
 @given(problems_and_plans())
 def test_check_feasibility_agrees_with_evaluate_plan(case):
+    # one violation per layer short of its target, then one per window over
+    # its budget; check_feasibility gives the same verdict for a solution
     problem, mcs, counts = case
     ev = evaluate_plan(problem, mcs, counts)
-    caps = tuple(problem.capacity(m) for m in mcs)
-    solution = AllocationSolution(plan=TransmissionPlan(mcs, counts, caps), tau=ev.tau,
-                                  feasible=ev.feasible, delta=ev.delta, solver="heuristic")
-    report = check_feasibility(solution, problem)
-    assert report.feasible == ev.feasible
-    assert report.feasible == (not report.violations)
+    users = len(problem.user_mcs)
+    short = [f"layer {i + 1}" for i, (n, t) in enumerate(
+        zip(ev.layer_counts.tolist(), problem.layers.coverage_targets)) if n < users * t - 1e-9]
+    over = [f"window {i + 1}" for i, (c, b) in enumerate(zip(counts, problem.tb_budget))
+            if c > b]
+    assert [v.split(":")[0] for v in ev.violations] == short + over
+    assert ev.feasible == (not ev.violations)
+    assert ev.layer_fractions == tuple(n / users for n in ev.layer_counts.tolist())
+    report = check_feasibility(replace(heuristic_uep_ram(problem), plan=ev.plan), problem)
+    assert report.violations == ev.violations
 
 
 @PROPERTY_SETTINGS
@@ -155,13 +162,16 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
     # switch windows off while they keep their MCS: the canonical form drops it
     off = data.draw(st.lists(st.booleans(), min_size=len(counts), max_size=len(counts)))
     counts = tuple(0 if o else c for o, c in zip(off, counts))
-    canon = _canonical_plan(problem, mcs, counts)
-    assert _canonical_plan(problem, canon.mcs, canon.tb_counts) == canon
     raw = evaluate_plan(problem, mcs, counts)
+    canon = raw.plan
+    assert canon.mcs == tuple(m if c else 0 for m, c in zip(mcs, counts))
+    assert canon.tb_counts == counts
+    assert canon.elements_per_tb == tuple(problem.capacity(m) for m in canon.mcs)
     ev = evaluate_plan(problem, canon.mcs, canon.tb_counts)
+    assert ev.plan == canon
     assert np.array_equal(raw.delta, ev.delta)
-    assert (raw.profit, raw.cost, raw.tau, raw.feasible) == (
-        ev.profit, ev.cost, ev.tau, ev.feasible)
+    assert (raw.profit, raw.cost, raw.tau, raw.violations) == (
+        ev.profit, ev.cost, ev.tau, ev.violations)
 
 
 @PROPERTY_SETTINGS
