@@ -1,11 +1,12 @@
 """Resource allocation for layered coded multicast.
 
-Solvers share one objective: the per-user, per-level QoS indicators are
-counted as profit, the transmitted blocks as cost, and the coverage
-constraint demands that at least a target fraction of users reach each level
-with probability >= Q.  All solvers work on the allocator-view erasure model:
-a user loses a block with the anchor probability when its reported MCS covers
-the block's MCS, and with certainty otherwise.
+Solvers share one objective: the users reaching each level with probability
+>= Q are counted as profit, the transmitted blocks as cost, and the coverage
+constraint demands that at least a target fraction of users reach each level.
+All solvers work on the allocator-view erasure model: a user loses a block
+with the anchor probability when its reported MCS covers the block's MCS, and
+with certainty otherwise.  Users with one report are thus interchangeable,
+and a problem keeps only the number of users per reported MCS.
 
 * :func:`heuristic_uep_ram` - window-skipping greedy with a merge refinement.
 * :func:`direct_uep_ram` - reference optimum by exact branch-and-bound.
@@ -16,7 +17,7 @@ the block's MCS, and with certainty otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -43,23 +44,36 @@ _CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds a
 _MAX_ENTRIES = 10**8  # set-up plus level-table entries beyond which the exact search refuses
 
 
-@dataclass(frozen=True)
+def _integers(name: str, values) -> np.ndarray:
+    # Python or NumPy integers as an array; bools, floats and strings are refused by name
+    types = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        raise ValueError(f"{name} must hold integers, got {sorted(t.__name__ for t in types)}")
+    return np.asarray(values)
+
+
+@dataclass(frozen=True, eq=False)
 class AllocationProblem:
-    """Allocator inputs: stream layout, user reports, budgets, capacities."""
+    """Allocator inputs: stream layout, report histogram, budgets, capacities."""
 
     layers: LayerConfig
-    user_mcs: tuple[int, ...]
+    user_mcs: InitVar[Sequence[int]]  # one reported MCS in 1..15 per user
     tb_budget: tuple[int, ...]
     capacities: Mapping[int, int]  # MCS index -> elements per block
     p_hat: float = 0.1
     q_hat: float = 0.99
+    report_counts: np.ndarray = field(init=False)  # users per reported MCS 0..15, read-only
 
-    def __post_init__(self):
-        object.__setattr__(self, "user_mcs", tuple(int(v) for v in self.user_mcs))
-        object.__setattr__(self, "tb_budget", tuple(int(v) for v in self.tb_budget))
+    def __post_init__(self, user_mcs):
+        reports = _integers("user_mcs", user_mcs)
+        if not (reports.size and 1 <= reports.min() and reports.max() <= 15):
+            raise ValueError("user_mcs must hold one or more reports, each in [1, 15]")
+        counts = np.bincount(reports, minlength=16)
+        counts.flags.writeable = False
+        object.__setattr__(self, "report_counts", counts)
+        budget = _integers("tb_budget", self.tb_budget)
+        object.__setattr__(self, "tb_budget", tuple(budget.tolist()))
         object.__setattr__(self, "capacities", dict(self.capacities))
-        if not (self.user_mcs and all(1 <= m <= 15 for m in self.user_mcs)):
-            raise ValueError(f"user_mcs must hold reports in [1, 15], got {self.user_mcs!r}")
         if len(self.tb_budget) != self.layers.num_layers:
             raise ValueError("one block budget per window is required")
         if self.layers.coverage_targets is None:
@@ -80,20 +94,17 @@ class PlanEvaluation:
     """
 
     plan: TransmissionPlan
-    delta: np.ndarray  # (U, L) QoS indicators
+    delta: np.ndarray  # (16, L) QoS indicators, one row per reported MCS
     profit: int
     cost: int
     tau: float
-    layer_counts: np.ndarray
+    layer_counts: np.ndarray  # users meeting each level: report_counts @ delta
+    layer_fractions: tuple[float, ...]
     violations: tuple[str, ...]
 
     @property
     def feasible(self) -> bool:
         return not self.violations
-
-    @property
-    def layer_fractions(self) -> tuple[float, ...]:
-        return tuple(float(c) / len(self.delta) for c in self.layer_counts)
 
 
 @dataclass
@@ -110,15 +121,20 @@ def _required_count(num_users: int, fraction: float) -> int:
     return math.ceil(num_users * fraction - _COUNT_EPS)
 
 
+def _at_least(report_counts) -> np.ndarray:
+    # users reporting MCS m or more, for m = 0..15: suffix sums of the histogram
+    return np.cumsum(np.asarray(report_counts)[::-1])[::-1]
+
+
 def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
                   tb_counts: Sequence[int]) -> PlanEvaluation:
     """QoS indicators, profit/cost and constraint violations of a plan.
 
     Users with one report share every probability, so the window DP runs
-    once per distinct report, on the memoised ``receive_pmf`` row at
+    once per reported MCS 0..15, on the memoised ``receive_pmf`` row at
     ``p_hat`` where the report qualifies (``0 < m <= report``, blocks sent)
-    and the "nothing received" row elsewhere.  The plan needs one MCS and
-    one block count per layer.
+    and the "nothing received" row elsewhere; the histogram weights the
+    rows.  The plan needs one integer MCS and block count per layer.
     """
     layers = problem.layers
     L = layers.num_layers
@@ -126,42 +142,35 @@ def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
         raise ValueError(f"plan length {len(mcs)} does not match the layer count {L}")
     if len(tb_counts) != L:
         raise ValueError(f"{len(tb_counts)} block counts do not match the layer count {L}")
-    counts = tuple(int(c) for c in tb_counts)
-    mcs = tuple(int(m) if c > 0 else 0 for m, c in zip(mcs, counts))
+    counts = tuple(_integers("block counts", tb_counts).tolist())
+    mcs = tuple(m if c > 0 else 0 for m, c in zip(_integers("plan MCS", mcs).tolist(), counts))
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
-    reports, inverse = np.unique(problem.user_mcs, return_inverse=True)
-    pmfs = [np.where(((0 < m) & (m <= reports) & (c > 0))[:, None],
+    pmfs = [np.where(((0 < m) & (m <= np.arange(16)) & (c > 0))[:, None],
                      receive_pmf(c, problem.p_hat), receive_pmf(c, 1.0))
             for m, c in zip(mcs, counts)]
-    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), problem.q_hat)[inverse]
-    layer_counts = delta.sum(axis=0)
-    U = len(delta)
-    violations = [f"layer {i + 1}: coverage {n / U:.4f} < target {t:.4f}"
+    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), problem.q_hat)
+    layer_counts = problem.report_counts @ delta
+    U = int(problem.report_counts.sum())
+    fractions = tuple(n / U for n in layer_counts.tolist())
+    violations = [f"layer {i + 1}: coverage {fractions[i]:.4f} < target {t:.4f}"
                   for i, (n, t) in enumerate(zip(layer_counts.tolist(), layers.coverage_targets))
                   if n < _required_count(U, t)]
     violations += [f"window {i + 1}: block count {c} outside [0, {b}]"
                    for i, (c, b) in enumerate(zip(counts, problem.tb_budget)) if not 0 <= c <= b]
-    profit = int(delta.sum())
+    profit = int(layer_counts.sum())
     cost = sum(counts)
     return PlanEvaluation(plan, delta, profit, cost, profit / cost if cost > 0 else 0.0,
-                          layer_counts, tuple(violations))
+                          layer_counts, fractions, tuple(violations))
 
 
-def solve_s1(user_mcs: Sequence[int], t_prime: float) -> int | None:
-    """Largest MCS that still reaches the required user fraction.
-
-    A user qualifies when its reported MCS is at least the candidate; the
-    answer, the largest candidate in [1, 15] with enough qualifying users,
-    is the ``required``-th largest report capped at 15 (15 when no user is
-    required), or None when that is below 1 or exceeds the user count.
-    """
-    if not len(user_mcs):
+def solve_s1(report_counts, t_prime: float) -> int | None:
+    """Largest MCS in [1, 15] that at least a ``t_prime`` fraction of the users
+    report or exceed, else None; ``report_counts[m]`` users report MCS m."""
+    at_least = _at_least(report_counts)
+    if not at_least.size or not at_least[0]:
         raise ValueError("at least one user report is required")
-    required = _required_count(len(user_mcs), t_prime)
-    if required > len(user_mcs):
-        return None
-    m = min(int(sorted(user_mcs)[-required]), 15) if required > 0 else 15
-    return m if m >= 1 else None
+    hits = np.flatnonzero(at_least[1:16] >= _required_count(int(at_least[0]), t_prime))
+    return int(hits[-1]) + 1 if hits.size else None
 
 
 def solve_s2(
@@ -220,14 +229,8 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     for skip in range(L - 1, -1, -1):
         mcs = [0] * L
         counts = [0] * L
-        t_prime = [0.0] * L
-        t_prime[skip] = targets[0]
-        for i in range(skip + 1, L):
-            t_prime[i] = targets[i]
         for i in range(skip, L):
-            m = solve_s1(pr.user_mcs, t_prime[i])
-            if m is not None:
-                mcs[i] = m
+            mcs[i] = solve_s1(pr.report_counts, targets[0 if i == skip else i]) or 0
         caps_vec = [pr.capacity(m) for m in mcs]
         for i in range(skip, L):
             if caps_vec[i] >= 1:
@@ -363,7 +366,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     # template and choice, all built up front (_level_tables).
     layers = pr.layers
     L = layers.num_layers
-    U = len(pr.user_mcs)
+    U = int(pr.report_counts.sum())
     required = np.array([_required_count(U, t) for t in layers.coverage_targets])
     budgets = pr.tb_budget
     mcs_choices = np.array([0] + sorted(pr.capacities))
@@ -373,10 +376,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     if size > _MAX_ENTRIES:
         raise ValueError(f"exact search needs up to {size:,} array entries, over the "
                          f"limit of {_MAX_ENTRIES:,}")
-    # users reporting at least MCS m, for m = 0..top; index top counts none
-    top = int(mcs_choices[-1]) + 1
-    at_least = np.append(np.count_nonzero(
-        np.asarray(pr.user_mcs)[:, None] >= np.arange(top), axis=0), 0)
+    at_least = np.append(_at_least(pr.report_counts), 0)  # index 16 counts none
 
     # Every MCS vector but the all-off one, in lexicographic order, with its
     # choice indices.  A user can only decode a window it qualifies on
@@ -386,7 +386,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     # every count vector under the MCS vector.
     choice = np.indices((n_choices,) * L).reshape(L, -1).T[1:]
     m_vecs = mcs_choices[choice]
-    lowest = np.minimum.accumulate(np.where(m_vecs > 0, m_vecs, top)[:, ::-1], axis=1)
+    lowest = np.minimum.accumulate(np.where(m_vecs > 0, m_vecs, 16)[:, ::-1], axis=1)
     reachable = at_least[lowest[:, ::-1]]
     viable = np.all(reachable >= required, axis=1)
     ceilings = reachable.sum(axis=1)
@@ -503,7 +503,6 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
             f"{L} layers cannot take strictly increasing MCS from "
             f"{len(mcs_list)} table entries"
         )
-    report_vals, report_counts = np.unique(np.asarray(pr.user_mcs), return_counts=True)
     idx = np.array(list(combinations(range(len(mcs_list)), L)))  # (C, L)
     m_vecs = np.array(mcs_list)[idx]
     blocks = mrt_block_counts(layers, np.array([pr.capacity(m) for m in mcs_list])[idx])
@@ -511,11 +510,11 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     # scores their survival at p_hat and loses every block after them
     survive = uncoded_survival(np.full(L, pr.p_hat), blocks)
     prefix = np.where(np.tri(L + 1, L, -1, dtype=bool), survive[:, None, :], 0.0)
-    qualified = np.count_nonzero(m_vecs[:, None, :] <= report_vals[:, None], axis=2)
+    qualified = np.count_nonzero(m_vecs[:, None, :] <= np.arange(16)[:, None], axis=2)
     best_u = np.take_along_axis(expected_psnr(layers, prefix), qualified, axis=1)
-    # summed user by user in report order (cumsum is sequential), so the
-    # first best vector wins ties exactly as a running comparison would
-    scores = np.cumsum(report_counts * best_u, axis=-1)[:, -1]
+    # summed report by report in order (cumsum is sequential; an empty bin
+    # adds +0.0), so the first best vector wins ties as a running comparison would
+    scores = np.cumsum(pr.report_counts * best_u, axis=-1)[:, -1]
     pick = int(np.argmax(scores))
     m_vec, counts = tuple(int(m) for m in m_vecs[pick]), tuple(int(b) for b in blocks[pick])
     return AllocationSolution(**vars(evaluate_plan(pr, m_vec, counts)), solver="mrt")

@@ -43,6 +43,11 @@ def deep_sc_config(num_layers):
     return dict(config, stream=streams[num_layers])
 
 
+def histogram(reports):
+    """Users per reported MCS 0..15, as ``AllocationProblem.report_counts``."""
+    return np.bincount(reports, minlength=16)
+
+
 def small_problem(user_mcs, k=(4,), targets=(0.8,), budget=(6,), n_rbp=1,
                   p_hat=0.1, q_hat=0.9, psnr=None):
     layers = LayerConfig(k, psnr=psnr, coverage_targets=targets)
@@ -57,8 +62,23 @@ class TestAllocationProblem:
             small_problem([5], q_hat=q_hat)
 
     def test_rejects_report_outside_mcs_range(self):
-        with pytest.raises(ValueError, match="user_mcs"):
-            small_problem([0, 20, -3, 7, 9])
+        # non-integral reports are refused too, not truncated or read as 1 or 7
+        layers = LayerConfig((4,), coverage_targets=(0.8,))
+        for reports in ([0, 20, -3, 7, 9], [], [5.7, 9.2], [True, 9], ["7"], [math.nan],
+                        [7, math.nan], np.array([5.0, 9.0]), np.array([True, False])):
+            with pytest.raises(ValueError, match="user_mcs"):
+                AllocationProblem(layers, reports, (6,), table(1))
+
+    def test_rejects_non_integral_budget(self):
+        with pytest.raises(ValueError, match="tb_budget"):
+            small_problem([5, 9], budget=(6.9,))
+
+    def test_accepts_python_and_numpy_integers(self):
+        layers = LayerConfig((4,), coverage_targets=(0.8,))
+        for reports in ([5, 9, 9], (np.int64(5), 9, np.int32(9)), np.array([5, 9, 9], np.uint8)):
+            pr = AllocationProblem(layers, reports, (np.int64(6),), table(1))
+            assert pr.report_counts.tolist() == histogram([5, 9, 9]).tolist()
+            assert pr.tb_budget == (6,) and type(pr.tb_budget[0]) is int
 
     def test_q_hat_of_one_accepted(self):
         assert small_problem([5], q_hat=1.0).q_hat == 1.0
@@ -66,25 +86,25 @@ class TestAllocationProblem:
 
 class TestSolveS1:
     def test_two_of_three_users(self):
-        assert solve_s1((5, 7, 10), 0.66) == 7
+        assert solve_s1(histogram((5, 7, 10)), 0.66) == 7
 
     def test_all_users_required(self):
-        assert solve_s1((5, 7, 10), 1.0) == 5
+        assert solve_s1(histogram((5, 7, 10)), 1.0) == 5
 
     def test_homogeneous_top(self):
-        assert solve_s1((15, 15, 15), 0.8) == 15
+        assert solve_s1(histogram((15, 15, 15)), 0.8) == 15
 
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
             solve_s1((), 0.5)
 
     def test_fraction_above_one_unservable(self):
-        assert solve_s1((9, 9), 1.2) is None
+        assert solve_s1(histogram((9, 9)), 1.2) is None
 
     def test_exact_boundary_counts(self):
         # 0.8 of 40 = 32 users exactly: boundary must qualify
         reports = [10] * 32 + [1] * 8
-        assert solve_s1(reports, 0.8) == 10
+        assert solve_s1(histogram(reports), 0.8) == 10
 
 
 class TestSolveS2:
@@ -170,7 +190,8 @@ class TestDirect:
                         >= heuristic.profit * reference.cost)
 
     def test_tiny_instance_equals_hand_enumeration(self):
-        pr = small_problem([4, 9], k=(4,), targets=(0.5,), budget=(5,),
+        reports = [4, 9]
+        pr = small_problem(reports, k=(4,), targets=(0.5,), budget=(5,),
                            n_rbp=1, q_hat=0.9)
         best_tau, best = -1.0, None
         for m, count in product(sorted(pr.capacities), range(1, 6)):
@@ -180,8 +201,8 @@ class TestDirect:
                 math.comb(count, r) * 0.9 ** r * 0.1 ** (count - r)
                 for r in range(needed, count + 1)
             )
-            covered = sum(1 for u in pr.user_mcs if m <= u) if prob >= 0.9 - 1e-12 else 0
-            if covered < math.ceil(0.5 * len(pr.user_mcs)):
+            covered = sum(1 for u in reports if m <= u) if prob >= 0.9 - 1e-12 else 0
+            if covered < math.ceil(0.5 * len(reports)):
                 continue
             tau = covered / count
             if tau > best_tau:
@@ -427,13 +448,14 @@ def brute_force_optimum(pr: AllocationProblem):
 class TestMrt:
     def test_single_layer_best_tradeoff(self):
         psnr = (30.0,)
-        pr = small_problem([5, 5, 12], k=(8,), targets=(0.5,), budget=(20,),
+        reports = [5, 5, 12]
+        pr = small_problem(reports, k=(8,), targets=(0.5,), budget=(20,),
                            psnr=psnr, n_rbp=1)
         sol = solve_mrt(pr)
         best = None
         for m in sorted(pr.capacities):
             blocks = math.ceil(8 / pr.capacities[m])
-            score = sum(30.0 * 0.9 ** blocks for u in pr.user_mcs if m <= u)
+            score = sum(30.0 * 0.9 ** blocks for u in reports if m <= u)
             if best is None or score > best[0]:
                 best = (score, m, blocks)
         assert sol.plan.mcs[0] == best[1]
@@ -441,7 +463,8 @@ class TestMrt:
 
     def test_two_layer_hand_enumeration(self):
         psnr = (28.0, 40.0)
-        pr = small_problem([5, 8, 11], k=(3, 6), targets=(0.9, 0.5),
+        reports = [5, 8, 11]
+        pr = small_problem(reports, k=(3, 6), targets=(0.9, 0.5),
                            budget=(9, 9), psnr=psnr, n_rbp=1)
         best = None
         for m1, m2 in product(sorted(pr.capacities), repeat=2):
@@ -450,7 +473,7 @@ class TestMrt:
             n1, n2 = pr.capacities[m1], pr.capacities[m2]
             b1, b2 = math.ceil(3 / n1), math.ceil(6 / n2)
             score = 0.0
-            for u in pr.user_mcs:
+            for u in reports:
                 s1 = 0.9 ** b1 if m1 <= u else 0.0
                 s2 = s1 * (0.9 ** b2 if m2 <= u else 0.0)
                 score += max(28.0 * s1, 40.0 * s2)
@@ -532,6 +555,23 @@ class TestCheckFeasibility:
 
 
 class TestEvaluatePlan:
+    def test_million_reports_share_the_rows_of_the_default(self):
+        # the SFN default's 441 reports resampled to 10^6: the problem keeps
+        # 16 counts, and the plan's rows do not depend on them
+        base = build_scenario(dict(DEFAULT_SFN_CONFIG, n_rbp=5)).problem
+        reports = np.repeat(np.arange(16), base.report_counts)
+        big = AllocationProblem(base.layers, np.random.default_rng(7).choice(reports, 10**6),
+                                base.tb_budget, base.capacities, base.p_hat, base.q_hat)
+        assert big.report_counts.shape == (16,) and big.report_counts.sum() == 10**6
+        assert not hasattr(big, "user_mcs")
+        assert all(np.size(value) <= 16 for value in vars(big).values())
+        plan = heuristic_uep_ram(base).plan
+        small = evaluate_plan(base, plan.mcs, plan.tb_counts)
+        large = evaluate_plan(big, plan.mcs, plan.tb_counts)
+        assert large.delta.shape == (16, base.layers.num_layers)
+        assert np.array_equal(large.delta, small.delta)
+        assert large.layer_counts.tolist() == (big.report_counts @ large.delta).tolist()
+
     @pytest.mark.parametrize("mcs, counts", [((4,), (1,)), ((4, 6, 8), (1, 1, 1))])
     def test_plan_of_wrong_length_refused_by_name(self, mcs, counts):
         pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
@@ -555,18 +595,29 @@ class TestEvaluatePlan:
             check_feasibility(solution, pr)
 
     def test_profile_sharing_matches_direct_probabilities(self):
-        pr = small_problem([4, 4, 9, 9, 15], k=(2, 5), targets=(0.8, 0.4),
+        reports = [4, 4, 9, 9, 15]
+        pr = small_problem(reports, k=(2, 5), targets=(0.8, 0.4),
                            budget=(4, 8), q_hat=0.9)
         mcs = (4, 9)
         counts = (2, 3)
         ev = evaluate_plan(pr, mcs, counts)
         plan = TransmissionPlan(mcs, counts, tuple(pr.capacities[m] for m in mcs))
-        for ui, reported in enumerate(pr.user_mcs):
+        for reported in reports:
             losses = [0.1 if 0 < m <= reported else 1.0 for m in mcs]
             probs = window_decode_probs(pr.layers, plan, losses)
             hit = probs >= 0.9 - 1e-12
             expected = np.logical_or.accumulate(hit[::-1])[::-1]
-            assert np.array_equal(ev.delta[ui], expected)
+            assert np.array_equal(ev.delta[reported], expected)
+
+    @pytest.mark.parametrize("mcs, counts, field", [
+        ((5,), (2.5,), "block counts"), ((5,), (True,), "block counts"),
+        ((5,), ("2",), "block counts"), ((5.7,), (2,), "plan MCS"), ((True,), (2,), "plan MCS"),
+    ])
+    def test_non_integral_plan_refused_by_name(self, mcs, counts, field):
+        # not truncated to 2 blocks or MCS 5, nor read as 1
+        pr = small_problem([5, 9], k=(2,), targets=(0.5,), budget=(4,))
+        with pytest.raises(ValueError, match=field):
+            evaluate_plan(pr, mcs, counts)
 
     def test_tau_matches_profit_over_cost(self):
         pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))
@@ -585,7 +636,8 @@ class TestEvaluatePlan:
                             ((12, 12, 15), (1, 1, 1))):
             a = evaluate_plan(base, mcs, counts)
             b = evaluate_plan(permuted, mcs, counts)
-            assert np.array_equal(a.delta[order], b.delta)
+            # the per-user rows, each user's row picked by its report
+            assert np.array_equal(a.delta[reports][order], b.delta[reports[order]])
             assert np.array_equal(a.layer_counts, b.layer_counts)
             assert (a.profit, a.cost, a.tau, a.feasible) == (
                 b.profit, b.cost, b.tau, b.feasible)

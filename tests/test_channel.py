@@ -283,7 +283,8 @@ class TestScenario:
             empty.problem
         scenario = build_scenario(self.CONFIG)
         assert scenario.problem is scenario.problem
-        assert scenario.problem.user_mcs == tuple(u.mcs_feedback for u in scenario.users)
+        feedback = np.bincount([u.mcs_feedback for u in scenario.users], minlength=16)
+        assert scenario.problem.report_counts.tolist() == feedback.tolist()
 
     def test_digest_stable_and_sensitive(self):
         a = build_scenario(self.CONFIG).digest()

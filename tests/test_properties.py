@@ -119,14 +119,16 @@ def test_evaluate_plan_matches_per_user_oracle(case):
     problem, mcs, counts = case
     ev = evaluate_plan(problem, mcs, counts)
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
+    reports = np.repeat(np.arange(16), problem.report_counts)
     delta = np.array([
         qos_levels(problem.layers, plan,
                    [problem.p_hat if 0 < m <= report and c > 0 else 1.0
                     for m, c in zip(mcs, counts)], problem.q_hat)
-        for report in problem.user_mcs])
-    assert ev.delta.dtype == delta.dtype and ev.delta.shape == delta.shape
-    assert ev.delta.tobytes() == delta.tobytes()
-    users = len(problem.user_mcs)
+        for report in reports])
+    per_user = ev.delta[reports]
+    assert per_user.dtype == delta.dtype and per_user.shape == delta.shape
+    assert per_user.tobytes() == delta.tobytes()
+    users = len(reports)
     layer_counts = delta.sum(axis=0)
     assert ev.layer_counts.tolist() == layer_counts.tolist()
     assert (ev.profit, ev.cost) == (int(delta.sum()), sum(counts))
@@ -143,7 +145,7 @@ def test_check_feasibility_agrees_with_evaluate_plan(case):
     # its budget; check_feasibility gives the same verdict for a solution
     problem, mcs, counts = case
     ev = evaluate_plan(problem, mcs, counts)
-    users = len(problem.user_mcs)
+    users = int(problem.report_counts.sum())
     short = [f"layer {i + 1}" for i, (n, t) in enumerate(
         zip(ev.layer_counts.tolist(), problem.layers.coverage_targets)) if n < users * t - 1e-9]
     over = [f"window {i + 1}" for i, (c, b) in enumerate(zip(counts, problem.tb_budget))
@@ -185,8 +187,9 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
 @example([0, 0, 3], 0.5)
 def test_solve_s1_is_largest_mcs_with_enough_users(reports, t_prime):
     # the literal definition: the largest m from 15 down to 1 that at least
-    # U * t' users report, else None
+    # U * t' users report, else None; reports above 15 count as 15
     literal = next((m for m in range(15, 0, -1)
                     if sum(r >= m for r in reports) >= len(reports) * t_prime - 1e-9), None)
-    assert solve_s1(reports, t_prime) == literal
-    assert solve_s1(np.array(reports), t_prime) == literal
+    counts = np.bincount(np.minimum(reports, 15), minlength=16)
+    assert solve_s1(counts, t_prime) == literal
+    assert solve_s1(tuple(counts.tolist()), t_prime) == literal
