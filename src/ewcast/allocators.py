@@ -73,7 +73,11 @@ class AllocationProblem:
         object.__setattr__(self, "report_counts", counts)
         budget = _integers("tb_budget", self.tb_budget)
         object.__setattr__(self, "tb_budget", tuple(budget.tolist()))
-        object.__setattr__(self, "capacities", dict(self.capacities))
+        caps = dict(self.capacities)
+        _integers("capacities", [*caps, *caps.values()])
+        if not all(1 <= m <= 15 and n >= 0 for m, n in caps.items()):
+            raise ValueError(f"capacities must map MCS in [1, 15] to counts >= 0, got {caps}")
+        object.__setattr__(self, "capacities", {int(m): int(n) for m, n in caps.items()})
         if len(self.tb_budget) != self.layers.num_layers:
             raise ValueError("one block budget per window is required")
         if self.layers.coverage_targets is None:
@@ -173,31 +177,16 @@ def solve_s1(report_counts, t_prime: float) -> int | None:
     return int(hits[-1]) + 1 if hits.size else None
 
 
-def solve_s2(
-    layers: LayerConfig,
-    tb_prefix: Sequence[int],
-    capacities: Sequence[int],
-    window: int,
-    p_hat: float,
-    q_hat: float,
-    budget: int,
-) -> int | None:
-    """Fewest blocks making window ``window`` decodable with prob >= q_hat.
+def solve_s2(dist: np.ndarray, k_w: int, capacity: int, budget: int,
+             p_hat: float, q_hat: float) -> int | None:
+    """Fewest blocks, up to ``budget``, making a window of ``k_w`` fresh
+    elements decodable with prob >= q_hat from the deficit distribution
+    ``dist`` it starts at (``advance_deficit`` over the earlier windows).
 
-    User-agnostic: every transmitted block of every window is assumed lost
-    with probability ``p_hat``.  Returns None when no count within the budget
-    reaches the threshold.
+    User-agnostic: every block is assumed lost with probability ``p_hat``.
+    Returns None when no count within the budget reaches the threshold.
     """
-    if not 1 <= window <= layers.num_layers:
-        raise ValueError("window index out of range")
-    if len(tb_prefix) != window - 1:
-        raise ValueError("prefix must fix the counts of all earlier windows")
-    k = layers.k
-    dist = np.ones(1)
-    for i, count in enumerate(tb_prefix):
-        dist = advance_deficit(dist, k[i], capacities[i], receive_pmf(count, p_hat))
-    success = dist @ success_table(len(dist), k[window - 1], capacities[window - 1],
-                                   budget, p_hat)
+    success = dist @ success_table(len(dist), k_w, capacity, budget, p_hat)
     hits = np.nonzero(success >= q_hat - _PROB_EPS)[0]
     return int(hits[0]) if hits.size else None
 
@@ -218,47 +207,41 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     qualified, then the fewest blocks reaching the recovery threshold.  When
     the coverage constraint holds, a refinement tries to merge each window
     into its successor (re-transmitting the successor at the more robust MCS
-    and dropping the predecessor); failed merges are rolled back, and the
-    refined plan is only returned when it is feasible and no more expensive
-    than the intermediate one.  Otherwise s is decreased; with s exhausted an
-    explicit no-solution result is returned.
+    and dropping the predecessor); a merge applies only when S2 solves the
+    merged window, and the refined plan is only returned when it is feasible
+    and no more expensive than the intermediate one.  Otherwise s is
+    decreased; with s exhausted an explicit no-solution result is returned.
     """
-    layers = pr.layers
-    L = layers.num_layers
-    targets = layers.coverage_targets
+    k = pr.layers.k
+    L = len(k)
+    targets = pr.layers.coverage_targets
+    nothing = receive_pmf(0, pr.p_hat)
     for skip in range(L - 1, -1, -1):
-        mcs = [0] * L
+        mcs = [0] * skip + [solve_s1(pr.report_counts, targets[0 if i == skip else i]) or 0
+                            for i in range(skip, L)]
+        caps = [pr.capacity(m) for m in mcs]
         counts = [0] * L
-        for i in range(skip, L):
-            mcs[i] = solve_s1(pr.report_counts, targets[0 if i == skip else i]) or 0
-        caps_vec = [pr.capacity(m) for m in mcs]
-        for i in range(skip, L):
-            if caps_vec[i] >= 1:
-                found = solve_s2(layers, counts[:i], caps_vec, i + 1,
-                                 pr.p_hat, pr.q_hat, pr.tb_budget[i])
-                if found is not None:
-                    counts[i] = found
+        dists = [np.ones(1)]  # deficit distribution entering each window
+        for i in range(L):
+            if caps[i] >= 1:
+                counts[i] = solve_s2(dists[i], k[i], caps[i], pr.tb_budget[i],
+                                     pr.p_hat, pr.q_hat) or 0
+            if i < L - 1:
+                dists.append(advance_deficit(dists[i], k[i], caps[i],
+                                             receive_pmf(counts[i], pr.p_hat)))
         intermediate = evaluate_plan(pr, mcs, counts)
         if not intermediate.feasible:
             continue
-        mcs_int = list(mcs)
-        counts_int = list(counts)
+        mcs_int, counts_int = list(mcs), list(counts)
         for i in range(L - 1, skip, -1):
             if counts[i - 1] > 0 and counts[i] > 0:
-                saved = (mcs[i - 1], counts[i - 1], mcs[i], counts[i])
-                mcs[i] = mcs[i - 1]
-                mcs[i - 1] = 0
-                counts[i - 1] = 0
-                counts[i] = 0
-                caps_vec = [pr.capacity(m) for m in mcs]
-                found = solve_s2(layers, counts[:i], caps_vec, i + 1,
-                                 pr.p_hat, pr.q_hat, pr.tb_budget[i])
+                # window i at window i-1's MCS, window i-1 dropped; no window
+                # below i-1 has changed, so dists[i - 1] still leads into it
+                found = solve_s2(advance_deficit(dists[i - 1], k[i - 1], 0, nothing), k[i],
+                                 caps[i - 1], pr.tb_budget[i], pr.p_hat, pr.q_hat)
                 if found is not None:
-                    counts[i] = found
-                else:
-                    # unsolvable merge would leave the window untransmitted;
-                    # roll the pair back to its intermediate values
-                    mcs[i - 1], counts[i - 1], mcs[i], counts[i] = saved
+                    mcs[i - 1:i + 1] = [0, mcs[i - 1]]
+                    counts[i - 1:i + 1] = [0, found]
         refined = (intermediate if (mcs, counts) == (mcs_int, counts_int)
                    else evaluate_plan(pr, mcs, counts))
         chosen = (refined if refined.feasible and refined.cost <= intermediate.cost

@@ -380,7 +380,7 @@ _SCHEMA: dict[str, _Field] = {
     "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.5,
                                "start_m": 90.0}),
     "users.pattern": _Field(("radial", "grid"), _REQUIRED),
-    "users.count": _Field("integer", _REQUIRED, _NON_NEGATIVE),
+    "users.count": _Field("integer", _REQUIRED, ("[", 0, 10**6, "]")),  # 10^6: ~35 s, ~1.1 GB
     "users.step_m": _Field("number", _REQUIRED, _POSITIVE),
     "users.start_m": _Field("number", bound=_POSITIVE),
     "users.angle_deg": _Field("number"),

@@ -21,7 +21,14 @@ from ewcast.allocators import (
 )
 from ewcast.channel import CAPACITY_RATIO_PER_RBP, build_scenario
 from ewcast.cli import DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG
-from ewcast.decode_prob import _PROB_EPS, LayerConfig, TransmissionPlan, window_decode_probs
+from ewcast.decode_prob import (
+    _PROB_EPS,
+    LayerConfig,
+    TransmissionPlan,
+    advance_deficit,
+    receive_pmf,
+    window_decode_probs,
+)
 
 
 def table(n_rbp):
@@ -73,12 +80,24 @@ class TestAllocationProblem:
         with pytest.raises(ValueError, match="tb_budget"):
             small_problem([5, 9], budget=(6.9,))
 
+    def test_rejects_bad_capacities_by_name(self):
+        # non-integral or negative counts, and keys that are no MCS in [1, 15]
+        layers = LayerConfig((4,), coverage_targets=(0.8,))
+        for caps in ({5: 2.5}, {5: True}, {5: -3}, {20: 3, 5: 2}, {"5": 3, 6: 2}, {0: 3},
+                     {5.0: 3}):
+            with pytest.raises(ValueError, match="capacities"):
+                AllocationProblem(layers, [5, 9], (6,), caps)
+
     def test_accepts_python_and_numpy_integers(self):
         layers = LayerConfig((4,), coverage_targets=(0.8,))
         for reports in ([5, 9, 9], (np.int64(5), 9, np.int32(9)), np.array([5, 9, 9], np.uint8)):
             pr = AllocationProblem(layers, reports, (np.int64(6),), table(1))
             assert pr.report_counts.tolist() == histogram([5, 9, 9]).tolist()
             assert pr.tb_budget == (6,) and type(pr.tb_budget[0]) is int
+        # a count of 0 marks an unusable MCS
+        pr = AllocationProblem(layers, [5, 9], (6,), {np.int64(5): np.int32(3), 9: 0})
+        assert pr.capacities == {5: 3, 9: 0}
+        assert {type(v) for v in (*pr.capacities, *pr.capacities.values())} == {int}
 
     def test_q_hat_of_one_accepted(self):
         assert small_problem([5], q_hat=1.0).q_hat == 1.0
@@ -107,23 +126,28 @@ class TestSolveS1:
         assert solve_s1(histogram(reports), 0.8) == 10
 
 
+def deficit(k, caps, counts, p_hat=0.1):
+    """Deficit distribution after windows of ``k`` fresh elements sent as
+    ``counts`` blocks of ``caps`` elements, from a start with no deficit."""
+    dist = np.ones(1)
+    for k_i, cap, count in zip(k, caps, counts):
+        dist = advance_deficit(dist, k_i, cap, receive_pmf(count, p_hat))
+    return dist
+
+
 class TestSolveS2:
     def test_minimum_count_reaching_threshold(self):
-        layers = LayerConfig((4,))
-        assert solve_s2(layers, [], [2], 1, 0.1, 0.95, 10) == 3
+        assert solve_s2(np.ones(1), 4, 2, 10, 0.1, 0.95) == 3
 
     def test_zero_threshold_needs_nothing(self):
-        layers = LayerConfig((4,))
-        assert solve_s2(layers, [], [2], 1, 0.1, 0.0, 10) == 0
+        assert solve_s2(np.ones(1), 4, 2, 10, 0.1, 0.0) == 0
 
     def test_budget_too_small(self):
-        layers = LayerConfig((4,))
-        assert solve_s2(layers, [], [2], 1, 0.1, 0.9999, 2) is None
+        assert solve_s2(np.ones(1), 4, 2, 2, 0.1, 0.9999) is None
 
     def test_prefix_supply_reduces_requirement(self):
-        layers = LayerConfig((4, 4))
-        lone = solve_s2(layers, [0], [2, 2], 2, 0.1, 0.9, 30)
-        helped = solve_s2(layers, [6], [2, 2], 2, 0.1, 0.9, 30)
+        lone = solve_s2(deficit([4], [2], [0]), 4, 2, 30, 0.1, 0.9)
+        helped = solve_s2(deficit([4], [2], [6]), 4, 2, 30, 0.1, 0.9)
         assert helped < lone
 
     def test_result_meets_threshold_and_is_minimal(self):
@@ -134,7 +158,7 @@ class TestSolveS2:
             caps = [int(v) for v in rng.integers(1, 6, L)]
             prefix = [int(v) for v in rng.integers(0, 6, L - 1)]
             layers = LayerConfig(k)
-            found = solve_s2(layers, prefix, caps, L, 0.1, 0.95, 25)
+            found = solve_s2(deficit(k, caps, prefix), k[-1], caps[-1], 25, 0.1, 0.95)
             if found is None:
                 continue
             plan = TransmissionPlan((0,) * L, tuple(prefix + [found]), tuple(caps))
@@ -171,6 +195,35 @@ class TestHeuristic:
         for _, heuristic, _ in solver_battery:
             if heuristic.feasible:
                 assert heuristic.cost <= heuristic.intermediate_tb_total
+
+    def test_intermediate_cost_matches_a_literal_pass(self, solver_battery):
+        # the greedy's pass at its returned skip level, rebuilt from the
+        # definitions: S1 by counting the users reporting each MCS or more,
+        # S2 by growing the block count until window_decode_probs of the
+        # plan so far meets the threshold
+        for problem, heuristic, _ in solver_battery:
+            if not heuristic.feasible:
+                continue
+            layers, skip = problem.layers, heuristic.skipped_windows
+            L = layers.num_layers
+            U = int(problem.report_counts.sum())
+            mcs, counts = [0] * L, [0] * L
+            for i in range(skip, L):
+                need = math.ceil(U * layers.coverage_targets[0 if i == skip else i] - 1e-9)
+                mcs[i] = max((m for m in range(1, 16) if problem.report_counts[m:].sum() >= need),
+                             default=0)
+                caps = tuple(problem.capacity(m) for m in mcs)
+                if caps[i] < 1:
+                    continue
+                for n in range(problem.tb_budget[i] + 1):
+                    counts[i] = n
+                    plan = TransmissionPlan(tuple(mcs), tuple(counts), caps)
+                    probs = window_decode_probs(layers, plan, [problem.p_hat] * L)
+                    if probs[i] >= problem.q_hat - 1e-12:
+                        break
+                else:
+                    counts[i] = 0
+            assert sum(counts) == heuristic.intermediate_tb_total
 
     def test_skip_concentrates_on_deep_window(self):
         # tiny base layers, deep final window: expect skipped windows
