@@ -15,7 +15,7 @@ from .gf_rlnc import simulate_decode_prob
 from .channel import (
     NetworkLayout,
     Scenario,
-    UserContext,
+    Users,
     bler,
     build_scenario,
     cqi_mcs,

@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decode_prob import (
-    _PROB_EPS,
     _check_thresholds,
     _met_levels,
     _window_dp,
@@ -33,6 +32,7 @@ from .decode_prob import (
     advance_deficit,
     binomial_pmf_rows,
     expected_psnr,
+    meets_qos,
     mrt_block_counts,
     receive_pmf,
     success_table,
@@ -187,7 +187,7 @@ def solve_s2(dist: np.ndarray, k_w: int, capacity: int, budget: int,
     Returns None when no count within the budget reaches the threshold.
     """
     success = dist @ success_table(len(dist), k_w, capacity, budget, p_hat)
-    hits = np.nonzero(success >= q_hat - _PROB_EPS)[0]
+    hits = np.nonzero(meets_qos(success, q_hat))[0]
     return int(hits[0]) if hits.size else None
 
 
@@ -266,7 +266,7 @@ def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
     return cost < best_cost
 
 
-def _level_tables(k, counts, caps, p_hat: float, q_thresh: float) -> list[np.ndarray]:
+def _level_tables(k, counts, caps, p_hat: float, q_hat: float) -> list[np.ndarray]:
     """Decode outcome of every window over every window template.
 
     Window ``j`` is read at position 0 (nothing received: off, or the user
@@ -276,7 +276,7 @@ def _level_tables(k, counts, caps, p_hat: float, q_thresh: float) -> list[np.nda
     first.  Row ``t * (len(caps[d]) + 1) + i`` of ``tables[d]`` is template
     ``t`` with window ``d`` at position ``i``; its columns are the count
     vectors ``1..counts[j]`` of windows ``0..d`` in C order.  An entry is
-    ``d + 1`` where window ``d`` decodes with probability >= ``q_thresh``,
+    ``d + 1`` where window ``d`` decodes with probability >= ``q_hat``,
     else 0 (always 0 at position 0).
     """
     radix = [len(c) + 1 for c in caps]
@@ -291,7 +291,7 @@ def _level_tables(k, counts, caps, p_hat: float, q_thresh: float) -> list[np.nda
         rows = rows.reshape(len(grid), radix[d], -1, counts[d])
         for i, cap in enumerate(caps[d], 1):
             table = success_table(grid.shape[-1], k[d], cap, counts[d], p_hat)
-            hit = (grid.reshape(-1, len(table)) @ table)[:, 1:] >= q_thresh
+            hit = meets_qos((grid.reshape(-1, len(table)) @ table)[:, 1:], q_hat)
             rows[:, i] = hit.reshape(rows[:, i].shape) * np.int8(d + 1)
 
     def extend(grid, d):
@@ -386,7 +386,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
              "grids": sum(templates)}
     tables = _level_tables(layers.k, counts, [[pr.capacity(m) for m in mcs_choices[o[1:]]]
                                               for o in opts],
-                           pr.p_hat, pr.q_hat - _PROB_EPS) if vis.size else []
+                           pr.p_hat, pr.q_hat) if vis.size else []
 
     best_profit, best_cost = -1, 1
     winners = []  # (vector index, profit, cost, grid shape, flat cell) of each best cell

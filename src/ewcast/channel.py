@@ -213,46 +213,56 @@ def cqi_mcs(sinr_db: float, p_hat: float = 0.1, decade_db: float = 1.0,
     return np.max(np.where(ok, ms, 1), axis=-1, initial=1)[()]
 
 
-@dataclass(frozen=True)
-class UserContext:
-    """One multicast receiver: position, channel quality, reported MCS."""
-
+class UserRow(NamedTuple):  # one user of a ``Users`` drop, as Python values
     position: tuple[float, float]
     sinr_db: float
     mcs_feedback: int
 
+
+@dataclass(frozen=True, eq=False)
+class Users:
+    """A user drop as columns, one entry per user: all the channel knows of it."""
+
+    positions: np.ndarray  # (U, 2), metres
+    sinr_db: np.ndarray  # (U,), dB
+    mcs_feedback: np.ndarray  # (U,), reported MCS in [1, 15]
+
     def __post_init__(self):
-        if not 1 <= self.mcs_feedback <= 15:
+        # read-only copies: fixed once placed, and the placement's scratch memory is freed
+        for f in fields(self):
+            column = np.array(getattr(self, f.name))
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        if not np.all((self.mcs_feedback >= 1) & (self.mcs_feedback <= 15)):
             raise ValueError("reported MCS must lie in [1, 15]")
 
+    def __len__(self) -> int:
+        return len(self.mcs_feedback)
 
-def erasure_prob(user: UserContext | Sequence[UserContext], m: int | np.ndarray,
-                 view: str = "allocator", p_hat: float = 0.1, decade_db: float = 1.0,
-                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB
-                 ) -> float | np.ndarray:
-    """Block loss probability of MCS ``m`` as seen for one user.
+    def __iter__(self):
+        """One ``UserRow`` per user, for callers that read users one at a time."""
+        return map(UserRow._make, zip(map(tuple, self.positions.tolist()),
+                                      self.sinr_db.tolist(), self.mcs_feedback.tolist()))
 
-    The allocator view is the pessimistic rule the scheduler can act on:
-    ``p_hat`` when the user's reported MCS covers ``m``, certain loss
-    otherwise.  The evaluation view reads the parametric error curve at the
-    user's actual SINR.  ``m`` may be an array of MCS indices, and ``user``
-    a sequence of users: the result then has one row per user, each of
-    ``m``'s shape.
-    """
+
+def erasure_prob(users: Users, m: int | np.ndarray, view: str = "allocator",
+                 p_hat: float = 0.1, decade_db: float = 1.0,
+                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> np.ndarray:
+    """Block loss probability of MCS ``m`` (an index or an array of them) for
+    every user: one row per user, each of ``m``'s shape.  The allocator view is
+    the pessimistic rule the scheduler can act on: ``p_hat`` when the user's
+    reported MCS covers ``m``, certain loss otherwise.  The evaluation view
+    reads the parametric error curve at the user's actual SINR."""
     ms = np.asarray(m)
-    if isinstance(user, UserContext):
-        sinr, report = user.sinr_db, user.mcs_feedback
-    else:
-        shape = (-1,) + (1,) * ms.ndim
-        sinr = np.array([u.sinr_db for u in user], dtype=float).reshape(shape)
-        report = np.array([u.mcs_feedback for u in user], dtype=int).reshape(shape)
+    shape = (-1,) + (1,) * ms.ndim
+    sinr, report = users.sinr_db.reshape(shape), users.mcs_feedback.reshape(shape)
     if view == "allocator":
-        return np.where((ms > 0) & (ms <= report), p_hat, 1.0)[()]
+        return np.where((ms > 0) & (ms <= report), p_hat, 1.0)
     if view == "evaluation":
         sent = ms >= 1
         # unsent entries read any threshold; their loss is replaced by 1
         curve = bler(sinr, np.where(sent, ms, min(thresholds)), p_hat, decade_db, thresholds)
-        return np.where(sent, curve, 1.0)[()]
+        return np.where(sent, curve, 1.0)
     raise ValueError("view must be 'allocator' or 'evaluation'")
 
 
@@ -261,7 +271,7 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
                 center: tuple[float, float] | None = None,
                 p_hat: float = 0.1, decade_db: float = 1.0,
                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB,
-                rng: np.random.Generator | None = None) -> list[UserContext]:
+                rng: np.random.Generator | None = None) -> Users:
     """Deterministic user drops.
 
     ``radial`` lines users up along a sector symmetry axis of the (first)
@@ -272,16 +282,13 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
         raise ValueError(f"users.count must be >= 0, got {count!r}")
     if step_m <= 0:
         raise ValueError(f"users.step_m must be > 0, got {step_m!r}")
-    positions: list[tuple[float, float]] = []
     if pattern == "radial":
         if start_m <= 0:
             raise ValueError(f"users.start_m must be > 0, got {start_m!r}")
         origin = layout.sites[layout.serving[0]]
         direction = np.array([math.cos(math.radians(angle_deg)),
                               math.sin(math.radians(angle_deg))])
-        for i in range(count):
-            pos = origin + (start_m + i * step_m) * direction
-            positions.append((float(pos[0]), float(pos[1])))
+        positions = origin + (start_m + np.arange(count)[:, None] * step_m) * direction
     elif pattern == "grid":
         if center is None:
             center = tuple(layout.sites[list(layout.serving)].mean(axis=0))
@@ -289,15 +296,12 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
         rows = math.ceil(count / cols) if cols else 0
         x0 = center[0] - (cols - 1) * step_m / 2.0
         y0 = center[1] - (rows - 1) * step_m / 2.0
-        for idx in range(count):
-            r, c = divmod(idx, cols)
-            positions.append((x0 + c * step_m, y0 + r * step_m))
+        r, c = np.divmod(np.arange(count), cols)
+        positions = np.stack([x0 + c * step_m, y0 + r * step_m], axis=-1)
     else:
         raise ValueError(f"unknown placement pattern {pattern!r}")
-    sinr = sinr_at(layout, np.reshape(positions, (-1, 2)), rng=rng)
-    reports = cqi_mcs(sinr, p_hat, decade_db, thresholds)
-    return [UserContext(pos, s, m)
-            for pos, s, m in zip(positions, sinr.tolist(), reports.tolist())]
+    sinr = sinr_at(layout, positions, rng=rng)
+    return Users(positions, sinr, cqi_mcs(sinr, p_hat, decade_db, thresholds))
 
 
 @dataclass(frozen=True)
@@ -308,7 +312,7 @@ class Scenario:
 
     layers: LayerConfig
     layout: NetworkLayout
-    users: list[UserContext]
+    users: Users
     n_rbp: int
     element_bits: int
     gop_seconds: float
@@ -323,11 +327,13 @@ class Scenario:
     def problem(self) -> AllocationProblem:
         """The allocators' input, built on first read: the users' reports,
         each window's block budget and the capacity of every MCS."""
+        if not len(self.users):
+            raise ValueError("users.count must be >= 1 to allocate blocks, got 0")
         n_min = tb_capacity(4, self.n_rbp, self.element_bits)
         cap = subframe_cap(self.gop_seconds)
         return AllocationProblem(
             layers=self.layers,
-            user_mcs=tuple(u.mcs_feedback for u in self.users),
+            user_mcs=self.users.mcs_feedback,
             tb_budget=tuple(min(n_hat(k, self.p_hat, n_min), cap) for k in self.layers.k),
             capacities={m: tb_capacity(m, self.n_rbp, self.element_bits)
                         for m in CAPACITY_RATIO_PER_RBP},

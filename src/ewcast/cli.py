@@ -23,10 +23,10 @@ import numpy as np
 from .allocators import AllocationSolution, direct_uep_ram, heuristic_uep_ram, solve_mrt
 from .channel import Scenario, build_scenario, config_digest, erasure_prob
 from .decode_prob import (
-    _PROB_EPS,
     LayerConfig,
     TransmissionPlan,
     expected_psnr,
+    meets_qos,
     uncoded_survival,
     window_decode_probs,
 )
@@ -249,7 +249,7 @@ def _evaluate_users(scenario: Scenario, view: str):
         "mrt_plan_tb": list(mrt.plan.tb_counts),
     }
     for name, probs in (("uep", p_uep), ("mrt", p_mrt)):
-        fractions = np.mean(probs >= scenario.q_hat - _PROB_EPS, axis=0)
+        fractions = np.mean(meets_qos(probs, scenario.q_hat), axis=0)
         for lv, frac in enumerate(fractions.tolist(), start=1):
             meta[f"{name}_fraction_l{lv}"] = round(frac, 6)
     return p_win, p_uep, p_mrt, meta
@@ -260,13 +260,9 @@ def _map_result(experiment: str, scenario: Scenario, columns, rows, meta) -> Exp
                             columns, rows, meta, feasible=bool(meta["uep_feasible"]))
 
 
-def _coverage_radius(distances, covered) -> float:
-    radius = 0.0
-    for d, ok in zip(distances, covered):
-        if not ok:
-            break
-        radius = d
-    return radius
+def _rows(*columns) -> list[tuple]:
+    """CSV rows of Python values, one per entry of the equal-length columns."""
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> ExperimentResult:
@@ -286,25 +282,21 @@ def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> Experimen
                            {"erasure_view": erasure_view, "uep_feasible": 0})
     _, p_uep, p_mrt, meta = _evaluate_users(scenario, erasure_view)
     origin = scenario.layout.sites[scenario.layout.serving[0]]
-    offsets = np.array([u.position for u in scenario.users]) - origin
-    distances = np.hypot(offsets[:, 0], offsets[:, 1])
+    distances = np.hypot(*(scenario.users.positions - origin).T)
     order = np.argsort(distances, kind="stable")
     distances = distances[order].tolist()
     p_uep, p_mrt = p_uep[order], p_mrt[order]
-    covered_uep = p_uep >= scenario.q_hat - _PROB_EPS
-    covered_mrt = p_mrt >= scenario.q_hat - _PROB_EPS
+    covered_uep, covered_mrt = meets_qos(p_uep, scenario.q_hat), meets_qos(p_mrt, scenario.q_hat)
     L = scenario.layers.num_layers
-    rows = [
-        (round(dist, 6), scenario.users[ui].mcs_feedback, lv + 1,
-         pu[lv], pm[lv], int(cu[lv]), int(cm[lv]))
-        for ui, dist, pu, pm, cu, cm in zip(
-            order.tolist(), distances, p_uep.tolist(), p_mrt.tolist(),
-            covered_uep.tolist(), covered_mrt.tolist())
-        for lv in range(L)
-    ]
-    for lv in range(L):
-        meta[f"uep_radius_l{lv + 1}"] = _coverage_radius(distances, covered_uep[:, lv])
-        meta[f"mrt_radius_l{lv + 1}"] = _coverage_radius(distances, covered_mrt[:, lv])
+    rows = _rows(np.repeat([round(d, 6) for d in distances], L),
+                 np.repeat(scenario.users.mcs_feedback[order], L),
+                 np.tile(np.arange(1, L + 1), len(order)), p_uep.ravel(), p_mrt.ravel(),
+                 covered_uep.ravel().astype(int), covered_mrt.ravel().astype(int))
+    for name, covered in (("uep", covered_uep), ("mrt", covered_mrt)):
+        # per level, the farthest user with every nearer user covered too
+        reach = np.logical_and.accumulate(covered, axis=0).sum(axis=0).tolist()
+        for lv, n in enumerate(reach, start=1):
+            meta[f"{name}_radius_l{lv}"] = distances[n - 1] if n else 0.0
     return _map_result("coverage-sc", scenario, columns, rows, meta)
 
 
@@ -321,15 +313,12 @@ def run_psnr_map_sfn(config: dict, erasure_view: str = "evaluation") -> Experime
         return _map_result("psnr-map-sfn", scenario, columns, [],
                            {"erasure_view": erasure_view, "uep_feasible": 0})
     p_win, _, p_mrt, meta = _evaluate_users(scenario, erasure_view)
-    layers = scenario.layers
-    rows = [
-        (round(u.position[0], 6), round(u.position[1], 6), round(u.sinr_db, 6),
-         psnr_uep, psnr_mrt)
-        for u, psnr_uep, psnr_mrt in zip(
-            scenario.users, expected_psnr(layers, p_win).tolist(),
-            expected_psnr(layers, p_mrt).tolist())
-    ]
-    rows.sort(key=lambda r: (r[1], r[0]))
+    users, layers = scenario.users, scenario.layers
+    x, y, sinr = (np.array([round(v, 6) for v in col.tolist()])
+                  for col in (users.positions[:, 0], users.positions[:, 1], users.sinr_db))
+    order = np.lexsort((x, y))  # by y, then x; stable, as list.sort is
+    rows = _rows(*(col[order] for col in (x, y, sinr, expected_psnr(layers, p_win),
+                                          expected_psnr(layers, p_mrt))))
     return _map_result("psnr-map-sfn", scenario, columns, rows, meta)
 
 

@@ -362,10 +362,14 @@ def qos_levels(
     return _met_levels(window_decode_probs(layers, plan, erasure), q_hat)
 
 
+def meets_qos(probs, q_hat: float) -> np.ndarray:
+    """The one QoS verdict: probability at least ``q_hat``, up to a float grace."""
+    return np.asarray(probs) >= q_hat - _PROB_EPS
+
+
 def _met_levels(probs: np.ndarray, q_hat: float) -> np.ndarray:
     # suffix OR: level l is met if any window >= l clears the threshold
-    hit = probs >= q_hat - _PROB_EPS
-    return np.logical_or.accumulate(hit[..., ::-1], axis=-1)[..., ::-1]
+    return np.logical_or.accumulate(meets_qos(probs, q_hat)[..., ::-1], axis=-1)[..., ::-1]
 
 
 def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:

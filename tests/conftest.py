@@ -47,7 +47,7 @@ def random_problem(rng) -> AllocationProblem:
         min(n_hat(ki, 0.1, caps[4]), subframe_cap(0.533), 20) for ki in k
     )
     layers = LayerConfig(k, coverage_targets=TARGET_LADDER[:L])
-    return AllocationProblem(layers, tuple(u.mcs_feedback for u in users),
+    return AllocationProblem(layers, users.mcs_feedback,
                              budget, caps, 0.1, 0.99)
 
 

@@ -22,7 +22,6 @@ from ewcast.allocators import (
 from ewcast.channel import CAPACITY_RATIO_PER_RBP, build_scenario
 from ewcast.cli import DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG
 from ewcast.decode_prob import (
-    _PROB_EPS,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
@@ -446,8 +445,7 @@ class TestDirect:
                             sorted(pr.capacities), int(rng.integers(1, 4)), replace=False))]
                         for _ in range(L)]
             radix = [len(c) + 1 for c in caps]
-            q_thresh = pr.q_hat - _PROB_EPS
-            tables = allocators._level_tables(k, counts, caps, pr.p_hat, q_thresh)
+            tables = allocators._level_tables(k, counts, caps, pr.p_hat, pr.q_hat)
             shapes = [(math.prod(radix[:d + 1]), math.prod(counts[:d + 1])) for d in range(L)]
             assert [t.shape for t in tables] == shapes
             if every:
@@ -463,7 +461,7 @@ class TestDirect:
                     tuple(caps[j][c - 1] if c else 1 for j, c in enumerate(choices)))
                 loss = [pr.p_hat if c else 1.0 for c in choices]
                 prob = window_decode_probs(LayerConfig(k[:d + 1]), plan, loss)[d]
-                expected = d + 1 if choices[d] and prob >= q_thresh else 0
+                expected = d + 1 if choices[d] and prob >= pr.q_hat - 1e-12 else 0
                 assert tables[d][row, col] == expected, (d, row, col, prob)
                 outcomes.add(expected > 0)
         assert outcomes == {False, True}

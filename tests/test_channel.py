@@ -11,7 +11,7 @@ from ewcast.channel import (
     DEFAULT_MCS_THRESHOLDS_DB,
     _SCHEMA,
     NetworkLayout,
-    UserContext,
+    Users,
     bler,
     build_scenario,
     cqi_mcs,
@@ -184,33 +184,43 @@ class TestCqiAndErasure:
         and_up = [bler(5.0, m) for m in range(1, 16)]
         assert all(a <= b for a, b in zip(and_up, and_up[1:]))
 
+    @staticmethod
+    def users(sinr_db, reports):
+        n = len(reports)
+        return Users(np.zeros((n, 2)), np.asarray(sinr_db, dtype=float), np.asarray(reports))
+
     def test_allocator_view_rule(self):
-        user = UserContext((100.0, 0.0), 10.0, mcs_feedback=9)
-        assert erasure_prob(user, 9, "allocator") == 0.1
-        assert erasure_prob(user, 4, "allocator") == 0.1
-        assert erasure_prob(user, 10, "allocator") == 1.0
+        user = self.users([10.0], [9])
+        assert erasure_prob(user, 9, "allocator").tolist() == [0.1]
+        assert erasure_prob(user, 4, "allocator").tolist() == [0.1]
+        assert erasure_prob(user, 10, "allocator").tolist() == [1.0]
 
     def test_evaluation_view_consistent_with_report(self):
         # reported MCS keeps the modeled loss at or below the anchor
-        for sinr in (-3.0, 2.0, 7.5, 16.0):
-            user = UserContext((0.0, 0.0), sinr, cqi_mcs(sinr))
-            for m in range(1, user.mcs_feedback + 1):
-                assert erasure_prob(user, m, "evaluation") <= 0.1 + 1e-12
+        sinr = [-3.0, 2.0, 7.5, 16.0]
+        users = self.users(sinr, [cqi_mcs(s) for s in sinr])
+        losses = erasure_prob(users, np.arange(1, 16), "evaluation")
+        for row, report in zip(losses, users.mcs_feedback.tolist()):
+            assert np.all(row[:report] <= 0.1 + 1e-12)
 
     def test_rejects_unknown_view(self):
-        user = UserContext((0.0, 0.0), 5.0, 8)
         with pytest.raises(ValueError):
-            erasure_prob(user, 5, "guess")
-
+            erasure_prob(self.users([5.0], [8]), 5, "guess")
 
     @pytest.mark.parametrize("view", ["allocator", "evaluation"])
     def test_user_sequence_matches_single_users(self, view):
+        # each entry against the loss rule for one user and one MCS: the
+        # scalar error curve, or the literal allocator rule
         users = place_users(single_cell_layout(), "radial", count=30, step_m=9.0)
         mcs = np.array([0, 4, 9, 15])
         matrix = erasure_prob(users, mcs, view, 0.1, 5.0)
         assert matrix.shape == (30, 4)
-        for row, user in zip(matrix, users):
-            single = [erasure_prob(user, int(m), view, 0.1, 5.0) for m in mcs]
+        for row, sinr, report in zip(matrix, users.sinr_db.tolist(),
+                                     users.mcs_feedback.tolist()):
+            if view == "allocator":
+                single = [0.1 if 0 < m <= report else 1.0 for m in mcs.tolist()]
+            else:
+                single = [float(bler(sinr, m, 0.1, 5.0)) if m else 1.0 for m in mcs.tolist()]
             # array and scalar powers may round the error curve differently
             assert np.allclose(row, single, rtol=1e-13, atol=0.0)
 
@@ -220,23 +230,24 @@ class TestPlaceUsers:
         layout = single_cell_layout()
         users = place_users(layout, "radial", count=80, step_m=2.0, start_m=90.0)
         assert len(users) == 80
-        d_first = np.hypot(*users[0].position)
-        d_mid = np.hypot(*users[47].position)
-        d_last = np.hypot(*users[-1].position)
+        d_first = np.hypot(*users.positions[0])
+        d_mid = np.hypot(*users.positions[47])
+        d_last = np.hypot(*users.positions[-1])
         assert d_first == pytest.approx(90.0)
         assert d_mid == pytest.approx(90.0 + 47 * 2.0)
         assert d_last == pytest.approx(248.0)
 
     def test_single_user(self):
         layout = single_cell_layout()
-        [user] = place_users(layout, "radial", count=1, step_m=2.0, start_m=90.0)
-        assert np.hypot(*user.position) == pytest.approx(90.0)
+        users = place_users(layout, "radial", count=1, step_m=2.0, start_m=90.0)
+        assert len(users) == 1 and users.positions.shape == (1, 2)
+        assert np.hypot(*users.positions[0]) == pytest.approx(90.0)
 
     def test_grid_count_and_min_distance(self):
         layout = sfn_layout()
         users = place_users(layout, "grid", count=1700, step_m=20.0)
         assert len(users) == 1700
-        pos = np.array([u.position for u in users])
+        pos = users.positions
         sample = pos[:: 40]
         dists = np.linalg.norm(sample[:, None, :] - pos[None, :, :], axis=2)
         dists[dists == 0] = np.inf
@@ -245,6 +256,31 @@ class TestPlaceUsers:
     def test_invalid_pattern(self):
         with pytest.raises(ValueError):
             place_users(single_cell_layout(), "ring", count=3, step_m=1.0)
+
+    def test_row_view_yields_python_values(self):
+        # one row of Python values per user, equal to the columns: what a
+        # caller reading the reports one user at a time relies on
+        users = place_users(sfn_layout(shadow_sigma_db=6.0), "grid", count=7, step_m=90.0,
+                            rng=np.random.default_rng(5))
+        rows = list(users)
+        assert len(rows) == len(users) == 7
+        for i, row in enumerate(rows):
+            assert type(row.position) is tuple and len(row.position) == 2
+            assert all(type(v) is float for v in row.position)
+            assert type(row.sinr_db) is float and type(row.mcs_feedback) is int
+            assert tuple(row) == (tuple(users.positions[i].tolist()),
+                                  users.sinr_db[i], users.mcs_feedback[i])
+        assert tuple(u.mcs_feedback for u in users) == tuple(users.mcs_feedback.tolist())
+        assert list(place_users(sfn_layout(), "grid", count=0, step_m=9.0)) == []
+
+    def test_report_outside_mcs_range_refused(self):
+        # a threshold table past MCS 15 yields reports no capacity table holds
+        with pytest.raises(ValueError, match=r"reported MCS must lie in \[1, 15\]"):
+            place_users(single_cell_layout(), "radial", count=3, step_m=5.0,
+                        thresholds={**DEFAULT_MCS_THRESHOLDS_DB, 16: -100.0})
+        for reports in ([0, 5], [5, 16], [-1]):
+            with pytest.raises(ValueError, match=r"\[1, 15\]"):
+                Users(np.zeros((len(reports), 2)), np.zeros(len(reports)), np.array(reports))
 
 
 class TestScenario:
@@ -271,19 +307,21 @@ class TestScenario:
 
     def test_users_default_is_the_cli_default_line(self):
         bare = {key: value for key, value in DEFAULT_SC_CONFIG.items() if key != "users"}
-        assert build_scenario(bare).users == build_scenario(DEFAULT_SC_CONFIG).users
+        default, explicit = build_scenario(bare).users, build_scenario(DEFAULT_SC_CONFIG).users
+        for column in ("positions", "sinr_db", "mcs_feedback"):
+            assert np.array_equal(getattr(default, column), getattr(explicit, column))
 
     def test_problem_built_on_first_read(self):
-        # AllocationProblem refuses an empty report list: a scenario without
-        # users still builds, and only reading its problem fails
+        # a scenario without users still builds, and only reading its
+        # problem fails, naming the config field
         empty = build_scenario({**self.CONFIG, "users": {"pattern": "radial", "count": 0,
                                                           "step_m": 2.0}})
         assert "problem" not in vars(empty)
-        with pytest.raises(ValueError, match="user_mcs"):
+        with pytest.raises(ValueError, match="users.count"):
             empty.problem
         scenario = build_scenario(self.CONFIG)
         assert scenario.problem is scenario.problem
-        feedback = np.bincount([u.mcs_feedback for u in scenario.users], minlength=16)
+        feedback = np.bincount(scenario.users.mcs_feedback, minlength=16)
         assert scenario.problem.report_counts.tolist() == feedback.tolist()
 
     def test_digest_stable_and_sensitive(self):
@@ -384,14 +422,9 @@ class TestScenario:
     def test_shadow_fading_toggle(self):
         plain = build_scenario(self.CONFIG)
         shadowed = build_scenario({**self.CONFIG, "shadow_sigma_db": 6.0})
-        assert any(
-            abs(a.sinr_db - b.sinr_db) > 1e-6
-            for a, b in zip(plain.users, shadowed.users)
-        )
+        assert np.any(np.abs(plain.users.sinr_db - shadowed.users.sinr_db) > 1e-6)
         again = build_scenario({**self.CONFIG, "shadow_sigma_db": 6.0})
-        assert all(
-            a.sinr_db == b.sinr_db for a, b in zip(shadowed.users, again.users)
-        )
+        assert np.array_equal(shadowed.users.sinr_db, again.users.sinr_db)
 
     def test_custom_threshold_table(self):
         # lifting every threshold by 6 dB lowers each user's reported MCS
@@ -399,11 +432,5 @@ class TestScenario:
         config = {**self.CONFIG, "bler": {"thresholds_db": shifted}}
         base = build_scenario(self.CONFIG)
         harsh = build_scenario(config)
-        assert all(
-            h.mcs_feedback <= b.mcs_feedback
-            for h, b in zip(harsh.users, base.users)
-        )
-        assert any(
-            h.mcs_feedback < b.mcs_feedback
-            for h, b in zip(harsh.users, base.users)
-        )
+        assert np.all(harsh.users.mcs_feedback <= base.users.mcs_feedback)
+        assert np.any(harsh.users.mcs_feedback < base.users.mcs_feedback)

@@ -7,7 +7,7 @@ import pytest
 
 from ewcast import cli
 from ewcast.allocators import heuristic_uep_ram, solve_mrt
-from ewcast.channel import build_scenario, erasure_prob
+from ewcast.channel import bler, build_scenario
 from ewcast.cli import (
     DEFAULT_SC_CONFIG,
     DEFAULT_SFN_CONFIG,
@@ -226,28 +226,37 @@ def test_map_rerun_writes_identical_csv(tmp_path, runner, config):
 
 
 def _reference(config, view="evaluation"):
-    """Per-user rebuild of the runners' inputs from the one-receiver API:
-    scalar ``erasure_prob`` calls, one ``window_decode_probs`` and one
-    ``uncoded_survival`` per user."""
+    """Per-user rebuild of the runners' inputs from one-receiver calls: each
+    window's loss from the scalar error curve (evaluation view) or the
+    literal report rule (allocator view), then one ``window_decode_probs``
+    and one ``uncoded_survival`` per user.  Each user is a (position, SINR,
+    report, window probabilities, baseline survival, baseline PSNR) tuple."""
     scenario = build_scenario(config)
     heur, mrt = heuristic_uep_ram(scenario.problem), solve_mrt(scenario.problem)
 
-    def losses(plan, user):
-        return [erasure_prob(user, plan.mcs[i], view, scenario.p_hat,
-                             scenario.bler_decade_db, scenario.mcs_thresholds)
-                if plan.tb_counts[i] > 0 else 1.0 for i in range(plan.num_windows)]
+    def loss(m, sinr, report):
+        if view == "allocator":
+            return scenario.p_hat if 0 < m <= report else 1.0
+        return float(bler(sinr, m, scenario.p_hat, scenario.bler_decade_db,
+                          scenario.mcs_thresholds))
+
+    def losses(plan, sinr, report):
+        return [loss(plan.mcs[i], sinr, report) if plan.tb_counts[i] > 0 else 1.0
+                for i in range(plan.num_windows)]
 
     L = scenario.layers.num_layers
     per_user = []
-    for user in scenario.users:
+    users = scenario.users
+    for position, sinr, report in zip(users.positions.tolist(), users.sinr_db.tolist(),
+                                      users.mcs_feedback.tolist()):
         if heur.feasible:
-            p_win = window_decode_probs(scenario.layers, heur.plan, losses(heur.plan, user))
+            p_win = window_decode_probs(scenario.layers, heur.plan,
+                                        losses(heur.plan, sinr, report))
         else:
             p_win = np.zeros(L)
-        mrt_losses = losses(mrt.plan, user)
-        p_mrt = uncoded_survival(mrt_losses, mrt.plan.tb_counts)
-        per_user.append((user, [float(v) for v in p_win], [float(v) for v in p_mrt],
-                         float(expected_psnr(scenario.layers, p_mrt))))
+        p_mrt = uncoded_survival(losses(mrt.plan, sinr, report), mrt.plan.tb_counts)
+        per_user.append((position, sinr, report, [float(v) for v in p_win],
+                         [float(v) for v in p_mrt], float(expected_psnr(scenario.layers, p_mrt))))
     meta = {"erasure_view": view, "uep_feasible": int(heur.feasible),
             "uep_plan_mcs": list(heur.plan.mcs), "uep_plan_tb": list(heur.plan.tb_counts),
             "mrt_plan_mcs": list(mrt.plan.mcs), "mrt_plan_tb": list(mrt.plan.tb_counts)}
@@ -270,16 +279,16 @@ class TestRunnersAgainstPerUserReference:
         scenario, per_user, meta = _reference(SMALL_SC, view)
         q = scenario.q_hat - 1e-12
         origin = scenario.layout.sites[scenario.layout.serving[0]]
-        dist = [float(np.hypot(*(np.asarray(u.position) - origin))) for u, *_ in per_user]
+        dist = [float(np.hypot(*(np.asarray(pos) - origin))) for pos, *_ in per_user]
         order = sorted(range(len(per_user)), key=lambda i: dist[i])
         L = scenario.layers.num_layers
         rows, covered = [], []
         for i in order:
-            user, p_win, p_mrt, _ = per_user[i]
+            _, _, report, p_win, p_mrt, _ = per_user[i]
             p_uep = [max(p_win[lv:]) for lv in range(L)]
             flags = [(p_uep[lv] >= q, p_mrt[lv] >= q) for lv in range(L)]
             covered.append(flags)
-            rows += [(round(dist[i], 6), user.mcs_feedback, lv + 1, p_uep[lv], p_mrt[lv],
+            rows += [(round(dist[i], 6), report, lv + 1, p_uep[lv], p_mrt[lv],
                       int(flags[lv][0]), int(flags[lv][1])) for lv in range(L)]
         for lv in range(L):
             for s, name in enumerate(("uep", "mrt")):
@@ -304,10 +313,9 @@ class TestRunnersAgainstPerUserReference:
         L = scenario.layers.num_layers
         rows = []
         uep_hits, mrt_hits = np.zeros(L, int), np.zeros(L, int)
-        for user, p_win, p_mrt, psnr_mrt in per_user:
+        for (x, y), sinr, _, p_win, p_mrt, psnr_mrt in per_user:
             psnr_uep = max(a * b for a, b in zip(psnr, p_win))
-            rows.append((round(user.position[0], 6), round(user.position[1], 6),
-                         round(user.sinr_db, 6), psnr_uep, psnr_mrt))
+            rows.append((round(x, 6), round(y, 6), round(sinr, 6), psnr_uep, psnr_mrt))
             uep_hits += [max(p_win[lv:]) >= q for lv in range(L)]
             mrt_hits += [p >= q for p in p_mrt]
         rows.sort(key=lambda r: (r[1], r[0]))
@@ -422,12 +430,18 @@ class TestSolveAndMain:
         (["psnr-map-sfn"], {"sfn_members": [True, 2]}, "sfn_members"),
         (["coverage-sc"], {"bler": {"thresholds_db": [True] + [0.0] * 14}}, "bler.thresholds_db"),
         (["coverage-sc"], None, "scenario config"),  # a JSON list, not an object
+        # no users leaves nothing to allocate for: the maps exit 2 on an
+        # empty CSV, the solvers name the field
+        (["solve"], {"users": {"pattern": "radial", "count": 0, "step_m": 2.0}}, "users.count"),
+        (["sweep-rbp"], {"users": {"pattern": "radial", "count": 0, "step_m": 2.0}},
+         "users.count"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps([config] if change is None else {**config, **change}))
-        assert main([*argv, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        out = [] if argv[0] == "solve" else ["--out", str(tmp_path)]
+        assert main([*argv, "--scenario", str(path), *out]) == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err
         assert not list(tmp_path.glob("*.csv"))

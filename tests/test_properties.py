@@ -1,9 +1,10 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
-their literal definition, plan canonicalisation, and S1 against its literal
-definition."""
+their literal definition, plan canonicalisation, S1 against its literal
+definition, and user placement against a per-user rebuild."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,14 @@ from ewcast.allocators import (
     heuristic_uep_ram,
     solve_s1,
 )
-from ewcast.channel import CAPACITY_RATIO_PER_RBP
+from ewcast.channel import (
+    CAPACITY_RATIO_PER_RBP,
+    cqi_mcs,
+    place_users,
+    sfn_layout,
+    single_cell_layout,
+    sinr_at,
+)
 from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
@@ -193,3 +201,57 @@ def test_solve_s1_is_largest_mcs_with_enough_users(reports, t_prime):
     counts = np.bincount(np.minimum(reports, 15), minlength=16)
     assert solve_s1(counts, t_prime) == literal
     assert solve_s1(tuple(counts.tolist()), t_prime) == literal
+
+
+def literal_positions(layout, pattern, count, step_m, start_m, angle_deg, center):
+    """User positions one at a time: a radial line from the first serving
+    site, or a square lattice filled row by row around ``center``."""
+    positions = []
+    if pattern == "radial":
+        origin = layout.sites[layout.serving[0]]
+        direction = np.array([math.cos(math.radians(angle_deg)),
+                              math.sin(math.radians(angle_deg))])
+        for i in range(count):
+            pos = origin + (start_m + i * step_m) * direction
+            positions.append((float(pos[0]), float(pos[1])))
+    else:
+        if center is None:
+            center = tuple(layout.sites[list(layout.serving)].mean(axis=0))
+        cols = math.ceil(math.sqrt(count)) if count else 0
+        rows = math.ceil(count / cols) if cols else 0
+        x0 = center[0] - (cols - 1) * step_m / 2.0
+        y0 = center[1] - (rows - 1) * step_m / 2.0
+        for idx in range(count):
+            r, c = divmod(idx, cols)
+            positions.append((x0 + c * step_m, y0 + r * step_m))
+    return np.reshape(np.array(positions, dtype=float), (-1, 2))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["radial", "grid"]), st.sampled_from(["SC", "SFN"]),
+       st.one_of(st.just(0), st.just(1), st.integers(2, 120)),
+       st.floats(0.5, 80.0), st.floats(1.0, 400.0), st.floats(-360.0, 360.0),
+       st.none() | st.tuples(st.floats(-900.0, 900.0), st.floats(-900.0, 900.0)),
+       st.none() | st.integers(0, 2**32 - 1))
+def test_place_users_columns_match_per_user_rebuild(pattern, mode, count, step_m, start_m,
+                                                    angle_deg, center, shadow_seed):
+    # positions bitwise from the per-user formulas; SINR from one sinr_at call
+    # on those positions (same shadowing draws), each report from cqi_mcs
+    sigma = 0.0 if shadow_seed is None else 6.0
+    layout = (single_cell_layout if mode == "SC" else sfn_layout)(shadow_sigma_db=sigma)
+
+    def rng():
+        return None if shadow_seed is None else np.random.default_rng(shadow_seed)
+
+    users = place_users(layout, pattern, count=count, step_m=step_m, start_m=start_m,
+                        angle_deg=angle_deg, center=center, rng=rng())
+    positions = literal_positions(layout, pattern, count, step_m, start_m, angle_deg, center)
+    sinr = np.reshape(sinr_at(layout, positions, rng=rng()), -1)
+    assert len(users) == count
+    assert users.positions.shape == (count, 2) and users.positions.dtype == np.float64
+    assert users.positions.tobytes() == positions.tobytes()
+    assert users.sinr_db.shape == (count,) and users.sinr_db.tobytes() == sinr.tobytes()
+    assert users.mcs_feedback.shape == (count,)
+    assert users.mcs_feedback.tolist() == [int(cqi_mcs(s)) for s in sinr.tolist()]
+    assert not any(col.flags.writeable for col in (users.positions, users.sinr_db,
+                                                   users.mcs_feedback))
