@@ -42,9 +42,7 @@ VALIDATION_LOSSES = (0.1, 0.4)
 SATURATION_TAIL = 1e-4
 SATURATION_MARGIN = 3
 SATURATION_CAP = 400
-# Per window the sampler holds trials / 255 hit trials by up to 100 deficits in
-# three int64 matrices: 9.4 bytes per trial here, 94 MB at the limit, 1 GB at 1e8.
-MAX_TRIALS = 10**7
+MAX_TRIALS = 10**7  # default grid: ~5 s at this limit; the sampler needs ~0.4 bytes a trial
 
 # Desk-scale default scenarios.  The radial line and the grid both extend to
 # the edge of the lowest table-backed MCS, and the evaluation-view error curve

@@ -14,9 +14,9 @@ q^-d.  The dependent rows met before the deficit drops below ``d`` are
 therefore geometric, P(G_d >= g) = q^(-d*g), independent across deficits,
 windows and trials (the exact finite-field law of Trullols-Cruces,
 Barcelo-Ordinas and Fiore, IEEE Comm. Letters 2011).  The sampler moves whole
-(rank, received blocks) groups of trials and labels only those with some
-G_d >= 1, so its cost grows with distinct ranks times block counts plus about
-trials/q hit trials, not with the trial count.
+(rank, received blocks) groups of trials and draws blocks and G_d per trial
+only for the about trials/q that meet a dependent row: its cost grows with
+distinct ranks times block counts plus those hit trials, not the trial count.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ def simulate_decode_prob(
 
     Every trial erases each of the ``N_l`` blocks independently (a lost block
     drops all of its ``n_l`` elements) and tests window-by-window
-    decodability of the survivors' random coefficients.  The sampler draws,
-    per window, how many trials at each rank receive each block count and
-    the geometric dependent-row counts G_d of the few trials that meet any;
-    a trial then gains one rank per element until its deficit is cleared or
-    its elements run out, each dependent row costing one element.  All
-    draws come from one ``default_rng(seed)``.
+    decodability of the survivors' random coefficients: it gains one rank per
+    element until its deficit is cleared or its elements run out, each
+    dependent row costing one element.  All draws come from one
+    ``default_rng(seed)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -65,62 +63,63 @@ def simulate_decode_prob(
 
     p_hat = _rank_chain_counts(layers, plan, p, trials, np.random.default_rng(seed), q) / trials
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return DecodeProbability(
-        p_win=tuple(float(v) for v in p_hat),
-        std_err=tuple(float(v) for v in std_err),
-        trials=trials,
-    )
+    return DecodeProbability(p_win=tuple(p_hat.tolist()), std_err=tuple(std_err.tolist()),
+                             trials=trials)
 
 
 def _rank_chain_counts(layers, plan, erasure, trials, rng, q) -> np.ndarray:
     """Sample the rank evolution of the stacked coefficient matrix.
 
-    The state is ``pop[r]``, the number of trials at rank ``r``; trials at
-    one rank are exchangeable, so a multinomial draw splits each rank group
-    by received blocks.  At deficit ``d`` a trial meets G_d dependent rows,
-    P(G_d >= 1) = q^-d, and G_d given G_d >= 1 is ``geometric(1 - q^-d)``.
-    Per rank group and open deficit, the trials with G_d >= 1 are a binomial
-    count drawn as a uniform subset of the group (one Bernoulli per trial in
-    law), labelled by their place in the (rank, blocks) order.  A hit trial
-    clears deficits ``gap..d`` for the sum of ``1 + G_d'`` and gains as many
-    as it can afford; every other trial gains ``min(gap, elements)``.
+    ``pop[r]`` counts the trials at rank ``r``.  A trial at deficit ``g`` meets
+    a dependent row with probability reach[g] = 1 - prod_{d <= g} (1 - q^-d)
+    whatever blocks it gets, so per rank group a binomial draw picks the hit
+    trials and a multinomial draw splits the rest by received blocks.  A hit
+    trial draws its blocks and its hit deficits d (lowest first, by inverse
+    CDF, G_d ~ ``geometric(1 - q^-d)``); ``_stage_gain`` settles it.
     """
     sizes = layers.window_sizes
     counts = np.zeros(layers.num_layers, dtype=np.int64)
     pop = np.zeros(sizes[-1] + 1, dtype=np.int64)
     pop[0] = trials
     for i, size in enumerate(sizes):
-        n_tb = plan.tb_counts[i]
-        cap = plan.elements_per_tb[i]
+        n_tb, cap = plan.tb_counts[i], plan.elements_per_tb[i]
         if n_tb > 0 and cap > 0:
             live = np.flatnonzero(pop)
             group, gap = pop[live], size - live
             elements = np.arange(n_tb + 1) * cap
-            # cell[j * (n_tb + 1) + b]: trials at rank live[j] receiving b blocks
-            cell = rng.multinomial(group, receive_pmf(n_tb, erasure[i])).ravel()
-            dest = (live[:, None] + np.minimum(gap[:, None], elements)).ravel()
-            deficit = np.arange(1, int(gap.max()) + 1)
-            stall = np.power(float(q), -deficit)  # P(G_d >= 1)
-            hit = rng.binomial(group[:, None], np.where(deficit <= gap[:, None], stall, 0.0))
+            pmf = receive_pmf(n_tb, erasure[i])
+            stall = np.power(float(q), -np.arange(1.0, gap.max() + 1))  # P(G_d >= 1)
+            reach = np.concatenate(([0.0], -np.expm1(np.cumsum(np.log1p(-stall)))))
+            hit = rng.binomial(group, reach[gap])
+            cell = rng.multinomial(group - hit, pmf)
             pop = np.zeros_like(pop)
-            if hit.any():
-                hj, col = np.nonzero(hit)
-                h = hit[hj, col]
-                first = np.cumsum(group) - group  # label of each group's first trial
-                who = np.concatenate([first[j] + rng.choice(group[j], n, replace=False)
-                                      for j, n in zip(hj.tolist(), h.tolist())])
-                col = np.repeat(col, h)
-                affected, row = np.unique(who, return_inverse=True)
-                flat = np.searchsorted(np.cumsum(cell), affected, side="right")
-                j, b = np.divmod(flat, n_tb + 1)
-                cost = np.zeros((affected.size, deficit.size), dtype=np.int64)
-                cost[row, col] = rng.geometric(1.0 - stall[col])
-                open_ = deficit <= gap[j, None]
-                cost = (cost + 1) * open_
-                need = np.cumsum(cost[:, ::-1], axis=1)[:, ::-1]
-                gain = np.count_nonzero(open_ & (need <= elements[b, None]), axis=1)
-                np.subtract.at(cell, flat, 1)
-                np.add.at(pop, live[j] + gain, 1)
-            np.add.at(pop, dest, cell)
+            np.add.at(pop, live[:, None] + np.minimum(gap[:, None], elements), cell)
+            rank, g = np.repeat(live, hit), np.repeat(gap, hit)
+            got = elements[np.searchsorted(np.cumsum(pmf)[:-1], rng.random(rank.size), "right")]
+            t, rounds = np.arange(rank.size), []
+            # 1 - u lies in (0, 1], so the lowest hit lies in 1..g
+            d = np.searchsorted(reach, (1.0 - rng.random(t.size)) * reach[g])
+            while t.size:
+                rounds.append((t, d, rng.geometric(1.0 - stall[d - 1])))
+                # "right": a sum that rounds to reach[d] cannot repeat deficit d
+                x = reach[d] + rng.random(t.size) * (1.0 - reach[d])
+                more = x < reach[g[t]]
+                t, d = t[more], np.searchsorted(reach, x[more], "right")
+            np.add.at(pop, rank + _stage_gain(got, g, rounds), 1)
         counts[i] = pop[size]
     return counts
+
+
+def _stage_gain(elements, gap, rounds) -> np.ndarray:
+    """Deficits each hit trial clears, from ``gap`` down, deficit d costing 1 + G_d.
+
+    ``rounds`` holds ``(trials, deficit, G_d)`` arrays, lowest hit first per
+    trial.  Before paying hit d a trial clears at most ``gap - d`` with the
+    elements the hits above it leave, and at most ``gap`` once all are paid;
+    the best stage wins, since a hit it cannot pay caps every stage below.
+    """
+    gain, left = np.zeros_like(elements), elements.copy()
+    for t, d, g_d in reversed(rounds):
+        gain[t] = np.maximum(gain[t], np.minimum(left[t], gap[t] - d))
+        left[t] -= g_d
+    return np.maximum(gain, np.minimum(left, gap))

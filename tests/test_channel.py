@@ -153,6 +153,29 @@ class TestGeometryAndSinr:
         grid = sinr_at(layout, positions.reshape(10, 20, 2))
         assert np.array_equal(grid, batched.reshape(10, 20))
 
+    @pytest.mark.parametrize("layout", [single_cell_layout(), sfn_layout(),
+                                        single_cell_layout(shadow_sigma_db=6.0)],
+                             ids=["SC", "SFN", "SC-shadowed"])
+    def test_matches_textbook_formulas_bitwise(self, layout):
+        # sinr_at works in place but keeps each formula's operation order, so
+        # it matches the plain expressions bit for bit, shadowing included
+        positions = np.random.default_rng(12).uniform(-1200.0, 1200.0, (15, 20, 2))
+        positions[0, :3] = layout.sites[:3]  # on top of sites: the distance floor
+        dist = np.maximum(np.linalg.norm(layout.sites - positions[..., None, :], axis=-1), 35.0)
+        rx_dbm = (layout.tx_power_dbm + layout.antenna_gain_db
+                  - (128.1 + 37.6 * np.log10(dist / 1000.0)))
+        if layout.shadow_sigma_db > 0.0:
+            rx_dbm = rx_dbm + np.random.default_rng(5).normal(0.0, layout.shadow_sigma_db,
+                                                               size=rx_dbm.shape)
+        rx_mw = 10.0 ** (rx_dbm / 10.0)
+        serving = np.isin(np.arange(len(layout.sites)), layout.serving)
+        noise_mw = 10.0 ** ((-174.0 + 10.0 * math.log10(layout.bandwidth_hz)
+                             + layout.noise_figure_db) / 10.0)
+        literal = 10.0 * np.log10(rx_mw[..., serving].sum(axis=-1)
+                                  / (rx_mw[..., ~serving].sum(axis=-1) + noise_mw))
+        got = sinr_at(layout, positions, rng=np.random.default_rng(5))
+        assert got.shape == (15, 20) and got.tobytes() == literal.tobytes()
+
     def test_shadowing_draws_in_position_order(self):
         layout = single_cell_layout(shadow_sigma_db=6.0)
         positions = np.array([(100.0, 20.0), (250.0, -40.0), (400.0, 90.0)])

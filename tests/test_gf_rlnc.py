@@ -228,6 +228,11 @@ class TestExactFieldOracle:
         "tight_reception": (LayerConfig((4,)),
                             TransmissionPlan((0,), (5,), (1,)),
                             [0.05]),
+        # eight open deficits and up to four spare elements: at small q a
+        # trial often meets dependent rows at several deficits before decoding
+        "many_open_deficits": (LayerConfig((8,)),
+                               TransmissionPlan((0,), (3,), (4,)),
+                               [0.1]),
         # window 2 is entered with trials spread over ranks 0, 2, 4 and 6
         "several_ranks_entering": (LayerConfig((6, 4)),
                                    TransmissionPlan((0, 0), (3, 4), (2, 2)),

@@ -2,7 +2,8 @@
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
 their literal definition, plan canonicalisation, S1 against its literal
-definition, and user placement against a per-user rebuild."""
+definition, user placement against a per-user rebuild, and the Monte Carlo
+sampler's stage rule against a literal walk down the deficits."""
 
 import math
 from dataclasses import replace
@@ -33,6 +34,7 @@ from ewcast.decode_prob import (
     qos_levels,
     window_decode_probs,
 )
+from ewcast.gf_rlnc import _stage_gain
 
 SLACK = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -255,3 +257,50 @@ def test_place_users_columns_match_per_user_rebuild(pattern, mode, count, step_m
     assert users.mcs_feedback.tolist() == [int(cqi_mcs(s)) for s in sinr.tolist()]
     assert not any(col.flags.writeable for col in (users.positions, users.sinr_db,
                                                    users.mcs_feedback))
+
+
+@st.composite
+def hit_trials(draw):
+    """Trials that met dependent rows: (gap, elements, {hit deficit: G_d >= 1})."""
+    trials = []
+    for _ in range(draw(st.integers(1, 6))):
+        gap = draw(st.integers(1, 12))
+        hits = draw(st.lists(st.integers(1, gap), min_size=1, max_size=gap, unique=True))
+        g_d = {d: draw(st.integers(1, 6)) for d in hits}
+        # from none up to more than clearing every deficit and hit costs
+        elements = draw(st.integers(0, gap + sum(g_d.values()) + 3))
+        trials.append((gap, elements, g_d))
+    return trials
+
+
+def literal_gain(gap, elements, g_d):
+    """Clear deficits from ``gap`` down, paying 1 + G_d each, until the
+    elements run out."""
+    cleared = 0
+    for d in range(gap, 0, -1):
+        cost = 1 + g_d.get(d, 0)
+        if cost > elements:
+            break
+        elements -= cost
+        cleared += 1
+    return cleared
+
+
+@PROPERTY_SETTINGS
+@given(hit_trials())
+@example([(4, 3, {1: 1})])  # E < g, the hit out of reach: only the top stage scores
+@example([(4, 4, {1: 2})])  # E = g
+@example([(4, 4, {2: 1, 4: 1})])  # the top hit is paid, the lower one is not
+@example([(3, 9, {1: 1, 2: 1, 3: 1}), (5, 2, {5: 2})])  # all paid; nothing cleared
+def test_stage_gain_matches_literal_walk(trials):
+    # rounds as the sampler builds them: round k holds each trial's k-th
+    # lowest hit, for the trials that have one
+    ordered = [sorted(g_d.items()) for _, _, g_d in trials]
+    rounds = []
+    for k in range(max(map(len, ordered))):
+        t = [i for i, hits in enumerate(ordered) if len(hits) > k]
+        d, g = zip(*(ordered[i][k] for i in t))
+        rounds.append((np.array(t), np.array(d), np.array(g)))
+    gain = _stage_gain(np.array([e for _, e, _ in trials]),
+                       np.array([gap for gap, _, _ in trials]), rounds)
+    assert gain.tolist() == [literal_gain(*trial) for trial in trials]
