@@ -4,11 +4,8 @@ from .decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
-    brute_force_decode_prob,
     expected_psnr,
-    qos_levels,
     uncoded_survival,
-    window_decode_prob,
     window_decode_probs,
 )
 from .gf_rlnc import simulate_decode_prob

@@ -14,23 +14,17 @@ The exact probability of that threshold event is computed here by dynamic
 programming over the deficit value, which is equivalent to the full nested
 summation over all reception outcomes but runs in O(L * K * max N) time.  The
 allocators push the same step: plan evaluation once per distinct user report,
-the exact search over every window template of one depth at once.  A literal
-nested-sum evaluator is kept as an independent check.
+the exact search over every window template of one depth at once.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, product
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
-
-# Refuse literal nested summation beyond this many reception outcomes.
-BRUTE_FORCE_LIMIT = 10**6
 
 _PROB_EPS = 1e-12  # grace when comparing probabilities against a threshold
 
@@ -292,74 +286,6 @@ def _window_dp(k, capacities, pmfs) -> np.ndarray:
         # decodes when it leaves no deficit behind
         probs[..., i] = dist[..., 0]
     return probs
-
-
-def window_decode_prob(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure,
-    window: int,
-) -> float:
-    """Recovery probability of window ``window`` (1-based), per receiver."""
-    if not 1 <= window <= layers.num_layers:
-        raise ValueError("window index out of range")
-    return window_decode_probs(layers, plan, erasure)[..., window - 1][()]
-
-
-def brute_force_decode_prob(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure: Sequence[float],
-    window: int,
-) -> float:
-    """Literal nested summation over all reception outcomes.
-
-    Independent cross-check for :func:`window_decode_prob`, for one receiver;
-    refuses inputs whose outcome space exceeds ``BRUTE_FORCE_LIMIT``
-    combinations.
-    """
-    p = _validate_inputs(layers, plan, erasure)
-    if p.ndim != 1:
-        raise ValueError("brute force takes one erasure vector, not a batch")
-    if not 1 <= window <= layers.num_layers:
-        raise ValueError("window index out of range")
-    k = layers.k
-    n = plan.elements_per_tb
-    N = plan.tb_counts
-    combos = math.prod(N[i] + 1 for i in range(window))
-    if combos > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{combos} reception outcomes exceed the enumeration bound "
-            f"{BRUTE_FORCE_LIMIT}"
-        )
-    pmfs = [receive_pmf(N[i], p[i]) for i in range(window)]
-    total = 0.0
-    for r_vec in product(*(range(N[i] + 1) for i in range(window))):
-        weight = math.prod(pmfs[i][r_vec[i]] for i in range(window))
-        if weight == 0.0:
-            continue
-        if _recovery_indicator(k, n, r_vec, window):
-            total += weight
-    return total
-
-
-def _recovery_indicator(k, n, r_vec, window) -> bool:
-    # a window's receptions settle its own outstanding requirement before the
-    # leftover is carried to the next window
-    carry = 0
-    for i in range(window - 1):
-        carry = max(k[i] + carry - r_vec[i] * n[i], 0)
-    return r_vec[window - 1] * n[window - 1] >= k[window - 1] + carry
-
-
-def qos_levels(
-    layers: LayerConfig,
-    plan: TransmissionPlan,
-    erasure,
-    q_hat: float,
-) -> np.ndarray:
-    """QoS indicators for every level (last axis), from one probability pass."""
-    return _met_levels(window_decode_probs(layers, plan, erasure), q_hat)
 
 
 def meets_qos(probs, q_hat: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from .decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
-    _checked_erasure,
+    _validate_inputs,
     receive_pmf,
 )
 
@@ -55,11 +55,9 @@ def simulate_decode_prob(
         raise ValueError("trials must be >= 1")
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
-    p = _checked_erasure(erasure)
-    if p.shape != (layers.num_layers,):
-        raise ValueError("one erasure probability per window is required")
-    if plan.num_windows != layers.num_layers:
-        raise ValueError("plan must cover every window")
+    p = _validate_inputs(layers, plan, erasure)
+    if p.ndim != 1:
+        raise ValueError("the sampler takes one erasure vector, not a batch")
 
     p_hat = _rank_chain_counts(layers, plan, p, trials, np.random.default_rng(seed), q) / trials
     std_err = np.sqrt(p_hat * (1.0 - p_hat) / trials)

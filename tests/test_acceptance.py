@@ -23,11 +23,10 @@ from ewcast.cli import (
 from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
-    brute_force_decode_prob,
-    window_decode_prob,
     window_decode_probs,
 )
 from ewcast.gf_rlnc import simulate_decode_prob
+from nested_sum import brute_force_decode_prob, window_decode_prob
 
 VALIDATION_TRIALS = 100_000
 

@@ -8,24 +8,22 @@ import numpy as np
 import pytest
 
 from ewcast.decode_prob import (
-    BRUTE_FORCE_LIMIT,
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
+    _met_levels,
     _pascal_rows,
     _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
-    brute_force_decode_prob,
     expected_psnr,
     mrt_block_counts,
-    qos_levels,
     receive_pmf,
     success_table,
     uncoded_survival,
-    window_decode_prob,
     window_decode_probs,
 )
+from nested_sum import BRUTE_FORCE_LIMIT, brute_force_decode_prob, window_decode_prob
 
 
 def plan(tb_counts, elements_per_tb, mcs=None):
@@ -35,6 +33,10 @@ def plan(tb_counts, elements_per_tb, mcs=None):
 
 def max_psnr_uep(layers, pl, erasure):
     return expected_psnr(layers, window_decode_probs(layers, pl, erasure))
+
+
+def qos_levels(layers, pl, erasure, q_hat):
+    return _met_levels(window_decode_probs(layers, pl, erasure), q_hat)
 
 
 def max_psnr_mrt(layers, pl, erasure):  # every block of layers 1..l must arrive

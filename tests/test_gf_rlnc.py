@@ -152,6 +152,14 @@ class TestSimulateDecodeProb:
         with pytest.raises(ValueError):
             simulate_decode_prob(self.layers, self.plan, [0.1], 10, seed=1)
 
+    def test_rejects_a_batch_and_a_short_plan_by_name(self):
+        # the window DP's input check, for one receiver: the DP takes a batch, the sampler not
+        with pytest.raises(ValueError, match="one erasure vector"):
+            simulate_decode_prob(self.layers, self.plan, np.full((2, 2), 0.1), 10, seed=1)
+        short = TransmissionPlan((0,), (3,), (2,))
+        with pytest.raises(ValueError, match="every window"):
+            simulate_decode_prob(self.layers, short, [0.1, 0.1], 10, seed=1)
+
     @pytest.mark.parametrize("q", [1, 0, -3])
     def test_rejects_field_size_below_two(self, q):
         with pytest.raises(ValueError, match="q"):

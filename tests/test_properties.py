@@ -30,11 +30,11 @@ from ewcast.channel import (
 from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
-    brute_force_decode_prob,
-    qos_levels,
+    _met_levels,
     window_decode_probs,
 )
 from ewcast.gf_rlnc import _stage_gain
+from nested_sum import brute_force_decode_prob
 
 SLACK = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -71,7 +71,7 @@ def test_more_blocks_or_less_loss_never_hurts(instance, window, shrink):
 @given(decode_instances(), st.floats(0.01, 1.0))
 def test_qos_levels_nested(instance, q_hat):
     layers, plan, p = instance
-    levels = qos_levels(layers, plan, p, q_hat)
+    levels = _met_levels(window_decode_probs(layers, plan, p), q_hat)
     # meeting a level implies meeting every lower one
     assert np.all(levels[:-1] >= levels[1:])
 
@@ -124,16 +124,16 @@ def problems_and_plans(draw):
 @PROPERTY_SETTINGS
 @given(problems_and_plans())
 def test_evaluate_plan_matches_per_user_oracle(case):
-    # one qos_levels call per user on allocator-view losses: p_hat on a
+    # one window DP and verdict per user on allocator-view losses: p_hat on a
     # window the user qualifies on (0 < m <= report, blocks sent), else 1.0
     problem, mcs, counts = case
     ev = evaluate_plan(problem, mcs, counts)
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
     reports = np.repeat(np.arange(16), problem.report_counts)
     delta = np.array([
-        qos_levels(problem.layers, plan,
-                   [problem.p_hat if 0 < m <= report and c > 0 else 1.0
-                    for m, c in zip(mcs, counts)], problem.q_hat)
+        _met_levels(window_decode_probs(problem.layers, plan,
+                                        [problem.p_hat if 0 < m <= report and c > 0 else 1.0
+                                         for m, c in zip(mcs, counts)]), problem.q_hat)
         for report in reports])
     per_user = ev.delta[reports]
     assert per_user.dtype == delta.dtype and per_user.shape == delta.shape
