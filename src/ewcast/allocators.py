@@ -30,7 +30,6 @@ from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
-    binomial_pmf_rows,
     expected_psnr,
     meets_qos,
     mrt_block_counts,
@@ -282,25 +281,35 @@ def _level_tables(k, counts, caps, p_hat: float, q_hat: float) -> list[np.ndarra
     radix = [len(c) + 1 for c in caps]
     tables = [np.zeros((math.prod(radix[:d + 1]), math.prod(counts[:d + 1])), np.int8)
               for d in range(len(k))]
-    pmfs = [binomial_pmf_rows(n, p_hat)[1:] for n in counts]  # counts 1..n, one row each
+    pmf_rows = np.zeros((max(counts) + 1,) * 2)  # P(r of n blocks arrive), memoised rows
+    for n, row in enumerate(pmf_rows):
+        row[:n + 1] = receive_pmf(n, p_hat)
+    pmfs = [pmf_rows[1:n + 1, :n + 1] for n in counts]  # counts 1..n, one row each
 
     def fill(grid, d, start):
-        # grid: depth-d deficit grids of the templates from ``start`` on, as
-        # (templates, count axes of windows 0..d-1, deficit)
+        # grid: depth-d deficit grids of the templates from ``start`` on, as (templates,
+        # count axes of windows 0..d-1, deficit); one product serves every choice of window d
         rows = tables[d][start * radix[d]:(start + len(grid)) * radix[d]]
-        rows = rows.reshape(len(grid), radix[d], -1, counts[d])
-        for i, cap in enumerate(caps[d], 1):
-            table = success_table(grid.shape[-1], k[d], cap, counts[d], p_hat)
-            hit = meets_qos((grid.reshape(-1, len(table)) @ table)[:, 1:], q_hat)
-            rows[:, i] = hit.reshape(rows[:, i].shape) * np.int8(d + 1)
+        rows = rows.reshape(len(grid), radix[d], -1, counts[d])[:, 1:].swapaxes(0, 1)
+        table = np.reshape([success_table(grid.shape[-1], k[d], cap, counts[d], p_hat)[:, 1:]
+                            for cap in caps[d]], (-1, grid.shape[-1], counts[d]))
+        # products of about _CHUNK / 16 entries: 512 KB of float, cache-sized
+        step = max(1, _CHUNK // 16 // (rows[:, :1].size or 1))
+        for t in range(0, len(grid), step):
+            hit = meets_qos(grid[t:t + step].reshape(-1, grid.shape[-1]) @ table, q_hat)
+            rows[:, t:t + step] = hit.reshape(rows[:, t:t + step].shape) * np.int8(d + 1)
 
     def extend(grid, d):
         # depth d to d + 1: one deficit step per choice of window d, over
         # its count axis; templates gain window d's choice as last digit
         prev = np.broadcast_to(grid[..., None, :], grid.shape[:-1] + (counts[d], grid.shape[-1]))
         pmf = pmfs[d].reshape((1,) * (d + 1) + pmfs[d].shape)
+        # a block of k[d] + the largest deficit clears any deficit, as every
+        # larger block does: one step serves all such capacities
+        most = k[d] + grid.shape[-1] - 1
+        steps = {c: advance_deficit(prev, k[d], c, pmf) for c in {min(n, most) for n in caps[d]}}
         new = np.stack([advance_deficit(prev, k[d], 0, np.ones(1))]
-                       + [advance_deficit(prev, k[d], cap, pmf) for cap in caps[d]], axis=1)
+                       + [steps[min(n, most)] for n in caps[d]], axis=1)
         return new.reshape((-1,) + new.shape[2:])
 
     grid = np.ones((1, 1))  # depth 0: one template, no count axis, no deficit
@@ -323,17 +332,20 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     A window is either off, or carries 1..budget blocks at a table-backed
     MCS; the feasible assignment with the largest profit-cost ratio wins,
     ties preferring fewer blocks, then the lexicographically smaller MCS
-    vector, then the smaller count vector.  MCS vectors sharing a sent
-    pattern share one count grid and are evaluated a chunk at a time as one
-    array; the per-vector winners are then scanned in lexicographic order.
-    Two exact bounds skip work without changing the answer: an MCS vector
-    on which too few users qualify for some level is skipped, and count
-    vectors whose profit ceiling over cost cannot beat or tie the best plan
-    found so far are cut (a whole MCS vector when none is left).  ``stats``
-    counts both ("vectors_skipped", "vectors_cut"), the count vectors
-    evaluated ("leaves"), the (template, choice) level tables built
-    ("tables") and the deficit grids they are read from, one per template
-    and depth ("grids").  The cut sees the incumbents in batch order, so
+    vector, then the smaller count vector.  Exact bounds skip work without
+    changing the answer.  An MCS vector on which too few users qualify for
+    some level is skipped.  As no verdict drops when a window gets more
+    blocks, one pass over every vector's all-budget cell (each sent window
+    at its budget) caps the vector's profit and coverage: the vector is cut
+    if that cell misses a target, and the best feasible one is the first
+    incumbent.  Vectors sharing a sent pattern share one count grid and are
+    evaluated a chunk at a time; count vectors whose ceiling over cost
+    cannot beat or tie the incumbent are cut (a whole vector when none is
+    left).  ``stats`` counts the vectors skipped ("vectors_skipped") and
+    cut by either test ("vectors_cut"), the count vectors evaluated
+    ("leaves"), the (template, choice) level tables built ("tables") and
+    the deficit grids they are read from, one per template and depth
+    ("grids").  The cut sees the incumbents in batch order, so
     "vectors_cut" and "leaves" depend on that order; the plan does not, nor
     do the other counts, fixed by the choices the viable vectors send.
 
@@ -343,10 +355,9 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     # Per-user recovery depends only on the physical path: per window either
     # nothing received (off, or the user does not qualify) or a qualified
     # reception with a given capacity and count.  A window template (the
-    # choice of each earlier window, 0 where nothing is received) therefore
-    # fixes the decode outcome of the next window over all count vectors,
-    # shared across all MCS vectors and profiles: one level table per
-    # template and choice, all built up front (_level_tables).
+    # choice of each earlier window, 0 where nothing is received) fixes the
+    # decode outcome of the next window over all count vectors, shared by all
+    # MCS vectors and profiles: one level table per template and choice.
     layers = pr.layers
     L = layers.num_layers
     U = int(pr.report_counts.sum())
@@ -365,14 +376,11 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     # choice indices.  A user can only decode a window it qualifies on
     # (0 < m <= report), so level l is reachable only by users reporting at
     # least the lowest MCS sent at a window >= l: that count must meet the
-    # level's requirement, and summed over levels it caps the profit of
-    # every count vector under the MCS vector.
+    # level's requirement.
     choice = np.indices((n_choices,) * L).reshape(L, -1).T[1:]
-    m_vecs = mcs_choices[choice]
-    lowest = np.minimum.accumulate(np.where(m_vecs > 0, m_vecs, 16)[:, ::-1], axis=1)
-    reachable = at_least[lowest[:, ::-1]]
-    viable = np.all(reachable >= required, axis=1)
-    ceilings = reachable.sum(axis=1)
+    ends = np.append(16, mcs_choices[1:])[choice]  # the MCS sent, 16 where none is
+    lowest = np.minimum.accumulate(ends[:, ::-1], axis=1)
+    viable = np.all(at_least[lowest[:, ::-1]] >= required, axis=1)
     vis = np.flatnonzero(viable)
     # the choices window j is read at: 0 and each one a viable vector sends
     # there (none without budget); a window read only at 0 has one count
@@ -380,26 +388,64 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             for j, b in enumerate(budgets)]
     counts = [b if len(o) > 1 else 1 for b, o in zip(budgets, opts)]
     templates = [math.prod(len(o) for o in opts[:d]) for d in range(L)] if vis.size else []
-    stats = {"mcs_vectors": len(m_vecs), "vectors_skipped": int(np.sum(~viable)),
+    stats = {"mcs_vectors": len(choice), "vectors_skipped": int(np.sum(~viable)),
              "vectors_cut": 0, "leaves": 0,
              "tables": sum(t * (len(o) - 1) for t, o in zip(templates, opts)),
              "grids": sum(templates)}
+    if not vis.size:
+        return _no_solution(pr, solver="direct", stats=stats)
     tables = _level_tables(layers.k, counts, [[pr.capacity(m) for m in mcs_choices[o[1:]]]
-                                              for o in opts],
-                           pr.p_hat, pr.q_hat) if vis.size else []
+                                              for o in opts], pr.p_hat, pr.q_hat)
 
-    best_profit, best_cost = -1, 1
+    def outcome(vecs, cols):
+        # profit and coverage verdict of each vector at its cells (columns
+        # cols[d] of tables[d]).  Profile i: users reporting from the i-th
+        # lowest sent MCS up to the next qualify on the sent windows up to it
+        # and share every probability.  An unsent window reads as MCS 16,
+        # above every profile with users; empty profiles qualify nowhere
+        idx, m = choice[vecs], ends[vecs]
+        bounds = np.sort(m, axis=1)[:, :(idx > 0).sum(axis=1).max(initial=0)]
+        shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
+        qualify = (m[:, None, :] <= bounds[:, :, None]) & (shares > 0)[:, :, None]
+        # window d's table row codes the position of each qualified
+        # window's choice among opts, 0 elsewhere, over windows 0..d
+        row = 0
+        # deepest decoded window per profile: it yields every level up to it
+        deepest = np.zeros(qualify.shape[:2] + cols[0].shape[-1:], dtype=np.int8)
+        for d in range(L):
+            digit = np.searchsorted(opts[d], idx[:, d])[:, None]
+            row = row * len(opts[d]) + np.where(qualify[:, :, d], digit, 0)
+            if idx[:, d].any():
+                np.maximum(deepest, tables[d][row[:, :, None], cols[d][:, None]], out=deepest)
+        met, profit = True, np.zeros(deepest.shape[::2], dtype=np.min_scalar_type(U * L))
+        for level, need in enumerate(required.tolist()):
+            covered = np.einsum("vp,vpc->vc", shares, deepest > level)
+            met = met & (covered >= need)
+            profit += covered
+        return profit, met
+
+    # the all-budget pass: ceilings, cuts and the first incumbent; a vector
+    # that sends on a window without budget has no cell
+    on = choice[vis] > 0
+    top = on * (np.array(budgets) - 1)  # each window's count index, -1 if none
+    full = top.min(axis=1) >= 0
+    vis, top, spend = vis[full], top[full], (top + on)[full].sum(axis=1)
+    ceilings, met = outcome(vis, [np.ravel_multi_index(top[:, :d + 1].T, counts[:d + 1])[:, None]
+                                  for d in range(L)])
+    stats["vectors_cut"] = int(np.count_nonzero(~met))
+    vis, ceilings, spend = vis[met[:, 0]], ceilings[met].astype(np.int64), spend[met[:, 0]]
+    seed = np.argmax(ceilings / spend) if vis.size else None  # any feasible cell is exact
+    best_profit, best_cost = (int(ceilings[seed]), int(spend[seed])) if vis.size else (-1, 1)
+
     winners = []  # (vector index, profit, cost, grid shape, flat cell) of each best cell
-    pattern = (m_vecs[vis] > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
+    pattern = (choice[vis] > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
     for code in np.unique(pattern):
         # the count grid of the sent pattern, its cells in order of cost and
         # then of C order (the lexicographic count order)
-        group = vis[pattern == code]
-        sent = m_vecs[group[0]] > 0
+        group = np.flatnonzero(pattern == code)
+        sent = choice[vis[group[0]]] > 0
         shape = tuple(np.where(sent, budgets, 1).tolist())
         cost = sum(np.ix_(*(np.arange(1, n + 1) * s for n, s in zip(shape, sent)))).ravel()
-        if not cost.size:  # a sent window without budget: no count vector
-            continue
         order = np.argsort(cost, kind="stable")
         cost = cost[order]
         # each cell's column in the level tables of each window
@@ -407,43 +453,20 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
         cols = [np.ravel_multi_index(cells[:d + 1], counts[:d + 1]) for d in range(L)]
         step = max(1, _CHUNK // (sent.sum() * cost.size))
         for start in range(0, len(group), step):
-            vecs = group[start:start + step]
+            chunk = group[start:start + step]
             # live cells: count vectors (profit at most the ceiling) that may
             # beat or tie the incumbent, a prefix of the cost order; a tie
             # must stay, as a vector batched later may precede the incumbent's
-            live = np.searchsorted(cost * max(best_profit, 0), ceilings[vecs] * best_cost,
+            live = np.searchsorted(cost * max(best_profit, 0), ceilings[chunk] * best_cost,
                                    side="right")
             stats["vectors_cut"] += int(np.count_nonzero(live == 0))
-            vecs, live = vecs[live > 0], live[live > 0]
+            vecs, live = vis[chunk[live > 0]], live[live > 0]
             if not vecs.size:
                 continue
             stats["leaves"] += int(live.sum())
             width = int(live.max())
-            # profile i: users reporting from the i-th lowest sent MCS up to
-            # the next qualify on the sent windows up to it and share every
-            # probability; empty profiles qualify nowhere
-            idx, m = choice[vecs], m_vecs[vecs]
-            bounds = np.sort(m[:, sent], axis=1)
-            shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
-            qualify = ((m[:, None, :] <= bounds[:, :, None]) & sent
-                       & (shares > 0)[:, :, None])  # (vectors, profiles, windows)
-            # window d's table row codes the position of each qualified
-            # window's choice among opts, 0 elsewhere, over windows 0..d
-            row = np.zeros(qualify.shape[:2], dtype=np.intp)
-            # deepest decoded window per profile: it yields every level up to it
-            deepest = np.zeros(qualify.shape[:2] + (width,), dtype=np.int8)
-            for d in range(L):
-                digit = np.searchsorted(opts[d], idx[:, d])[:, None]
-                row = row * len(opts[d]) + np.where(qualify[:, :, d], digit, 0)
-                if sent[d]:
-                    np.maximum(deepest, tables[d][row[:, :, None], cols[d][:width]],
-                               out=deepest)
-            feasible = np.arange(width) < live[:, None]
-            profit = np.zeros(feasible.shape, dtype=np.min_scalar_type(U * L))
-            for level, need in enumerate(required.tolist()):
-                covered = np.einsum("vp,vpc->vc", shares, deepest > level)
-                feasible &= covered >= need
-                profit += covered
+            profit, feasible = outcome(vecs, [c[None, :width] for c in cols])
+            feasible &= np.arange(width) < live[:, None]
             # best ratio, then fewest blocks, then the first in count order:
             # the first best cell in cell order
             taus = np.where(feasible, profit / cost[:width], -1.0)
@@ -461,7 +484,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     if best[0] is None:
         return _no_solution(pr, solver="direct", stats=stats)
     vi, _, _, shape, cell = best
-    m_best = tuple(int(m) for m in m_vecs[vi])
+    m_best = tuple(int(m) for m in mcs_choices[choice[vi]])
     counts_best = tuple(int(i) + (m > 0) for m, i in zip(m_best, np.unravel_index(cell, shape)))
     return AllocationSolution(**vars(evaluate_plan(pr, m_best, counts_best)), solver="direct",
                               stats=stats)

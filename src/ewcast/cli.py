@@ -121,8 +121,8 @@ def run_validate_approx(
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS:,}], got {trials!r}")
-    if t_max is not None and t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    if t_max is not None and not 1 <= t_max <= SATURATION_CAP:
+        raise ValueError(f"t_max must lie in [1, {SATURATION_CAP}], got {t_max!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if trials < 10_000:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -74,6 +75,17 @@ class TestAllocationProblem:
                         [7, math.nan], np.array([5.0, 9.0]), np.array([True, False])):
             with pytest.raises(ValueError, match="user_mcs"):
                 AllocationProblem(layers, reports, (6,), table(1))
+
+    @pytest.mark.parametrize("layers, budget, message", [
+        (LayerConfig((4, 2), coverage_targets=(0.8, 0.5)), (6,),
+         "one block budget per window is required"),
+        (LayerConfig((4,), coverage_targets=(0.8,)), (6, 6),
+         "one block budget per window is required"),
+        (LayerConfig((4,)), (6,), "layer configuration carries no coverage targets"),
+    ])
+    def test_refusals_name_the_rule(self, layers, budget, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AllocationProblem(layers, (5, 9), budget, table(1))
 
     def test_rejects_non_integral_budget(self):
         with pytest.raises(ValueError, match="tb_budget"):

@@ -102,6 +102,20 @@ class TestGeometryAndSinr:
         sfn = sfn_layout()
         assert len(sfn.serving) == 4 and len(sfn.sites) == 19
 
+    @pytest.mark.parametrize("mode, sites, serving, message", [
+        ("MBSFN", [(0.0, 0.0)], (0,), "mode must be 'SC' or 'SFN'"),
+        ("SC", [0.0, 0.0], (0,), "sites must be an (S, 2) array"),
+        ("SFN", [(0.0, 0.0, 0.0)], (0,), "sites must be an (S, 2) array"),
+        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (), "serving indices out of range"),
+        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (0, 2), "serving indices out of range"),
+        ("SC", [(0.0, 0.0)], (-1,), "serving indices out of range"),
+        ("SC", [(0.0, 0.0), (0.0, 500.0)], (0, 1),
+         "single-cell mode has exactly one serving site"),
+    ])
+    def test_layout_refusals_name_the_rule(self, mode, sites, serving, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkLayout(mode=mode, sites=sites, serving=serving)
+
     def test_distance_doubling_drop(self):
         iso = NetworkLayout(mode="SC", sites=[(0.0, 0.0)], serving=(0,))
         drop = sinr_at(iso, (200.0, 0.0)) - sinr_at(iso, (400.0, 0.0))

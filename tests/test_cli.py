@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -531,6 +533,22 @@ class TestSolveAndMain:
             assert "# feasible=" not in text
             assert capsys.readouterr().out.startswith(f"wrote {out / csv_name} (")
 
+    def test_map_without_heuristic_plan_writes_zero_coded_probabilities(self, tmp_path, capsys):
+        # users are placed, but with every block budget floored at 1 the
+        # heuristic finds no plan: the coded column is all zero, the uncoded
+        # baseline is still evaluated, and main exits 2 with the CSV written
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(SMALL_SC, gop_seconds=0.002)))
+        assert main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "coverage_sc.csv").read_text().splitlines()
+        assert "# uep_feasible=0" in lines
+        rows = list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
+        assert len(rows) == 20 * 3  # every user at every level
+        assert {row["p_uep"] for row in rows} == {"0.0"}
+        assert {row["covered_uep"] for row in rows} == {"0"}
+        assert any(float(row["p_mrt"]) > 0.0 for row in rows)
+        assert capsys.readouterr().out.startswith("wrote ")
+
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):
             with pytest.raises(SystemExit) as info:
@@ -548,9 +566,13 @@ class TestSolveAndMain:
 
     @pytest.mark.parametrize("argv, field", [(["--t-max", "0"], "t_max"),
                                              (["--t-max", "-3"], "t_max"),
-                                             (["--seed", "-1"], "seed")])
+                                             (["--seed", "-1"], "seed"),
+                                             # past the cap a sweep would run for minutes
+                                             (["--t-max", str(SATURATION_CAP + 1)], "t_max")])
     def test_main_validate_bad_input_names_field(self, tmp_path, capsys, argv, field):
+        start = time.perf_counter()
         code = main(["validate-approx", "--trials", "12000", "--out", str(tmp_path), *argv])
+        assert time.perf_counter() - start < 1.0  # refused before any sampling
         assert code == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err

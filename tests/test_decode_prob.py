@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,6 +85,35 @@ class TestLayerConfig:
     def test_increasing_targets_warn(self):
         with pytest.warns(UserWarning):
             LayerConfig((1, 1), coverage_targets=(0.5, 0.9))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(k=()), "at least one layer is required"),
+        (dict(k=(3, 4), psnr=(30.0,)), "psnr must have one entry per layer"),
+        (dict(k=(3,), coverage_targets=(0.9, 0.5)),
+         "coverage_targets must have one entry per layer"),
+        (dict(k=(3, 4), coverage_targets=(0.9, 0.0)), "coverage targets must lie in (0, 1]"),
+        (dict(k=(3,), coverage_targets=(1.5,)), "coverage targets must lie in (0, 1]"),
+    ])
+    def test_refusals_name_the_rule(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LayerConfig(**kwargs)
+
+
+class TestTransmissionPlanRefusals:
+    @pytest.mark.parametrize("fields, message", [
+        (((4, 5), (1,), (2, 3)), "plan vectors must share one entry per window"),
+        (((16,), (1,), (2,)), "MCS indices must lie in [0, 15]"),
+        (((-1,), (1,), (2,)), "MCS indices must lie in [0, 15]"),
+        (((4,), (-1,), (2,)), "block counts must be >= 0"),
+        (((4,), (0,), (-2,)), "block capacities must be >= 0"),
+        (((4,), (3,), (0,)), "a transmitted window needs capacity >= 1"),
+    ])
+    def test_refusals_name_the_rule(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TransmissionPlan(*fields)
+
+    def test_unsent_window_may_lack_capacity(self):
+        assert TransmissionPlan((0, 4), (0, 3), (0, 2)).tb_counts == (0, 3)
 
 
 class TestWindowDecodeProb:

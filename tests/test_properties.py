@@ -1,20 +1,26 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
-their literal definition, plan canonicalisation, S1 against its literal
+their literal definition, plan canonicalisation, the exact search's
+all-budget ceiling and seed against plan evaluation, S1 against its literal
 definition, user placement against a per-user rebuild, and the Monte Carlo
 sampler's stage rule against a literal walk down the deficits."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_problem
+from ewcast import allocators
 from ewcast.allocators import (
     AllocationProblem,
     check_feasibility,
+    direct_uep_ram,
     evaluate_plan,
     heuristic_uep_ram,
     solve_s1,
@@ -184,6 +190,54 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
     assert np.array_equal(raw.delta, ev.delta)
     assert (raw.profit, raw.cost, raw.tau, raw.violations) == (
         ev.profit, ev.cost, ev.tau, ev.violations)
+
+
+def test_all_budget_cell_caps_its_vector_and_seeds_the_search(monkeypatch):
+    # The exact search bounds an MCS vector by its all-budget cell (each sent
+    # window at its budget): no cell of the vector has more profit, or meets
+    # a coverage target that cell misses.  Its first incumbent is the best
+    # feasible all-budget cell, which its first _better call compares
+    # against.  Checked with evaluate_plan as the oracle on battery-family
+    # draws: sampled cells of every vector, and on 1- and 2-layer draws the
+    # seed against every vector's all-budget cell.
+    seen = []
+    better = allocators._better
+    monkeypatch.setattr(allocators, "_better",
+                        lambda *args: seen.append(args[2:]) or better(*args))
+    draws, rng = np.random.default_rng(5), np.random.default_rng(6)
+    contested = 0  # draws whose feasible all-budget cells differ in ratio
+    met = 0  # sampled cells that are feasible
+    for _ in range(8):
+        pr = random_problem(draws)
+        L, budget = pr.layers.num_layers, pr.tb_budget
+        vectors = [m for m in product([0] + sorted(pr.capacities), repeat=L) if any(m)]
+        if L == 3:
+            vectors = [vectors[i] for i in rng.choice(len(vectors), 40, replace=False)]
+        feasible = set()
+        for mcs in vectors:
+            top = evaluate_plan(pr, mcs, [b if m else 0 for m, b in zip(mcs, budget)])
+            # cells anywhere and next to the all-budget cell, more of them
+            # where that cell is feasible
+            for near in (False, True) * (3 if top.feasible else 1):
+                counts = [int(rng.integers(max(b - 1, 1) if near else 1, b + 1)) if m else 0
+                          for m, b in zip(mcs, budget)]
+                cell = evaluate_plan(pr, mcs, counts)
+                assert cell.profit <= top.profit, (mcs, counts)
+                assert top.feasible or not cell.feasible, (mcs, counts)
+                met += cell.feasible
+            if top.feasible:
+                feasible.add((top.profit, top.cost))
+        if L == 3:
+            continue
+        seen.clear()
+        direct_uep_ram(pr)
+        ratios = {Fraction(p, c) for p, c in feasible}
+        contested += len(ratios) > 1
+        if ratios:
+            assert seen[0] in feasible and Fraction(*seen[0]) == max(ratios)
+        else:
+            assert not seen
+    assert contested >= 2 and met >= 10
 
 
 @PROPERTY_SETTINGS
