@@ -38,6 +38,7 @@ from .decode_prob import (
     uncoded_survival,
 )
 
+P_HAT, Q_HAT = 0.1, 0.99  # defaults: block loss a report is anchored at, QoS a level needs
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
 _CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds at once
 _MAX_ENTRIES = 10**8  # set-up plus level-table entries beyond which the exact search refuses
@@ -59,8 +60,8 @@ class AllocationProblem:
     user_mcs: InitVar[Sequence[int]]  # one reported MCS in 1..15 per user
     tb_budget: tuple[int, ...]
     capacities: Mapping[int, int]  # MCS index -> elements per block
-    p_hat: float = 0.1
-    q_hat: float = 0.99
+    p_hat: float = P_HAT
+    q_hat: float = Q_HAT
     report_counts: np.ndarray = field(init=False)  # users per reported MCS 0..15, read-only
 
     def __post_init__(self, user_mcs):
@@ -70,8 +71,10 @@ class AllocationProblem:
         counts = np.bincount(reports, minlength=16)
         counts.flags.writeable = False
         object.__setattr__(self, "report_counts", counts)
-        budget = _integers("tb_budget", self.tb_budget)
-        object.__setattr__(self, "tb_budget", tuple(budget.tolist()))
+        budget = tuple(_integers("tb_budget", self.tb_budget).tolist())
+        if any(b < 0 for b in budget):
+            raise ValueError(f"tb_budget must hold counts >= 0, got {budget}")
+        object.__setattr__(self, "tb_budget", budget)
         caps = dict(self.capacities)
         _integers("capacities", [*caps, *caps.values()])
         if not all(1 <= m <= 15 and n >= 0 for m, n in caps.items()):
@@ -501,8 +504,6 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     """
     layers = pr.layers
     L = layers.num_layers
-    if layers.psnr is None:
-        raise ValueError("layer configuration carries no PSNR plateaus")
     mcs_list = sorted(pr.capacities)
     if L > len(mcs_list):
         raise ValueError(

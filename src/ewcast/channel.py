@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocators import AllocationProblem
+from .allocators import P_HAT, Q_HAT, AllocationProblem
 from .decode_prob import LayerConfig, _check_thresholds
 
 # Elements a transport block can hold, per resource-block pair, for each MCS
@@ -40,7 +40,9 @@ ELEMENT_BITS_TABLE = 2 * 1024 * 8  # element size the capacity table is built fo
 DEFAULT_MCS_THRESHOLDS_DB: dict[int, float] = {
     m: -9.4 + 1.8 * (m - 1) for m in range(1, 16)
 }
+BLER_DECADE_DB = 1.0  # default SINR gain (dB) per decade the block error falls below p_hat
 
+ISD_M, SFN_MEMBERS = 500.0, (0, 1, 2, 3)  # defaults: site spacing (m), SFN serving sites
 PATHLOSS_FIXED_DB = 128.1
 PATHLOSS_SLOPE_DB = 37.6
 MIN_DISTANCE_M = 35.0  # distance floor; positions on top of a site stay finite
@@ -85,9 +87,9 @@ def tb_capacity(m: int, n_rbp: int, element_bits: int = ELEMENT_BITS_TABLE) -> i
     if m not in CAPACITY_RATIO_PER_RBP:
         raise ValueError(f"MCS {m} outside the capacity table range [4, 15]")
     if n_rbp < 1:
-        raise ValueError("need at least one resource-block pair per block")
+        raise ValueError("n_rbp: need at least one resource-block pair per block")
     if element_bits <= 0:
-        raise ValueError("element size must be positive")
+        raise ValueError("element_bits: element size must be positive")
     bits = CAPACITY_RATIO_PER_RBP[m] * n_rbp * ELEMENT_BITS_TABLE
     return bits // element_bits
 
@@ -141,17 +143,19 @@ class NetworkLayout:
         serving = tuple(int(i) for i in self.serving)
         object.__setattr__(self, "serving", serving)
         if not serving or any(not 0 <= i < len(self.sites) for i in serving):
-            raise ValueError("serving indices out of range")
+            raise ValueError("serving: serving indices out of range")
+        if len(set(serving)) != len(serving):
+            raise ValueError(f"serving: serving indices must not repeat, got {serving}")
         if self.mode == "SC" and len(serving) != 1:
-            raise ValueError("single-cell mode has exactly one serving site")
+            raise ValueError("serving: single-cell mode has exactly one serving site")
 
 
-def single_cell_layout(isd_m: float = 500.0, **kwargs) -> NetworkLayout:
+def single_cell_layout(isd_m: float = ISD_M, **kwargs) -> NetworkLayout:
     """Centre site serving, 18 interferers on two concentric rings."""
     return NetworkLayout(mode="SC", sites=hex_grid(isd_m), serving=(0,), **kwargs)
 
 
-def sfn_layout(isd_m: float = 500.0, members: Sequence[int] = (0, 1, 2, 3), **kwargs) -> NetworkLayout:
+def sfn_layout(isd_m: float = ISD_M, members: Sequence[int] = SFN_MEMBERS, **kwargs) -> NetworkLayout:
     """Four synchronised sites serving, the remaining 15 interfering."""
     return NetworkLayout(mode="SFN", sites=hex_grid(isd_m), serving=tuple(members), **kwargs)
 
@@ -188,7 +192,7 @@ def sinr_at(layout: NetworkLayout, position, rng: np.random.Generator | None = N
     return (10.0 * np.log10(signal / (interference + noise_mw)))[()]
 
 
-def bler(sinr_db: float, m: int, p_hat: float = 0.1, decade_db: float = 1.0,
+def bler(sinr_db: float, m: int, p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
          thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> float:
     """Block error probability of MCS ``m`` at the given SINR.
 
@@ -204,7 +208,7 @@ def bler(sinr_db: float, m: int, p_hat: float = 0.1, decade_db: float = 1.0,
     return np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))[()]
 
 
-def cqi_mcs(sinr_db: float, p_hat: float = 0.1, decade_db: float = 1.0,
+def cqi_mcs(sinr_db: float, p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
             thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:
     """Largest MCS whose block error stays at or below ``p_hat``; floor 1.
 
@@ -249,7 +253,7 @@ class Users:
 
 
 def erasure_prob(users: Users, m: int | np.ndarray, view: str = "allocator",
-                 p_hat: float = 0.1, decade_db: float = 1.0,
+                 p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
                  thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> np.ndarray:
     """Block loss probability of MCS ``m`` (an index or an array of them) for
     every user: one row per user, each of ``m``'s shape.  The allocator view is
@@ -272,7 +276,7 @@ def erasure_prob(users: Users, m: int | np.ndarray, view: str = "allocator",
 def place_users(layout: NetworkLayout, pattern: str, *, count: int,
                 step_m: float, start_m: float = 90.0, angle_deg: float = 30.0,
                 center: tuple[float, float] | None = None,
-                p_hat: float = 0.1, decade_db: float = 1.0,
+                p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB,
                 rng: np.random.Generator | None = None) -> Users:
     """Deterministic user drops.
@@ -365,8 +369,8 @@ _NON_NEGATIVE = ("[", 0, math.inf, ")")
 # The scenario config schema, one row per field by dotted path (see README).
 _SCHEMA: dict[str, _Field] = {
     "mode": _Field(("SC", "SFN"), "SC"),
-    "isd_m": _Field("number", 500.0, _POSITIVE),
-    "sfn_members": _Field("integer", (0, 1, 2, 3), ("[", 0, 18, "]"), length=0),  # 19 grid sites
+    "isd_m": _Field("number", ISD_M, _POSITIVE),
+    "sfn_members": _Field("integer", SFN_MEMBERS, ("[", 0, 18, "]"), length=0),  # 19 grid sites
     "tx_power_dbm": _Field("number"),
     "bandwidth_hz": _Field("number", bound=_POSITIVE),
     "noise_figure_db": _Field("number"),
@@ -381,13 +385,12 @@ _SCHEMA: dict[str, _Field] = {
     "element_kb": _Field("number", 2.0, ("(", 0.5 / 8192, sys.float_info.max / 8192, "]")),
     "gop_seconds": _Field("number", 0.533, _POSITIVE),
     "n_rbp": _Field("integer", 5, _POSITIVE),
-    "p_hat": _Field("number", 0.1, ("[", 0, 1, ")")),
-    "q_hat": _Field("number", 0.99, ("(", 0, 1, "]")),
+    "p_hat": _Field("number", P_HAT, ("[", 0, 1, ")")),
+    "q_hat": _Field("number", Q_HAT, ("(", 0, 1, "]")),
     "bler": _Field("object", {}),
-    "bler.decade_db": _Field("number", 1.0, _POSITIVE),
+    "bler.decade_db": _Field("number", BLER_DECADE_DB, _POSITIVE),
     "bler.thresholds_db": _Field("number", tuple(DEFAULT_MCS_THRESHOLDS_DB.values()), length=15),
-    "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.5,
-                               "start_m": 90.0}),
+    "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.5}),
     "users.pattern": _Field(("radial", "grid"), _REQUIRED),
     "users.count": _Field("integer", _REQUIRED, ("[", 0, 10**6, "]")),  # 10^6: ~13 s, ~0.9 GB
     "users.step_m": _Field("number", _REQUIRED, _POSITIVE),
@@ -452,9 +455,9 @@ def build_scenario(config: dict) -> Scenario:
     both ``stream_preset`` and ``stream``, raises a ``ValueError`` naming it.
     """
     top = _section("", config)
-    layout = NetworkLayout(
-        sites=hex_grid(top["isd_m"]), serving=top["sfn_members"] if top["mode"] == "SFN" else (0,),
-        **{f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top})
+    radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top.keys() - {"mode"}}
+    layout = (sfn_layout(top["isd_m"], top["sfn_members"], **radio) if top["mode"] == "SFN"
+              else single_cell_layout(top["isd_m"], **radio))
 
     if ("stream_preset" in top) == ("stream" in top):
         raise ValueError("config must give one of stream_preset and stream, not both or "
@@ -468,6 +471,9 @@ def build_scenario(config: dict) -> Scenario:
                 raise ValueError(f"stream.{key} must hold one entry per bitrate "
                                  f"({len(stream['bitrates_kbps'])}), got {values!r}")
     element_bits = round(top["element_kb"] * 8192)
+    if tb_capacity(4, top["n_rbp"], element_bits) < 1:  # the budgets count blocks of MCS 4
+        raise ValueError(f"element_kb {top['element_kb']:g} does not fit a block of MCS 4 at n_rbp "
+                         f"{top['n_rbp']}: at most {tb_capacity(4, top['n_rbp'], 8192)} KB")
     layers = LayerConfig(
         k=tuple(source_elements(1000.0 * b, top["gop_seconds"], element_bits)
                 for b in stream["bitrates_kbps"]),

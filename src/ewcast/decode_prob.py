@@ -46,9 +46,9 @@ class LayerConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         if not self.k:
-            raise ValueError("at least one layer is required")
+            raise ValueError("k: at least one layer is required")
         if any(v < 1 for v in self.k):
-            raise ValueError("layer element counts must be >= 1")
+            raise ValueError("k: layer element counts must be >= 1")
         for name in ("psnr", "coverage_targets"):
             val = getattr(self, name)
             if val is None:
@@ -60,7 +60,7 @@ class LayerConfig:
         targets = self.coverage_targets
         if targets is not None:
             if any(not 0.0 < t <= 1.0 for t in targets):
-                raise ValueError("coverage targets must lie in (0, 1]")
+                raise ValueError("coverage_targets: coverage targets must lie in (0, 1]")
             if any(targets[i] < targets[i + 1] for i in range(len(targets) - 1)):
                 warnings.warn(
                     "coverage targets increase with the layer index; deeper "
@@ -97,16 +97,17 @@ class TransmissionPlan:
             self, "elements_per_tb", tuple(int(v) for v in self.elements_per_tb)
         )
         if not len(self.mcs) == len(self.tb_counts) == len(self.elements_per_tb):
-            raise ValueError("plan vectors must share one entry per window")
+            raise ValueError("mcs, tb_counts, elements_per_tb: plan vectors must share one "
+                             "entry per window")
         if any(m < 0 or m > 15 for m in self.mcs):
-            raise ValueError("MCS indices must lie in [0, 15]")
+            raise ValueError("mcs: MCS indices must lie in [0, 15]")
         if any(c < 0 for c in self.tb_counts):
-            raise ValueError("block counts must be >= 0")
+            raise ValueError("tb_counts: block counts must be >= 0")
         if any(n < 0 for n in self.elements_per_tb):
-            raise ValueError("block capacities must be >= 0")
+            raise ValueError("elements_per_tb: block capacities must be >= 0")
         for c, n in zip(self.tb_counts, self.elements_per_tb):
             if c > 0 and n < 1:
-                raise ValueError("a transmitted window needs capacity >= 1")
+                raise ValueError("elements_per_tb: a transmitted window needs capacity >= 1")
 
     @classmethod
     def uniform(cls, num_windows: int, tb_count: int, elements_per_tb: int):

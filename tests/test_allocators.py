@@ -82,6 +82,9 @@ class TestAllocationProblem:
         (LayerConfig((4,), coverage_targets=(0.8,)), (6, 6),
          "one block budget per window is required"),
         (LayerConfig((4,)), (6,), "layer configuration carries no coverage targets"),
+        # a negative budget would reach the solvers as an index or an array size
+        (LayerConfig((4,), coverage_targets=(0.8,)), (-1,),
+         "tb_budget must hold counts >= 0, got (-1,)"),
     ])
     def test_refusals_name_the_rule(self, layers, budget, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -509,6 +512,11 @@ def brute_force_optimum(pr: AllocationProblem):
 
 
 class TestMrt:
+    def test_missing_psnr_refused_by_name(self):
+        # the PSNR plateaus weigh the survival of each level
+        with pytest.raises(ValueError, match="^layer configuration carries no PSNR plateaus$"):
+            solve_mrt(small_problem([5, 9], budget=(9,)))
+
     def test_single_layer_best_tradeoff(self):
         psnr = (30.0,)
         reports = [5, 5, 12]

@@ -62,6 +62,16 @@ class TestTbCapacity:
     def test_smaller_elements_pack_more(self):
         assert tb_capacity(4, 5, element_bits=8192) == 20
 
+    @pytest.mark.parametrize("n_rbp, element_bits, message", [
+        (0, 16384, "n_rbp: need at least one resource-block pair per block"),
+        (-2, 16384, "n_rbp: need at least one resource-block pair per block"),
+        (5, 0, "element_bits: element size must be positive"),
+        (5, -8192, "element_bits: element size must be positive"),
+    ])
+    def test_refusals_name_the_field(self, n_rbp, element_bits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tb_capacity(4, n_rbp, element_bits)
+
 
 class TestBudgets:
     def test_headroom_formula(self):
@@ -102,17 +112,22 @@ class TestGeometryAndSinr:
         sfn = sfn_layout()
         assert len(sfn.serving) == 4 and len(sfn.sites) == 19
 
-    @pytest.mark.parametrize("mode, sites, serving, message", [
-        ("MBSFN", [(0.0, 0.0)], (0,), "mode must be 'SC' or 'SFN'"),
-        ("SC", [0.0, 0.0], (0,), "sites must be an (S, 2) array"),
-        ("SFN", [(0.0, 0.0, 0.0)], (0,), "sites must be an (S, 2) array"),
-        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (), "serving indices out of range"),
-        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (0, 2), "serving indices out of range"),
-        ("SC", [(0.0, 0.0)], (-1,), "serving indices out of range"),
+    # a message is its field, then the rule; None where the rule starts with the field
+    @pytest.mark.parametrize("mode, sites, serving, rule, field", [
+        ("MBSFN", [(0.0, 0.0)], (0,), "mode must be 'SC' or 'SFN'", None),
+        ("SC", [0.0, 0.0], (0,), "sites must be an (S, 2) array", None),
+        ("SFN", [(0.0, 0.0, 0.0)], (0,), "sites must be an (S, 2) array", None),
+        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (), "serving indices out of range", "serving"),
+        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (0, 2), "serving indices out of range", "serving"),
+        ("SC", [(0.0, 0.0)], (-1,), "serving indices out of range", "serving"),
         ("SC", [(0.0, 0.0), (0.0, 500.0)], (0, 1),
-         "single-cell mode has exactly one serving site"),
+         "single-cell mode has exactly one serving site", "serving"),
+        # a repeated site would add nothing to the signal, under another digest
+        ("SFN", hex_grid(500.0), (0, 0, 1, 1),
+         "serving indices must not repeat, got (0, 0, 1, 1)", "serving"),
     ])
-    def test_layout_refusals_name_the_rule(self, mode, sites, serving, message):
+    def test_layout_refusals_name_the_rule(self, mode, sites, serving, rule, field):
+        message = f"{field}: {rule}" if field else rule
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             NetworkLayout(mode=mode, sites=sites, serving=serving)
 
@@ -221,6 +236,11 @@ class TestCqiAndErasure:
         and_up = [bler(5.0, m) for m in range(1, 16)]
         assert all(a <= b for a, b in zip(and_up, and_up[1:]))
 
+    def test_bler_refuses_mcs_without_threshold(self):
+        for m in (16, np.array([4, 0])):
+            with pytest.raises(ValueError, match=r"^no SINR threshold for MCS (16|0)$"):
+                bler(0.0, m)
+
     @staticmethod
     def users(sinr_db, reports):
         n = len(reports)
@@ -293,6 +313,16 @@ class TestPlaceUsers:
     def test_invalid_pattern(self):
         with pytest.raises(ValueError):
             place_users(single_cell_layout(), "ring", count=3, step_m=1.0)
+
+    @pytest.mark.parametrize("pattern, kwargs, message", [
+        ("grid", dict(count=-1, step_m=9.0), "users.count must be >= 0, got -1"),
+        ("radial", dict(count=3, step_m=0.0), "users.step_m must be > 0, got 0.0"),
+        ("grid", dict(count=3, step_m=-2.0), "users.step_m must be > 0, got -2.0"),
+        ("radial", dict(count=3, step_m=1.0, start_m=0.0), "users.start_m must be > 0, got 0.0"),
+    ])
+    def test_placement_refusals_name_the_field(self, pattern, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            place_users(single_cell_layout(), pattern, **kwargs)
 
     def test_row_view_yields_python_values(self):
         # one row of Python values per user, equal to the columns: what a

@@ -437,6 +437,9 @@ class TestSolveAndMain:
         (["solve"], {"users": {"pattern": "radial", "count": 0, "step_m": 2.0}}, "users.count"),
         (["sweep-rbp"], {"users": {"pattern": "radial", "count": 0, "step_m": 2.0}},
          "users.count"),
+        # an element larger than a block of MCS 4 (4 KB per pair) gives no budget
+        (["solve"], {"element_kb": 8, "n_rbp": 1}, "element_kb"),
+        (["sweep-rbp", "--rbp", "1", "2"], {"element_kb": 8}, "element_kb"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG
@@ -492,6 +495,8 @@ class TestSolveAndMain:
          "users.start_m"),
         ({"tx_power_dbm": None}, "tx_power_dbm"),
         ({"users": None}, "users"),
+        ({"element_kb": 8, "n_rbp": 1}, "element_kb"),
+        ({"element_kb": 20.5}, "element_kb"),  # past 20 KB at the default n_rbp of 5
     ])
     def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
         # a value of the wrong type, sign or finiteness is refused by name

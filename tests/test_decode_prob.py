@@ -86,29 +86,37 @@ class TestLayerConfig:
         with pytest.warns(UserWarning):
             LayerConfig((1, 1), coverage_targets=(0.5, 0.9))
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(k=()), "at least one layer is required"),
-        (dict(k=(3, 4), psnr=(30.0,)), "psnr must have one entry per layer"),
+    # a message is its field, then the rule; None where the rule starts with the field
+    @pytest.mark.parametrize("kwargs, rule, field", [
+        (dict(k=()), "at least one layer is required", "k"),
+        (dict(k=(3, 4), psnr=(30.0,)), "psnr must have one entry per layer", None),
         (dict(k=(3,), coverage_targets=(0.9, 0.5)),
-         "coverage_targets must have one entry per layer"),
-        (dict(k=(3, 4), coverage_targets=(0.9, 0.0)), "coverage targets must lie in (0, 1]"),
-        (dict(k=(3,), coverage_targets=(1.5,)), "coverage targets must lie in (0, 1]"),
+         "coverage_targets must have one entry per layer", None),
+        (dict(k=(3, 4), coverage_targets=(0.9, 0.0)), "coverage targets must lie in (0, 1]",
+         "coverage_targets"),
+        (dict(k=(3,), coverage_targets=(1.5,)), "coverage targets must lie in (0, 1]",
+         "coverage_targets"),
+        (dict(k=(3, 0, 2)), "layer element counts must be >= 1", "k"),
     ])
-    def test_refusals_name_the_rule(self, kwargs, message):
+    def test_refusals_name_the_rule(self, kwargs, rule, field):
+        message = f"{field}: {rule}" if field else rule
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LayerConfig(**kwargs)
 
 
 class TestTransmissionPlanRefusals:
-    @pytest.mark.parametrize("fields, message", [
-        (((4, 5), (1,), (2, 3)), "plan vectors must share one entry per window"),
-        (((16,), (1,), (2,)), "MCS indices must lie in [0, 15]"),
-        (((-1,), (1,), (2,)), "MCS indices must lie in [0, 15]"),
-        (((4,), (-1,), (2,)), "block counts must be >= 0"),
-        (((4,), (0,), (-2,)), "block capacities must be >= 0"),
-        (((4,), (3,), (0,)), "a transmitted window needs capacity >= 1"),
+    # a message is its field, then the rule
+    @pytest.mark.parametrize("fields, rule, field", [
+        (((4, 5), (1,), (2, 3)), "plan vectors must share one entry per window",
+         "mcs, tb_counts, elements_per_tb"),
+        (((16,), (1,), (2,)), "MCS indices must lie in [0, 15]", "mcs"),
+        (((-1,), (1,), (2,)), "MCS indices must lie in [0, 15]", "mcs"),
+        (((4,), (-1,), (2,)), "block counts must be >= 0", "tb_counts"),
+        (((4,), (0,), (-2,)), "block capacities must be >= 0", "elements_per_tb"),
+        (((4,), (3,), (0,)), "a transmitted window needs capacity >= 1", "elements_per_tb"),
     ])
-    def test_refusals_name_the_rule(self, fields, message):
+    def test_refusals_name_the_rule(self, fields, rule, field):
+        message = f"{field}: {rule}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TransmissionPlan(*fields)
 
