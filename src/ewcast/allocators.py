@@ -16,6 +16,7 @@ and a problem keeps only the number of users per reported MCS.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from itertools import combinations
@@ -26,10 +27,12 @@ import numpy as np
 from .decode_prob import (
     _check_thresholds,
     _met_levels,
+    _read_only,
     _window_dp,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
+    binomial_pmf_rows,
     expected_psnr,
     meets_qos,
     mrt_block_counts,
@@ -132,6 +135,12 @@ def _at_least(report_counts) -> np.ndarray:
     return np.cumsum(np.asarray(report_counts)[::-1])[::-1]
 
 
+@functools.lru_cache(maxsize=128)
+def _report_rows(m: int, count: int, p_hat: float) -> np.ndarray:  # (report, arrivals)
+    return _read_only(np.where(((0 < m) & (m <= np.arange(16)) & (count > 0))[:, None],
+                               receive_pmf(count, p_hat), receive_pmf(count, 1.0)))
+
+
 def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
                   tb_counts: Sequence[int]) -> PlanEvaluation:
     """QoS indicators, profit/cost and constraint violations of a plan.
@@ -151,9 +160,7 @@ def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
     counts = tuple(_integers("block counts", tb_counts).tolist())
     mcs = tuple(m if c > 0 else 0 for m, c in zip(_integers("plan MCS", mcs).tolist(), counts))
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
-    pmfs = [np.where(((0 < m) & (m <= np.arange(16)) & (c > 0))[:, None],
-                     receive_pmf(c, problem.p_hat), receive_pmf(c, 1.0))
-            for m, c in zip(mcs, counts)]
+    pmfs = [_report_rows(m, c, problem.p_hat) for m, c in zip(mcs, counts)]
     delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), problem.q_hat)
     layer_counts = problem.report_counts @ delta
     U = int(problem.report_counts.sum())
@@ -217,7 +224,6 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     k = pr.layers.k
     L = len(k)
     targets = pr.layers.coverage_targets
-    nothing = receive_pmf(0, pr.p_hat)
     for skip in range(L - 1, -1, -1):
         mcs = [0] * skip + [solve_s1(pr.report_counts, targets[0 if i == skip else i]) or 0
                             for i in range(skip, L)]
@@ -231,6 +237,8 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             if i < L - 1:
                 dists.append(advance_deficit(dists[i], k[i], caps[i],
                                              receive_pmf(counts[i], pr.p_hat)))
+        if not counts[-1] and _required_count(int(pr.report_counts.sum()), targets[-1]):
+            continue  # no user reaches the deepest level: its target is missed
         intermediate = evaluate_plan(pr, mcs, counts)
         if not intermediate.feasible:
             continue
@@ -239,7 +247,7 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             if counts[i - 1] > 0 and counts[i] > 0:
                 # window i at window i-1's MCS, window i-1 dropped; no window
                 # below i-1 has changed, so dists[i - 1] still leads into it
-                found = solve_s2(advance_deficit(dists[i - 1], k[i - 1], 0, nothing), k[i],
+                found = solve_s2(advance_deficit(dists[i - 1], k[i - 1], 0, np.ones(1)), k[i],
                                  caps[i - 1], pr.tb_budget[i], pr.p_hat, pr.q_hat)
                 if found is not None:
                     mcs[i - 1:i + 1] = [0, mcs[i - 1]]
@@ -284,10 +292,7 @@ def _level_tables(k, counts, caps, p_hat: float, q_hat: float) -> list[np.ndarra
     radix = [len(c) + 1 for c in caps]
     tables = [np.zeros((math.prod(radix[:d + 1]), math.prod(counts[:d + 1])), np.int8)
               for d in range(len(k))]
-    pmf_rows = np.zeros((max(counts) + 1,) * 2)  # P(r of n blocks arrive), memoised rows
-    for n, row in enumerate(pmf_rows):
-        row[:n + 1] = receive_pmf(n, p_hat)
-    pmfs = [pmf_rows[1:n + 1, :n + 1] for n in counts]  # counts 1..n, one row each
+    pmfs = [binomial_pmf_rows(max(counts), p_hat)[1:n + 1, :n + 1] for n in counts]  # memoised
 
     def fill(grid, d, start):
         # grid: depth-d deficit grids of the templates from ``start`` on, as (templates,
@@ -493,6 +498,11 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
                               stats=stats)
 
 
+@functools.lru_cache(maxsize=64)
+def _increasing(size: int, L: int) -> np.ndarray:  # (C, L) read-only: increasing L of range(size)
+    return _read_only(np.array(list(combinations(range(size), L))))
+
+
 def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     """Uncoded multi-rate baseline.
 
@@ -506,19 +516,17 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     L = layers.num_layers
     mcs_list = sorted(pr.capacities)
     if L > len(mcs_list):
-        raise ValueError(
-            f"{L} layers cannot take strictly increasing MCS from "
-            f"{len(mcs_list)} table entries"
-        )
-    idx = np.array(list(combinations(range(len(mcs_list)), L)))  # (C, L)
+        raise ValueError(f"{L} layers cannot take strictly increasing MCS from "
+                         f"{len(mcs_list)} table entries")
+    idx = _increasing(len(mcs_list), L)  # (C, L)
     m_vecs = np.array(mcs_list)[idx]
     blocks = mrt_block_counts(layers, np.array([pr.capacity(m) for m in mcs_list])[idx])
     # MCS rise across layers, so a user qualifying on n windows (a prefix)
     # scores their survival at p_hat and loses every block after them
     survive = uncoded_survival(np.full(L, pr.p_hat), blocks)
     prefix = np.where(np.tri(L + 1, L, -1, dtype=bool), survive[:, None, :], 0.0)
-    qualified = np.count_nonzero(m_vecs[:, None, :] <= np.arange(16)[:, None], axis=2)
-    best_u = np.take_along_axis(expected_psnr(layers, prefix), qualified, axis=1)
+    qualified = sum(m[:, None] <= np.arange(16) for m in m_vecs.T)  # (C, 16) windows per report
+    best_u = expected_psnr(layers, prefix)[np.arange(len(idx))[:, None], qualified]
     # summed report by report in order (cumsum is sequential; an empty bin
     # adds +0.0), so the first best vector wins ties as a running comparison would
     scores = np.cumsum(pr.report_counts * best_u, axis=-1)[:, -1]

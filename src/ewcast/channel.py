@@ -455,6 +455,8 @@ def build_scenario(config: dict) -> Scenario:
     both ``stream_preset`` and ``stream``, raises a ``ValueError`` naming it.
     """
     top = _section("", config)
+    if len(set(top["sfn_members"])) < len(top["sfn_members"]):
+        raise ValueError(f"sfn_members must not repeat a site, got {top['sfn_members']!r}")
     radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top.keys() - {"mode"}}
     layout = (sfn_layout(top["isd_m"], top["sfn_members"], **radio) if top["mode"] == "SFN"
               else single_cell_layout(top["isd_m"], **radio))

@@ -161,8 +161,16 @@ def _pascal_rows(count: int, loss):
 
 
 def binomial_pmf_rows(count: int, loss) -> np.ndarray:
-    """``rows[..., N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count."""
+    """``rows[..., N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count; a scalar
+    ``loss`` is served from a bounded memo of read-only tables, a batch built afresh."""
+    if isinstance(loss, float) or np.ndim(loss) == 0:
+        return _scalar_pmf_rows(int(count), float(loss))
     return np.stack([row.copy() for row in _pascal_rows(count, loss)], axis=-2)
+
+
+@functools.lru_cache(maxsize=32)
+def _scalar_pmf_rows(count: int, loss: float) -> np.ndarray:
+    return _read_only(np.stack([row.copy() for row in _pascal_rows(count, loss)]))
 
 
 def receive_pmf(tb_count: int, loss) -> np.ndarray:
@@ -184,8 +192,12 @@ def receive_pmf(tb_count: int, loss) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _scalar_receive_pmf(tb_count: int, loss: float) -> np.ndarray:
     *_, row = _pascal_rows(tb_count, loss)
-    row.flags.writeable = False
-    return row
+    return _read_only(row)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False  # a memoised array is shared by every caller
+    return array
 
 
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
@@ -224,15 +236,13 @@ def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) 
     times the table gives the window's success for every block count.
     """
     # tail[j, N] = P(at least j of N blocks arrive), j = 0..budget + 1
-    rows = np.pad(binomial_pmf_rows(budget, loss), ((0, 0), (0, 1)))
-    tail = rows[:, ::-1].cumsum(axis=1)[:, ::-1].T
+    tail = np.zeros((budget + 2, budget + 1))
+    np.cumsum(binomial_pmf_rows(budget, loss)[:, ::-1], axis=1, out=tail[budget::-1].T)
     # fewest arrivals covering k_w + e elements; none suffice without capacity
     needed = np.full(size, budget + 1)
     if capacity >= 1:
         needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity, budget + 1)
-    table = tail[needed]
-    table.flags.writeable = False
-    return table
+    return _read_only(tail[needed])
 
 
 def _checked_erasure(erasure) -> np.ndarray:
@@ -307,7 +317,8 @@ def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:
     """
     if layers.psnr is None:
         raise ValueError("layer configuration carries no PSNR plateaus")
-    return np.maximum(np.max(np.asarray(layers.psnr) * probs, axis=-1), 0.0)[()]
+    levels = np.moveaxis(np.asarray(probs), -1, 0)  # a running maximum, as exact as one reduction
+    return np.maximum(functools.reduce(np.maximum, map(np.multiply, layers.psnr, levels)), 0.0)[()]
 
 
 def uncoded_survival(losses, tb_counts) -> np.ndarray:

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -247,6 +247,21 @@ class TestHeuristic:
         assert sol.feasible
         assert sol.skipped_windows >= 1
         assert sol.plan.tb_counts[0] == 0
+
+
+    @pytest.mark.parametrize("budget, plan, skip", [
+        ((8, 0), ((10, 0), (2, 0)), 0), ((8, 3), ((0, 10), (0, 2)), 1)])
+    def test_deepest_target_of_no_users_keeps_its_plan(self, budget, plan, skip):
+        # a deepest target of 1e-12 needs 0 of 12 users, so a plan with no
+        # deepest block is still evaluated: with no budget there, it is the
+        # plan found at skip 0 (pinned from the greedy that evaluated every
+        # skip level)
+        pr = small_problem([10] * 12, k=(2, 6), targets=(0.99, 1e-12), budget=budget,
+                           q_hat=0.99)
+        sol = heuristic_uep_ram(pr)
+        assert sol.feasible and sol.skipped_windows == skip
+        assert (sol.plan.mcs, sol.plan.tb_counts) == plan
+        assert sol.intermediate_tb_total == 2
 
 
 class TestDirect:
@@ -577,6 +592,59 @@ class TestMrt:
             solve_mrt(pr)
 
 
+    @staticmethod
+    def loop_over_combinations(pr):
+        """(score, plan) of every strictly increasing MCS vector, in the order
+        of ``itertools.combinations``, each scored by a per-report loop."""
+        k, psnr = pr.layers.k, pr.layers.psnr
+        scored = []
+        for mcs in combinations(sorted(pr.capacities), len(k)):
+            caps = [pr.capacities[m] for m in mcs]
+            blocks = tuple(-(-ki // n) if n >= 1 else 0 for ki, n in zip(k, caps))
+            survive, run = [], 1.0
+            for b in blocks:
+                run *= (1.0 - pr.p_hat) ** b if b > 0 else 0.0
+                survive.append(run)
+            score = 0.0
+            for report, users in enumerate(pr.report_counts.tolist()):
+                reached = sum(m <= report for m in mcs)  # a prefix: the MCS rise
+                score += users * max([0.0] + [psnr[lv] * survive[lv] for lv in range(reached)])
+            scored.append((score, (tuple(m if b else 0 for m, b in zip(mcs, blocks)), blocks)))
+        return scored
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_loop_over_combinations(self, seed):
+        # random problems, some with capacities repeated across MCS (and so
+        # tied vectors) or zero: the first best vector of the loop wins
+        rng = np.random.default_rng(seed)
+        for _ in range(15):
+            L = int(rng.integers(1, 4))
+            pool = rng.integers(0 if seed % 2 else 1, 12, size=int(rng.integers(1, 5)))
+            caps = {m: int(rng.choice(pool)) for m in range(1, 16)}
+            reports = rng.integers(1, 16, int(rng.integers(1, 30)))
+            if seed >= 4:
+                reports[:] = 15  # every user qualifies everywhere: ties on equal blocks
+            layers = LayerConfig(tuple(rng.integers(1, 30, L).tolist()),
+                                 psnr=tuple(np.sort(rng.uniform(20.0, 45.0, L)).tolist()),
+                                 coverage_targets=(0.5,) * L)
+            pr = AllocationProblem(layers, reports, (9,) * L, caps, float(rng.uniform(0, 0.5)))
+            scored = self.loop_over_combinations(pr)
+            best = max(score for score, _ in scored)
+            first = next(plan for score, plan in scored if score == best)
+            sol = solve_mrt(pr)
+            assert (sol.plan.mcs, sol.plan.tb_counts) == first
+
+    def test_increasing_vectors_memo_is_read_only_and_fresh(self):
+        for size, L in ((15, 1), (15, 3), (4, 4), (9, 2)):
+            idx = allocators._increasing(size, L)
+            assert allocators._increasing(size, L) is idx
+            assert not idx.flags.writeable
+            fresh = np.array(list(combinations(range(size), L)))
+            assert idx.dtype == fresh.dtype and idx.tobytes() == fresh.tobytes()
+        bound = allocators._increasing.cache_info().maxsize
+        assert bound is not None and allocators._increasing.cache_info().currsize <= bound
+
+
 class TestCheckFeasibility:
     def test_battery_round_trip(self, solver_battery):
         for problem, heuristic, reference in solver_battery:
@@ -689,6 +757,20 @@ class TestEvaluatePlan:
         pr = small_problem([5, 9], k=(2,), targets=(0.5,), budget=(4,))
         with pytest.raises(ValueError, match=field):
             evaluate_plan(pr, mcs, counts)
+
+    def test_report_rows_memo_is_read_only_and_fresh(self):
+        # each (MCS, count, p_hat) gives the p_hat pmf on the reports that
+        # qualify (0 < m <= report, blocks sent) and "nothing arrives" elsewhere
+        for m, count, p_hat in ((0, 3, 0.1), (4, 0, 0.1), (4, 5, 0.1), (15, 2, 0.3),
+                                (7, 1, 0.0), (1, 9, 0.25)):
+            rows = allocators._report_rows(m, count, p_hat)
+            assert allocators._report_rows(m, count, p_hat) is rows
+            assert not rows.flags.writeable
+            fresh = np.array([receive_pmf(count, p_hat if 0 < m <= report and count else 1.0)
+                              for report in range(16)])
+            assert rows.shape == (16, count + 1) and rows.tobytes() == fresh.tobytes()
+        info = allocators._report_rows.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_tau_matches_profit_over_cost(self):
         pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import time
@@ -217,6 +218,41 @@ class TestPsnrMap:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
         assert main(["psnr-map-sfn", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+
+
+def _csv_writer_bytes(result) -> bytes:
+    """The file ``write_csv`` writes, built with ``csv.writer`` as the oracle."""
+    out = io.StringIO(newline="")
+    out.write(f"# experiment={result.experiment}\n# digest={result.digest}\n")
+    out.writelines(f"# seed.{k}={result.seeds[k]}\n" for k in sorted(result.seeds))
+    out.writelines(f"# {k}={result.meta[k]}\n" for k in sorted(result.meta))
+    writer = csv.writer(out)
+    writer.writerow(result.columns)
+    writer.writerows(result.rows)
+    return out.getvalue().encode("utf-8")
+
+
+class TestWriteCsv:
+    EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-05, 1e16, 0.1 + 0.2, 5e-324,
+             1.7976931348623157e308, 2.0**53 + 1, -7, 0, 10**20, True, 1 / 3]
+
+    @pytest.mark.parametrize("count", [0, 1, 3, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                                       2 * cli.CSV_BLOCK_ROWS + 7])
+    def test_bytes_equal_csv_writer(self, tmp_path, count):
+        # int and float fields, every edge value in every column, across
+        # block boundaries; an empty row list writes the header alone
+        rng = np.random.default_rng(count)
+        values = self.EDGES + rng.normal(0.0, 1e3, 20).tolist() + rng.integers(-9, 9, 20).tolist()
+        rows = [tuple(values[(r * 5 + c) % len(values)] for c in range(5)) for r in range(count)]
+        result = cli.ExperimentResult("demo", "abc", {"base": 3}, list("vwxyz"), rows,
+                                      {"plan": [1, 2], "x": 0.5})
+        assert result.write_csv(tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(result)
+
+    def test_empty_cells_written_as_csv_writer_does(self, tmp_path):
+        # sweep-rbp without the exact search leaves its cells as empty strings
+        result = run_rbp_sweep(SMALL_SC, rbp_values=(5,), direct="off")
+        assert result.rows[0][4:] == ("", "", "", "")
+        assert result.write_csv(tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(result)
 
 
 @pytest.mark.parametrize("runner, config", [(run_coverage_sc, SMALL_SC),
@@ -497,6 +533,7 @@ class TestSolveAndMain:
         ({"users": None}, "users"),
         ({"element_kb": 8, "n_rbp": 1}, "element_kb"),
         ({"element_kb": 20.5}, "element_kb"),  # past 20 KB at the default n_rbp of 5
+        ({"mode": "SFN", "sfn_members": [0, 0, 1, 1]}, "sfn_members"),
     ])
     def test_main_bad_scenario_value_names_field(self, tmp_path, capsys, change, field):
         # a value of the wrong type, sign or finiteness is refused by name

@@ -14,6 +14,7 @@ from ewcast.decode_prob import (
     TransmissionPlan,
     _met_levels,
     _pascal_rows,
+    _scalar_pmf_rows,
     _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
@@ -302,7 +303,66 @@ class TestBinomialPrimitive:
             assert np.all(np.diff(tail[N]) <= 0.0)
 
 
+class TestPmfRowsMemo:
+    LOSSES = [0.0, -0.0, 1.0, 0.1, 0.37, *np.random.default_rng(12).uniform(0.0, 1.0, 2)]
+
+    def test_memoised_table_equals_fresh_pascal_rows_bitwise(self):
+        _scalar_pmf_rows.cache_clear()
+        for count in (0, 1, 7, 24, 60):
+            for loss in self.LOSSES:
+                fresh = np.stack([row.copy() for row in _pascal_rows(count, loss)])
+                for form in (float(loss), np.float64(loss), np.array(loss)):
+                    rows = binomial_pmf_rows(count, form)
+                    assert not rows.flags.writeable
+                    assert rows.dtype == fresh.dtype and rows.shape == fresh.shape
+                    assert rows.tobytes() == fresh.tobytes(), (count, loss, type(form))
+                assert binomial_pmf_rows(np.int64(count), np.float64(loss)) is rows
+
+    def test_rows_equal_the_receive_pmf_rows_bitwise(self):
+        # the exact search reads row n of one table where it read receive_pmf(n)
+        for loss in self.LOSSES:
+            rows = binomial_pmf_rows(30, loss)
+            for n in range(31):
+                assert rows[n, :n + 1].tobytes() == receive_pmf(n, loss).tobytes()
+                assert not rows[n, n + 1:].any()
+
+    def test_batched_tables_are_fresh_writable_and_uncached(self):
+        _scalar_pmf_rows.cache_clear()
+        losses = np.array([[0.3], [0.05]])
+        rows = binomial_pmf_rows(6, losses)
+        assert rows.shape == (2, 1, 7, 7) and rows.flags.writeable
+        rows[0, 0, 0, 0] = 0.5  # the caller's own array
+        again = binomial_pmf_rows(6, losses)
+        assert again is not rows and again[0, 0, 0, 0] == 1.0
+        assert _scalar_pmf_rows.cache_info().currsize == 0
+        for loss, table in zip(losses.ravel(), again[:, 0]):
+            assert table.tobytes() == binomial_pmf_rows(6, loss).tobytes()
+
+    def test_cache_stays_within_its_bound(self):
+        bound = _scalar_pmf_rows.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 20):
+            binomial_pmf_rows(3, i / (bound + 20))
+        assert _scalar_pmf_rows.cache_info().currsize <= bound
+
+
 class TestSuccessTable:
+    @pytest.mark.parametrize("loss", [0.0, 1.0, 0.1, 0.37, 0.914])
+    def test_equals_a_fresh_build_bitwise(self, loss):
+        # the tail built from a fresh Pascal table, with a zero column padded
+        # on before the reversed cumulative sum
+        for size, k_w, capacity, budget in ((1, 4, 2, 9), (7, 3, 5, 12), (12, 9, 1, 25),
+                                            (3, 2, 0, 5), (40, 1, 3, 0)):
+            fresh = np.stack([row.copy() for row in _pascal_rows(budget, loss)])
+            tail = np.pad(fresh, ((0, 0), (0, 1)))[:, ::-1].cumsum(axis=1)[:, ::-1].T
+            needed = np.full(size, budget + 1)
+            if capacity >= 1:
+                needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity,
+                                    budget + 1)
+            table = success_table(size, k_w, capacity, budget, loss)
+            assert not table.flags.writeable
+            assert table.tobytes() == np.ascontiguousarray(tail[needed]).tobytes()
+
     @pytest.mark.parametrize("loss", [0.0, 1.0, 0.1, 0.2871, 0.63, 0.914])
     def test_matches_exact_rational_threshold(self, loss):
         # oracle: P(Bin(N, 1 - loss) * capacity >= k + e) in exact rationals
@@ -469,6 +529,17 @@ class TestBatchedEntryPoints:
             assert max_psnr_uep(layers, pl, losses)[row] == pytest.approx(
                 max_psnr_uep(layers, pl, loss), abs=1e-12)
             assert max_psnr_mrt(layers, pl, losses)[row] == max_psnr_mrt(layers, pl, loss)
+
+    def test_running_maximum_equals_one_reduction_bitwise(self):
+        # signed zeros and negative plateaus included: a maximum is exact
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            L = int(rng.integers(1, 6))
+            psnr = tuple(rng.choice([-3.0, -0.0, 0.0, 5.0, 27.9, 45.8], L).tolist())
+            probs = rng.choice([-0.0, 0.0, 1e-300, 0.25, 1.0], size=(int(rng.integers(0, 9)), 2, L))
+            want = np.maximum(np.max(np.asarray(psnr) * probs, axis=-1), 0.0)
+            got = expected_psnr(LayerConfig((1,) * L, psnr=psnr), probs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_receivers_flow_through(self):
         empty = np.zeros((0, 3))

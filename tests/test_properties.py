@@ -192,6 +192,21 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
         ev.profit, ev.cost, ev.tau, ev.violations)
 
 
+@PROPERTY_SETTINGS
+@given(problems_and_plans())
+def test_plan_without_deepest_blocks_misses_the_deepest_target(case):
+    # the greedy skips evaluate_plan on such a plan: every deepest target
+    # drawn here needs at least one user, and with no block on the deepest
+    # window no user reaches the deepest level
+    problem, mcs, counts = case
+    counts = counts[:-1] + (0,)
+    users = int(problem.report_counts.sum())
+    assert math.ceil(users * problem.layers.coverage_targets[-1] - 1e-9) >= 1
+    ev = evaluate_plan(problem, mcs, counts)
+    assert ev.layer_counts[-1] == 0
+    assert any(v.startswith(f"layer {problem.layers.num_layers}:") for v in ev.violations)
+
+
 def test_all_budget_cell_caps_its_vector_and_seeds_the_search(monkeypatch):
     # The exact search bounds an MCS vector by its all-budget cell (each sent
     # window at its budget): no cell of the vector has more profit, or meets
