@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -237,7 +237,8 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             if i < L - 1:
                 dists.append(advance_deficit(dists[i], k[i], caps[i],
                                              receive_pmf(counts[i], pr.p_hat)))
-        if not counts[-1] and _required_count(int(pr.report_counts.sum()), targets[-1]):
+        if (not counts[-1] and not meets_qos(0.0, pr.q_hat)
+                and _required_count(int(pr.report_counts.sum()), targets[-1])):
             continue  # no user reaches the deepest level: its target is missed
         intermediate = evaluate_plan(pr, mcs, counts)
         if not intermediate.feasible:
@@ -498,11 +499,6 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
                               stats=stats)
 
 
-@functools.lru_cache(maxsize=64)
-def _increasing(size: int, L: int) -> np.ndarray:  # (C, L) read-only: increasing L of range(size)
-    return _read_only(np.array(list(combinations(range(size), L))))
-
-
 def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     """Uncoded multi-rate baseline.
 
@@ -518,7 +514,8 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     if L > len(mcs_list):
         raise ValueError(f"{L} layers cannot take strictly increasing MCS from "
                          f"{len(mcs_list)} table entries")
-    idx = _increasing(len(mcs_list), L)  # (C, L)
+    idx = np.fromiter(chain.from_iterable(combinations(range(len(mcs_list)), L)),
+                      np.intp).reshape(-1, L)  # (C, L)
     m_vecs = np.array(mcs_list)[idx]
     blocks = mrt_block_counts(layers, np.array([pr.capacity(m) for m in mcs_list])[idx])
     # MCS rise across layers, so a user qualifying on n windows (a prefix)

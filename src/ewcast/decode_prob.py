@@ -313,11 +313,14 @@ def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:
     """Best expected quality per receiver: the max over levels (last axis of
     ``probs``) of the PSNR plateau times the probability of reaching it.
 
-    A receiver that reaches no level scores 0.
+    A receiver that reaches no level scores 0.  That axis must hold one entry per plateau.
     """
     if layers.psnr is None:
         raise ValueError("layer configuration carries no PSNR plateaus")
-    levels = np.moveaxis(np.asarray(probs), -1, 0)  # a running maximum, as exact as one reduction
+    probs = np.asarray(probs)
+    if probs.shape[-1:] != (len(layers.psnr),):
+        raise ValueError(f"probs must end in {len(layers.psnr)} levels, got shape {probs.shape}")
+    levels = np.moveaxis(probs, -1, 0)  # a running maximum, as exact as one reduction
     return np.maximum(functools.reduce(np.maximum, map(np.multiply, layers.psnr, levels)), 0.0)[()]
 
 

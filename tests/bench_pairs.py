@@ -51,7 +51,6 @@ def parse_args(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--trace", type=int, default=0, metavar="T",
                    help="traced runs per side and workload, first seed (0: none)")
     p.add_argument("--tier1", type=int, default=0, metavar="R",
@@ -128,9 +127,9 @@ def main(argv=None) -> int:
     better = better_direction(sides["change"])
     host, by_seed = {}, {}
     for seed in args.seeds:
-        runs = {w: [] for w in args.workloads}
+        runs = {w: [] for w in WORKLOADS}
         for pair, order in enumerate(alternating(args.pairs)):
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 got = {side: bench(sides[side], workload, seed, args.seconds) for side in order}
                 runs[workload].append((got["parent"], got["change"]))
                 host = host or {k: got["change"]["info"]["env"][k] for k in HOST_KEYS}
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
     record["src_lines"]["net"] = record["src_lines"]["change"] - record["src_lines"]["parent"]
     if args.trace:
         traced = {}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             got = {side: [] for side in sides}
             for order in alternating(args.trace):
                 for side in order:

@@ -264,6 +264,20 @@ class TestHeuristic:
         assert sol.intermediate_tb_total == 2
 
 
+    @pytest.mark.parametrize("budget", [(8, 3), (8, 0), (4, 6)])
+    def test_threshold_at_the_float_grace_keeps_its_plan(self, budget):
+        # q_hat 1e-13 is within the 1e-12 grace of probability 0, so every
+        # user meets every level whatever is sent: the all-zero plan of skip
+        # L-1 is feasible and returned (pinned from the greedy that evaluated
+        # every skip level)
+        pr = small_problem([6, 9, 12] * 4, k=(2, 6), targets=(0.99, 0.5), budget=budget,
+                           q_hat=1e-13)
+        sol = heuristic_uep_ram(pr)
+        assert sol.feasible and sol.skipped_windows == 1
+        assert (sol.plan.mcs, sol.plan.tb_counts) == ((0, 0), (0, 0))
+        assert sol.intermediate_tb_total == 0 and sol.layer_counts.tolist() == [12, 12]
+
+
 class TestDirect:
     def test_exhaustive_dominates_heuristic(self, solver_battery):
         for _, heuristic, reference in solver_battery:
@@ -633,16 +647,6 @@ class TestMrt:
             first = next(plan for score, plan in scored if score == best)
             sol = solve_mrt(pr)
             assert (sol.plan.mcs, sol.plan.tb_counts) == first
-
-    def test_increasing_vectors_memo_is_read_only_and_fresh(self):
-        for size, L in ((15, 1), (15, 3), (4, 4), (9, 2)):
-            idx = allocators._increasing(size, L)
-            assert allocators._increasing(size, L) is idx
-            assert not idx.flags.writeable
-            fresh = np.array(list(combinations(range(size), L)))
-            assert idx.dtype == fresh.dtype and idx.tobytes() == fresh.tobytes()
-        bound = allocators._increasing.cache_info().maxsize
-        assert bound is not None and allocators._increasing.cache_info().currsize <= bound
 
 
 class TestCheckFeasibility:

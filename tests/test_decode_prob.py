@@ -541,6 +541,14 @@ class TestBatchedEntryPoints:
             got = expected_psnr(LayerConfig((1,) * L, psnr=psnr), probs)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (4, 1), (2, 4), (3, 0)])
+    def test_expected_psnr_refuses_a_last_axis_of_other_than_the_levels(self, shape):
+        # 2 plateaus: a last axis of 1 is not broadcast over them, nor one of
+        # 3 or 4 cut to 2; the message names the shape
+        layers = LayerConfig((1, 1), psnr=(28.0, 36.0))
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            expected_psnr(layers, np.full(shape, 0.5))
+
     def test_zero_receivers_flow_through(self):
         empty = np.zeros((0, 3))
         assert window_decode_probs(self.LAYERS, self.PLAN, empty).shape == (0, 3)

@@ -196,8 +196,9 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
 @given(problems_and_plans())
 def test_plan_without_deepest_blocks_misses_the_deepest_target(case):
     # the greedy skips evaluate_plan on such a plan: every deepest target
-    # drawn here needs at least one user, and with no block on the deepest
-    # window no user reaches the deepest level
+    # drawn here needs at least one user, every q_hat lies above the float
+    # grace of 0, and with no block on the deepest window no user reaches
+    # the deepest level
     problem, mcs, counts = case
     counts = counts[:-1] + (0,)
     users = int(problem.report_counts.sum())
