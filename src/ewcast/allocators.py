@@ -103,7 +103,8 @@ class PlanEvaluation:
     """
 
     plan: TransmissionPlan
-    delta: np.ndarray  # (16, L) QoS indicators, one row per reported MCS
+    window_probs: np.ndarray  # (16, L) window recovery probabilities, one row per reported MCS
+    delta: np.ndarray  # (16, L) QoS indicators of those rows
     profit: int
     cost: int
     tau: float
@@ -135,9 +136,14 @@ def _at_least(report_counts) -> np.ndarray:
     return np.cumsum(np.asarray(report_counts)[::-1])[::-1]
 
 
+def _qualifies(m, report):
+    # the allocator view: a block of MCS m is lost with p_hat where this holds, else surely
+    return (0 < m) & (m <= report)
+
+
 @functools.lru_cache(maxsize=128)
 def _report_rows(m: int, count: int, p_hat: float) -> np.ndarray:  # (report, arrivals)
-    return _read_only(np.where(((0 < m) & (m <= np.arange(16)) & (count > 0))[:, None],
+    return _read_only(np.where(_qualifies(m, np.arange(16))[:, None],
                                receive_pmf(count, p_hat), receive_pmf(count, 1.0)))
 
 
@@ -146,10 +152,10 @@ def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
     """QoS indicators, profit/cost and constraint violations of a plan.
 
     Users with one report share every probability, so the window DP runs
-    once per reported MCS 0..15, on the memoised ``receive_pmf`` row at
-    ``p_hat`` where the report qualifies (``0 < m <= report``, blocks sent)
-    and the "nothing received" row elsewhere; the histogram weights the
-    rows.  The plan needs one integer MCS and block count per layer.
+    once per reported MCS 0..15 (``window_probs``), on the memoised
+    ``receive_pmf`` row at ``p_hat`` where the report qualifies, else the
+    "nothing received" row; the histogram weights the rows.  The plan needs
+    one integer MCS and block count per layer.
     """
     layers = problem.layers
     L = layers.num_layers
@@ -161,7 +167,8 @@ def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
     mcs = tuple(m if c > 0 else 0 for m, c in zip(_integers("plan MCS", mcs).tolist(), counts))
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
     pmfs = [_report_rows(m, c, problem.p_hat) for m, c in zip(mcs, counts)]
-    delta = _met_levels(_window_dp(layers.k, plan.elements_per_tb, pmfs), problem.q_hat)
+    window_probs = _window_dp(layers.k, plan.elements_per_tb, pmfs)
+    delta = _met_levels(window_probs, problem.q_hat)
     layer_counts = problem.report_counts @ delta
     U = int(problem.report_counts.sum())
     fractions = tuple(n / U for n in layer_counts.tolist())
@@ -172,8 +179,9 @@ def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
                    for i, (c, b) in enumerate(zip(counts, problem.tb_budget)) if not 0 <= c <= b]
     profit = int(layer_counts.sum())
     cost = sum(counts)
-    return PlanEvaluation(plan, delta, profit, cost, profit / cost if cost > 0 else 0.0,
-                          layer_counts, fractions, tuple(violations))
+    return PlanEvaluation(plan, window_probs, delta, profit, cost,
+                          profit / cost if cost > 0 else 0.0, layer_counts, fractions,
+                          tuple(violations))
 
 
 def solve_s1(report_counts, t_prime: float) -> int | None:
@@ -383,7 +391,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
 
     # Every MCS vector but the all-off one, in lexicographic order, with its
     # choice indices.  A user can only decode a window it qualifies on
-    # (0 < m <= report), so level l is reachable only by users reporting at
+    # (``_qualifies``), so level l is reachable only by users reporting at
     # least the lowest MCS sent at a window >= l: that count must meet the
     # level's requirement.
     choice = np.indices((n_choices,) * L).reshape(L, -1).T[1:]
@@ -415,6 +423,8 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
         idx, m = choice[vecs], ends[vecs]
         bounds = np.sort(m, axis=1)[:, :(idx > 0).sum(axis=1).max(initial=0)]
         shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
+        # ``_qualifies(m, report)`` per profile: every sent m is above 0, and
+        # an unsent window's 16 is covered by no report
         qualify = (m[:, None, :] <= bounds[:, :, None]) & (shares > 0)[:, :, None]
         # window d's table row codes the position of each qualified
         # window's choice among opts, 0 elsewhere, over windows 0..d
@@ -522,7 +532,7 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     # scores their survival at p_hat and loses every block after them
     survive = uncoded_survival(np.full(L, pr.p_hat), blocks)
     prefix = np.where(np.tri(L + 1, L, -1, dtype=bool), survive[:, None, :], 0.0)
-    qualified = sum(m[:, None] <= np.arange(16) for m in m_vecs.T)  # (C, 16) windows per report
+    qualified = sum(_qualifies(m[:, None], np.arange(16)) for m in m_vecs.T)  # (C, 16) per report
     best_u = expected_psnr(layers, prefix)[np.arange(len(idx))[:, None], qualified]
     # summed report by report in order (cumsum is sequential; an empty bin
     # adds +0.0), so the first best vector wins ties as a running comparison would

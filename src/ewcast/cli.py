@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocators import AllocationSolution, direct_uep_ram, heuristic_uep_ram, solve_mrt
+from .allocators import (AllocationSolution, _qualifies, direct_uep_ram, heuristic_uep_ram,
+                         solve_mrt)
 from .channel import Scenario, build_scenario, config_digest, erasure_prob
 from .decode_prob import (
     LayerConfig,
@@ -44,6 +45,7 @@ SATURATION_MARGIN = 3
 SATURATION_CAP = 400
 CSV_BLOCK_ROWS = 4096  # CSV rows formatted and written with one write
 MAX_TRIALS = 10**7  # default grid: ~5 s at this limit; the sampler needs ~0.4 bytes a trial
+ERASURE_VIEWS = ("allocator", "evaluation")  # the losses a coverage map reads, by report or SINR
 
 # Desk-scale default scenarios.  The radial line and the grid both extend to
 # the edge of the lowest table-backed MCS, and the evaluation-view error curve
@@ -217,31 +219,36 @@ def run_rbp_sweep(
     )
 
 
-def _user_losses(scenario: Scenario, plan: TransmissionPlan, view: str) -> np.ndarray:
-    """(users, windows) block losses.  The loss of a window sent with no
-    blocks reaches neither the window DP nor ``uncoded_survival``."""
-    return erasure_prob(scenario.users, np.asarray(plan.mcs), view, scenario.p_hat,
+def _user_losses(scenario: Scenario, plan: TransmissionPlan) -> np.ndarray:
+    """(users, windows) evaluation-view block losses of ``plan``'s windows."""
+    return erasure_prob(scenario.users, np.asarray(plan.mcs), scenario.p_hat,
                         scenario.bler_decade_db, scenario.mcs_thresholds)
 
 
-def _evaluate_users(scenario: Scenario, view: str):
-    """Both plans, then every user at once.
-
-    Returns the coded plan's window probabilities (one batched DP), its
-    per-level probabilities (the best window at or above each level), the
-    baseline's per-level survival (one ``uncoded_survival`` call), each a
-    (users, levels) array, and the meta block with the plans and the
-    per-level fractions of users at the QoS threshold.
-    """
+def _evaluate_users(config: dict, view: str):
+    """The scenario, then (users, levels) arrays of the coded plan's window and
+    level probabilities (the best window at or above each level) and of the
+    baseline's survival (None without users), and the meta block.  An
+    unknown ``view`` is refused before anything is built; the allocator view
+    reads each report's row of the verdict and of 16 ``uncoded_survival`` rows."""
+    if view not in ERASURE_VIEWS:
+        raise ValueError(f"erasure_view must be one of {ERASURE_VIEWS}, got {view!r}")
+    scenario = build_scenario(config)
+    if not scenario.users:
+        return scenario, None, None, None, {"erasure_view": view, "uep_feasible": 0}
     heur = heuristic_uep_ram(scenario.problem)
     mrt = solve_mrt(scenario.problem)
-    if heur.feasible:
-        p_win = window_decode_probs(scenario.layers, heur.plan,
-                                    _user_losses(scenario, heur.plan, view))
+    if view == "allocator":
+        reports = scenario.users.mcs_feedback
+        p_win = heur.window_probs[reports]
+        losses = np.where(_qualifies(np.asarray(mrt.plan.mcs), np.arange(16)[:, None]),
+                          scenario.p_hat, 1.0)
+        p_mrt = uncoded_survival(losses, mrt.plan.tb_counts)[reports]
     else:
-        p_win = np.zeros((len(scenario.users), scenario.layers.num_layers))
+        p_win = window_decode_probs(scenario.layers, heur.plan,
+                                    _user_losses(scenario, heur.plan))
+        p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan), mrt.plan.tb_counts)
     p_uep = np.maximum.accumulate(p_win[:, ::-1], axis=1)[:, ::-1]
-    p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan, view), mrt.plan.tb_counts)
     meta = {
         "erasure_view": view,
         "uep_feasible": int(heur.feasible),
@@ -254,7 +261,7 @@ def _evaluate_users(scenario: Scenario, view: str):
         fractions = np.mean(meets_qos(probs, scenario.q_hat), axis=0)
         for lv, frac in enumerate(fractions.tolist(), start=1):
             meta[f"{name}_fraction_l{lv}"] = round(frac, 6)
-    return p_win, p_uep, p_mrt, meta
+    return scenario, p_win, p_uep, p_mrt, meta
 
 
 def _map_result(experiment: str, scenario: Scenario, columns, rows, meta) -> ExperimentResult:
@@ -276,13 +283,11 @@ def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> Experimen
     radii at the scenario's QoS threshold.  A scenario without users gives
     no rows and ``uep_feasible=0``.
     """
-    scenario = build_scenario(config)
+    scenario, _, p_uep, p_mrt, meta = _evaluate_users(config, erasure_view)
     columns = ["distance_m", "mcs_feedback", "level",
                "p_uep", "p_mrt", "covered_uep", "covered_mrt"]
     if not scenario.users:
-        return _map_result("coverage-sc", scenario, columns, [],
-                           {"erasure_view": erasure_view, "uep_feasible": 0})
-    _, p_uep, p_mrt, meta = _evaluate_users(scenario, erasure_view)
+        return _map_result("coverage-sc", scenario, columns, [], meta)
     origin = scenario.layout.sites[scenario.layout.serving[0]]
     distances = np.hypot(*(scenario.users.positions - origin).T)
     order = np.argsort(distances, kind="stable")
@@ -309,12 +314,10 @@ def run_psnr_map_sfn(config: dict, erasure_view: str = "evaluation") -> Experime
     per-level recovery fractions at the QoS threshold in the meta block.  A
     scenario without users gives no rows and ``uep_feasible=0``.
     """
-    scenario = build_scenario(config)
+    scenario, p_win, _, p_mrt, meta = _evaluate_users(config, erasure_view)
     columns = ["x_m", "y_m", "sinr_db", "psnr_uep", "psnr_mrt"]
     if not scenario.users:
-        return _map_result("psnr-map-sfn", scenario, columns, [],
-                           {"erasure_view": erasure_view, "uep_feasible": 0})
-    p_win, _, p_mrt, meta = _evaluate_users(scenario, erasure_view)
+        return _map_result("psnr-map-sfn", scenario, columns, [], meta)
     users, layers = scenario.users, scenario.layers
     x, y, sinr = (np.array([round(v, 6) for v in col.tolist()])
                   for col in (users.positions[:, 0], users.positions[:, 1], users.sinr_db))
@@ -373,8 +376,7 @@ def _build_parser() -> _Parser:
             ("coverage-sc", "radial coverage curves, single cell", DEFAULT_SC_CONFIG),
             ("psnr-map-sfn", "quality map over the synchronised area", DEFAULT_SFN_CONFIG)):
         p = command(name, summary, scenario)
-        p.add_argument("--erasure-view", choices=("allocator", "evaluation"),
-                       default="evaluation")
+        p.add_argument("--erasure-view", choices=ERASURE_VIEWS, default="evaluation")
 
     p = command("solve", "solve one scenario and print the plans", DEFAULT_SC_CONFIG,
                 out=False)
@@ -429,7 +431,3 @@ def _dispatch(args) -> int:
     path = result.write_csv(args.out / f"{args.command.replace('-', '_')}.csv")
     print(f"wrote {path} ({len(result.rows)} rows, {time.perf_counter() - start:.1f}s)")
     return 0 if result.feasible else 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

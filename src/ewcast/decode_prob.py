@@ -91,11 +91,8 @@ class TransmissionPlan:
     elements_per_tb: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mcs", tuple(int(v) for v in self.mcs))
-        object.__setattr__(self, "tb_counts", tuple(int(v) for v in self.tb_counts))
-        object.__setattr__(
-            self, "elements_per_tb", tuple(int(v) for v in self.elements_per_tb)
-        )
+        for name in ("mcs", "tb_counts", "elements_per_tb"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         if not len(self.mcs) == len(self.tb_counts) == len(self.elements_per_tb):
             raise ValueError("mcs, tb_counts, elements_per_tb: plan vectors must share one "
                              "entry per window")

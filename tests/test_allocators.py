@@ -26,6 +26,7 @@ from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
+    meets_qos,
     receive_pmf,
     window_decode_probs,
 )
@@ -775,6 +776,28 @@ class TestEvaluatePlan:
             assert rows.shape == (16, count + 1) and rows.tobytes() == fresh.tobytes()
         info = allocators._report_rows.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_allocator_view_rule(self):
+        # a user reporting MCS 9 loses a block of MCS 9 or 4 with p_hat, and
+        # one of MCS 10, or of an unsent window (MCS 0), surely
+        assert [bool(allocators._qualifies(m, 9)) for m in (9, 4, 10, 0)] == [
+            True, True, False, False]
+        for m, loss in ((9, 0.1), (4, 0.1), (10, 1.0)):
+            assert allocators._report_rows(m, 3, 0.1)[9].tolist() == receive_pmf(3, loss).tolist()
+
+    def test_probability_short_of_q_hat_beyond_the_grace_is_refused(self):
+        # one element sent as 2 blocks of 1 at p_hat 0.1 decodes with 0.99,
+        # which q_hat = 0.99 + 1e-9 misses by far more than float rounding:
+        # a grace wide enough to forgive that (1e-6, say) fails this test
+        layers = LayerConfig((1,), coverage_targets=(0.99,))
+        on = AllocationProblem(layers, (15,) * 10, (2,), {15: 1}, 0.1, 0.99)
+        assert evaluate_plan(on, (15,), (2,)).feasible  # on the threshold
+        q_hat = 0.99 + 1e-9
+        ev = evaluate_plan(AllocationProblem(layers, (15,) * 10, (2,), {15: 1}, 0.1, q_hat),
+                           (15,), (2,))
+        assert ev.window_probs[15].tolist() == pytest.approx([0.99], abs=1e-15)
+        assert not ev.feasible and ev.layer_counts.tolist() == [0]
+        assert not meets_qos(0.99, q_hat)
 
     def test_tau_matches_profit_over_cost(self):
         pr = small_problem([6, 9, 12], k=(2, 4), targets=(0.6, 0.3), budget=(4, 6))

@@ -246,38 +246,22 @@ class TestCqiAndErasure:
         n = len(reports)
         return Users(np.zeros((n, 2)), np.asarray(sinr_db, dtype=float), np.asarray(reports))
 
-    def test_allocator_view_rule(self):
-        user = self.users([10.0], [9])
-        assert erasure_prob(user, 9, "allocator").tolist() == [0.1]
-        assert erasure_prob(user, 4, "allocator").tolist() == [0.1]
-        assert erasure_prob(user, 10, "allocator").tolist() == [1.0]
-
     def test_evaluation_view_consistent_with_report(self):
         # reported MCS keeps the modeled loss at or below the anchor
         sinr = [-3.0, 2.0, 7.5, 16.0]
         users = self.users(sinr, [cqi_mcs(s) for s in sinr])
-        losses = erasure_prob(users, np.arange(1, 16), "evaluation")
+        losses = erasure_prob(users, np.arange(1, 16))
         for row, report in zip(losses, users.mcs_feedback.tolist()):
             assert np.all(row[:report] <= 0.1 + 1e-12)
 
-    def test_rejects_unknown_view(self):
-        with pytest.raises(ValueError):
-            erasure_prob(self.users([5.0], [8]), 5, "guess")
-
-    @pytest.mark.parametrize("view", ["allocator", "evaluation"])
-    def test_user_sequence_matches_single_users(self, view):
-        # each entry against the loss rule for one user and one MCS: the
-        # scalar error curve, or the literal allocator rule
+    def test_user_sequence_matches_single_users(self):
+        # each entry against the scalar error curve for one user and one MCS
         users = place_users(single_cell_layout(), "radial", count=30, step_m=9.0)
         mcs = np.array([0, 4, 9, 15])
-        matrix = erasure_prob(users, mcs, view, 0.1, 5.0)
+        matrix = erasure_prob(users, mcs, 0.1, 5.0)
         assert matrix.shape == (30, 4)
-        for row, sinr, report in zip(matrix, users.sinr_db.tolist(),
-                                     users.mcs_feedback.tolist()):
-            if view == "allocator":
-                single = [0.1 if 0 < m <= report else 1.0 for m in mcs.tolist()]
-            else:
-                single = [float(bler(sinr, m, 0.1, 5.0)) if m else 1.0 for m in mcs.tolist()]
+        for row, sinr in zip(matrix, users.sinr_db.tolist()):
+            single = [float(bler(sinr, m, 0.1, 5.0)) if m else 1.0 for m in mcs.tolist()]
             # array and scalar powers may round the error curve differently
             assert np.allclose(row, single, rtol=1e-13, atol=0.0)
 

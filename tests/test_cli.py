@@ -183,6 +183,25 @@ class TestCoverage:
             assert result.meta[f"uep_fraction_l{level}"] >= target - 1e-9
 
 
+class TestErasureView:
+    @pytest.mark.parametrize("count", [0, 20])
+    @pytest.mark.parametrize("run, config", [(run_coverage_sc, SMALL_SC),
+                                             (run_psnr_map_sfn, SFN_5X5)])
+    def test_unknown_view_refused_by_name_before_building(self, monkeypatch, run, config,
+                                                          count):
+        # with or without users, before the scenario is built
+        built = []
+        monkeypatch.setattr(cli, "build_scenario",
+                            lambda cfg: built.append(cfg) or build_scenario(cfg))
+        config = dict(config, users=dict(config["users"], count=count))
+        with pytest.raises(ValueError, match=r"^erasure_view must be one of "
+                           r"\('allocator', 'evaluation'\), got 'guess'$"):
+            run(config, erasure_view="guess")
+        assert built == []
+        assert run(config, erasure_view="allocator").meta["erasure_view"] == "allocator"
+        assert len(built) == 1
+
+
 class TestPsnrMap:
     def test_single_point_grid(self):
         config = dict(DEFAULT_SFN_CONFIG)

@@ -37,6 +37,7 @@ from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
     _met_levels,
+    uncoded_survival,
     window_decode_probs,
 )
 from ewcast.gf_rlnc import _stage_gain
@@ -136,14 +137,21 @@ def test_evaluate_plan_matches_per_user_oracle(case):
     ev = evaluate_plan(problem, mcs, counts)
     plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
     reports = np.repeat(np.arange(16), problem.report_counts)
-    delta = np.array([
-        _met_levels(window_decode_probs(problem.layers, plan,
-                                        [problem.p_hat if 0 < m <= report and c > 0 else 1.0
-                                         for m, c in zip(mcs, counts)]), problem.q_hat)
-        for report in reports])
+    losses = np.array([[problem.p_hat if 0 < m <= report and c > 0 else 1.0
+                        for m, c in zip(mcs, counts)] for report in reports])
+    delta = np.array([_met_levels(window_decode_probs(problem.layers, plan, row), problem.q_hat)
+                      for row in losses])
     per_user = ev.delta[reports]
     assert per_user.dtype == delta.dtype and per_user.shape == delta.shape
     assert per_user.tobytes() == delta.tobytes()
+    # the per-report rows a map reads, against one batched DP over every user
+    batched = window_decode_probs(problem.layers, plan, losses)
+    assert ev.window_probs[reports].tobytes() == batched.tobytes()
+    # and the baseline's 16 survival rows, built by the one qualify rule
+    rows = np.where(allocators._qualifies(np.array(ev.plan.mcs), np.arange(16)[:, None]),
+                    problem.p_hat, 1.0)
+    survival = uncoded_survival(rows, counts)[reports]
+    assert survival.tobytes() == uncoded_survival(losses, counts).tobytes()
     users = len(reports)
     layer_counts = delta.sum(axis=0)
     assert ev.layer_counts.tolist() == layer_counts.tolist()
