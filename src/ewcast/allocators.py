@@ -16,7 +16,6 @@ and a problem keeps only the number of users per reported MCS.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, combinations
@@ -26,8 +25,8 @@ import numpy as np
 
 from .decode_prob import (
     _check_thresholds,
+    _memo,
     _met_levels,
-    _read_only,
     _window_dp,
     LayerConfig,
     TransmissionPlan,
@@ -141,10 +140,10 @@ def _qualifies(m, report):
     return (0 < m) & (m <= report)
 
 
-@functools.lru_cache(maxsize=128)
+@_memo
 def _report_rows(m: int, count: int, p_hat: float) -> np.ndarray:  # (report, arrivals)
-    return _read_only(np.where(_qualifies(m, np.arange(16))[:, None],
-                               receive_pmf(count, p_hat), receive_pmf(count, 1.0)))
+    return np.where(_qualifies(m, np.arange(16))[:, None],
+                    receive_pmf(count, p_hat), receive_pmf(count, 1.0))
 
 
 def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],

@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 _PROB_EPS = 1e-12  # grace when comparing probabilities against a threshold
+_MEMO_BYTES = 1 << 24  # bytes of tables the one memo holds, summed over every memoised function
+_memo_store: OrderedDict = OrderedDict()  # (function, args) -> read-only array, least recent first
+_memo_held = 0  # nbytes summed over _memo_store
 
 
 @dataclass(frozen=True)
@@ -157,44 +161,50 @@ def _pascal_rows(count: int, loss):
         yield row.T
 
 
-def binomial_pmf_rows(count: int, loss) -> np.ndarray:
-    """``rows[..., N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count; a scalar
-    ``loss`` is served from a bounded memo of read-only tables, a batch built afresh."""
-    if isinstance(loss, float) or np.ndim(loss) == 0:
-        return _scalar_pmf_rows(int(count), float(loss))
-    return np.stack([row.copy() for row in _pascal_rows(count, loss)], axis=-2)
+def _memo(fn):
+    """Memoise ``fn`` over positional arguments in the one store: a miss is kept
+    read-only (every caller shares it), then the least recent entries go while the
+    store holds over ``_MEMO_BYTES``; a larger result is returned but not kept."""
+    @functools.wraps(fn)
+    def memoised(*args):
+        global _memo_held
+        key = fn, args
+        result = _memo_store.get(key)
+        if result is not None:
+            _memo_store.move_to_end(key)
+            return result
+        result = fn(*args)
+        result.flags.writeable = False
+        if result.nbytes <= _MEMO_BYTES:
+            _memo_store[key] = result
+            _memo_held += result.nbytes
+            while _memo_held > _MEMO_BYTES:
+                _memo_held -= _memo_store.popitem(last=False)[1].nbytes
+        return result
+    return memoised
 
 
-@functools.lru_cache(maxsize=32)
-def _scalar_pmf_rows(count: int, loss: float) -> np.ndarray:
-    return _read_only(np.stack([row.copy() for row in _pascal_rows(count, loss)]))
+@_memo
+def binomial_pmf_rows(count: int, loss: float) -> np.ndarray:
+    """``rows[N, r] = P(r of N sent blocks arrive)`` for N, r = 0..count, memoised."""
+    return np.stack([row.copy() for row in _pascal_rows(count, loss)])
 
 
 def receive_pmf(tb_count: int, loss) -> np.ndarray:
-    """P[r blocks received] for r = 0..tb_count under i.i.d. block loss.
-
-    A scalar ``loss`` is served from a bounded memo of read-only rows keyed
-    on ``(tb_count, loss)``, shared by every caller.  ``loss`` may also carry
-    leading batch axes (one receiver each); such rows are built afresh and
-    never cached.  Either way only the last Pascal row is kept.
-    """
-    # a Python float (np.float64 too) skips np.ndim, which would build an
-    # array from it at several times the cost of a memo hit
+    """P[r blocks received] for r = 0..tb_count under i.i.d. block loss: a scalar
+    ``loss`` gets the memoised read-only row every caller shares, a ``loss`` with
+    leading batch axes (one receiver each) rows built afresh and never cached."""
+    # a float (np.float64 too) skips np.ndim, which builds an array at several times a hit's cost
     if isinstance(loss, float) or np.ndim(loss) == 0:
         return _scalar_receive_pmf(int(tb_count), float(loss))
     *_, row = _pascal_rows(tb_count, loss)
     return row
 
 
-@functools.lru_cache(maxsize=256)
+@_memo
 def _scalar_receive_pmf(tb_count: int, loss: float) -> np.ndarray:
     *_, row = _pascal_rows(tb_count, loss)
-    return _read_only(row)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False  # a memoised array is shared by every caller
-    return array
+    return row
 
 
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
@@ -223,7 +233,7 @@ def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray
     return new
 
 
-@functools.lru_cache(maxsize=256)
+@_memo
 def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) -> np.ndarray:
     """``table[e, N]``: chance that a window recovers, cached and read-only.
 
@@ -239,7 +249,7 @@ def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) 
     needed = np.full(size, budget + 1)
     if capacity >= 1:
         needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity, budget + 1)
-    return _read_only(tail[needed])
+    return tail[needed]
 
 
 def _checked_erasure(erasure) -> np.ndarray:

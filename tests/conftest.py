@@ -1,10 +1,11 @@
-"""Shared fixtures: desk-scale random problems and solver batteries."""
+"""Shared fixtures: desk-scale random problems, solver batteries, an empty memo."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ewcast import decode_prob
 from ewcast.allocators import (
     AllocationProblem,
     direct_uep_ram,
@@ -49,6 +50,18 @@ def random_problem(rng) -> AllocationProblem:
     layers = LayerConfig(k, coverage_targets=TARGET_LADDER[:L])
     return AllocationProblem(layers, users.mcs_feedback,
                              budget, caps, 0.1, 0.99)
+
+
+@pytest.fixture
+def fresh_memo():
+    """The one memo store, emptied before the test and again after it."""
+    def empty():
+        decode_prob._memo_store.clear()
+        decode_prob._memo_held = 0
+
+    empty()
+    yield decode_prob._memo_store
+    empty()
 
 
 @pytest.fixture(scope="session")

@@ -763,7 +763,7 @@ class TestEvaluatePlan:
         with pytest.raises(ValueError, match=field):
             evaluate_plan(pr, mcs, counts)
 
-    def test_report_rows_memo_is_read_only_and_fresh(self):
+    def test_report_rows_memo_is_read_only_and_fresh(self, fresh_memo):
         # each (MCS, count, p_hat) gives the p_hat pmf on the reports that
         # qualify (0 < m <= report, blocks sent) and "nothing arrives" elsewhere
         for m, count, p_hat in ((0, 3, 0.1), (4, 0, 0.1), (4, 5, 0.1), (15, 2, 0.3),
@@ -774,8 +774,7 @@ class TestEvaluatePlan:
             fresh = np.array([receive_pmf(count, p_hat if 0 < m <= report and count else 1.0)
                               for report in range(16)])
             assert rows.shape == (16, count + 1) and rows.tobytes() == fresh.tobytes()
-        info = allocators._report_rows.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+            assert fresh_memo[allocators._report_rows.__wrapped__, (m, count, p_hat)] is rows
 
     def test_allocator_view_rule(self):
         # a user reporting MCS 9 loses a block of MCS 9 or 4 with p_hat, and

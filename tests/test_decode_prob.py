@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ewcast import decode_prob
 from ewcast.decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
     _met_levels,
     _pascal_rows,
-    _scalar_pmf_rows,
     _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
@@ -306,12 +306,11 @@ class TestBinomialPrimitive:
 class TestPmfRowsMemo:
     LOSSES = [0.0, -0.0, 1.0, 0.1, 0.37, *np.random.default_rng(12).uniform(0.0, 1.0, 2)]
 
-    def test_memoised_table_equals_fresh_pascal_rows_bitwise(self):
-        _scalar_pmf_rows.cache_clear()
+    def test_memoised_table_equals_fresh_pascal_rows_bitwise(self, fresh_memo):
         for count in (0, 1, 7, 24, 60):
             for loss in self.LOSSES:
                 fresh = np.stack([row.copy() for row in _pascal_rows(count, loss)])
-                for form in (float(loss), np.float64(loss), np.array(loss)):
+                for form in (float(loss), np.float64(loss)):
                     rows = binomial_pmf_rows(count, form)
                     assert not rows.flags.writeable
                     assert rows.dtype == fresh.dtype and rows.shape == fresh.shape
@@ -326,24 +325,60 @@ class TestPmfRowsMemo:
                 assert rows[n, :n + 1].tobytes() == receive_pmf(n, loss).tobytes()
                 assert not rows[n, n + 1:].any()
 
-    def test_batched_tables_are_fresh_writable_and_uncached(self):
-        _scalar_pmf_rows.cache_clear()
-        losses = np.array([[0.3], [0.05]])
-        rows = binomial_pmf_rows(6, losses)
-        assert rows.shape == (2, 1, 7, 7) and rows.flags.writeable
-        rows[0, 0, 0, 0] = 0.5  # the caller's own array
-        again = binomial_pmf_rows(6, losses)
-        assert again is not rows and again[0, 0, 0, 0] == 1.0
-        assert _scalar_pmf_rows.cache_info().currsize == 0
-        for loss, table in zip(losses.ravel(), again[:, 0]):
-            assert table.tobytes() == binomial_pmf_rows(6, loss).tobytes()
 
-    def test_cache_stays_within_its_bound(self):
-        bound = _scalar_pmf_rows.cache_info().maxsize
-        assert bound is not None
-        for i in range(bound + 20):
-            binomial_pmf_rows(3, i / (bound + 20))
-        assert _scalar_pmf_rows.cache_info().currsize <= bound
+class TestMemo:
+    """The one store behind every memoised table, on a budget of a few tables."""
+
+    @staticmethod
+    def held(store):
+        return [(fn.__name__, args) for fn, args in store]
+
+    def test_store_stays_within_its_byte_budget(self, fresh_memo, monkeypatch):
+        # 180 tables of 8 to 288 bytes from three memoised functions, far more than fit
+        monkeypatch.setattr(decode_prob, "_MEMO_BYTES", 2000)
+        for i in range(60):
+            loss = i / 60
+            binomial_pmf_rows(i % 5 + 1, loss)
+            receive_pmf(3, loss)
+            success_table(i % 4 + 1, 3, 2, i % 9, loss)
+            assert 0 < decode_prob._memo_held <= 2000
+            assert decode_prob._memo_held == sum(a.nbytes for a in fresh_memo.values())
+        assert len(fresh_memo) < 60
+
+    def test_a_hit_protects_an_entry_from_the_next_eviction(self, fresh_memo, monkeypatch):
+        monkeypatch.setattr(decode_prob, "_MEMO_BYTES", 3 * 128)  # three 4 x 4 tables
+        first = binomial_pmf_rows(3, 0.1)
+        second = binomial_pmf_rows(3, 0.2)
+        binomial_pmf_rows(3, 0.3)
+        assert binomial_pmf_rows(3, 0.1) is first
+        binomial_pmf_rows(3, 0.4)  # over budget: the least recent entry goes
+        assert self.held(fresh_memo) == [("binomial_pmf_rows", (3, 0.3)),
+                                         ("binomial_pmf_rows", (3, 0.1)),
+                                         ("binomial_pmf_rows", (3, 0.4))]
+        assert decode_prob._memo_held == 3 * 128
+        again = binomial_pmf_rows(3, 0.2)
+        assert again is not second and again.tobytes() == second.tobytes()
+
+    def test_an_oversize_result_is_returned_read_only_and_not_kept(
+            self, fresh_memo, monkeypatch):
+        monkeypatch.setattr(decode_prob, "_MEMO_BYTES", 100)
+        small = receive_pmf(3, 0.1)  # 32 bytes
+        rows = binomial_pmf_rows(3, 0.1)  # 128 bytes
+        assert not rows.flags.writeable
+        assert rows.tobytes() == np.stack([r.copy() for r in _pascal_rows(3, 0.1)]).tobytes()
+        assert self.held(fresh_memo) == [("_scalar_receive_pmf", (3, 0.1))]
+        assert decode_prob._memo_held == small.nbytes == 32
+        assert binomial_pmf_rows(3, 0.1) is not rows
+        assert receive_pmf(3, 0.1) is small
+
+    def test_functions_with_equal_arguments_do_not_collide(self, fresh_memo):
+        rows = binomial_pmf_rows(3, 0.1)
+        row = _scalar_receive_pmf(3, 0.1)
+        assert rows.shape == (4, 4) and row.shape == (4,)
+        assert row.tobytes() == rows[3].tobytes()
+        assert binomial_pmf_rows(3, 0.1) is rows and _scalar_receive_pmf(3, 0.1) is row
+        assert sorted(self.held(fresh_memo)) == [("_scalar_receive_pmf", (3, 0.1)),
+                                                 ("binomial_pmf_rows", (3, 0.1))]
 
 
 class TestSuccessTable:
@@ -407,12 +442,11 @@ class TestSuccessTable:
 
 
 class TestReceivePmfMemo:
-    def test_memoised_rows_equal_fresh_pascal_rows_bitwise(self):
+    def test_memoised_rows_equal_fresh_pascal_rows_bitwise(self, fresh_memo):
         # every loss is asked at the same N before N moves on, so a memo
         # that ignored the loss would hand one loss's row to the next; row N
         # of one 0..400 pass is the fresh N-block row followed by zeros
         losses = [0.0, -0.0, 1.0, 0.1, *np.random.default_rng(11).uniform(0.0, 1.0, 2)]
-        _scalar_receive_pmf.cache_clear()
         fresh = zip(*(_pascal_rows(400, loss) for loss in losses))
         for N, rows in enumerate(fresh):
             for loss, row in zip(losses, rows):
@@ -427,8 +461,7 @@ class TestReceivePmfMemo:
             row[2] = 0.5
         assert row.tobytes() == list(_pascal_rows(7, 0.3))[-1].tobytes()
 
-    def test_batched_rows_are_fresh_writable_and_uncached(self):
-        _scalar_receive_pmf.cache_clear()
+    def test_batched_rows_are_fresh_writable_and_uncached(self, fresh_memo):
         losses = np.array([[0.3], [0.05]])
         rows = receive_pmf(6, losses)
         assert rows.shape == (2, 1, 7)
@@ -436,16 +469,9 @@ class TestReceivePmfMemo:
         again = receive_pmf(6, losses)
         assert again is not rows and again[0, 0, 0] != 0.5
         assert receive_pmf(6, np.array([0.3])).flags.writeable
-        assert _scalar_receive_pmf.cache_info().currsize == 0
+        assert not fresh_memo
         for loss, row in zip(losses.ravel(), again[:, 0]):
             assert row.tobytes() == receive_pmf(6, loss).tobytes()
-
-    def test_cache_stays_within_its_bound(self):
-        bound = _scalar_receive_pmf.cache_info().maxsize
-        assert bound is not None
-        for i in range(bound + 50):
-            receive_pmf(3, i / (bound + 50))
-        assert _scalar_receive_pmf.cache_info().currsize <= bound
 
 
 class TestUncodedSurvival:
