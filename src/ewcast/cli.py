@@ -1,7 +1,7 @@
 """Experiment runner: model validation, allocation sweeps, coverage maps.
 
-Each experiment produces an :class:`ExperimentResult` whose rows are plain
-tuples sorted by the independent variable; ``write_csv`` emits a headered
+Each experiment produces an :class:`ExperimentResult` whose columns hold its
+rows sorted by the independent variable; ``write_csv`` emits a headered
 UTF-8 CSV with ``# key=value`` provenance lines (scenario digest and seeds)
 so re-runs with identical inputs are byte-identical.  Plots are not rendered
 here - the output is plot-ready data.
@@ -15,7 +15,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -73,19 +72,29 @@ DEFAULT_SFN_CONFIG = {
 
 @dataclass
 class ExperimentResult:
-    """Rows plus enough provenance to reproduce them exactly.
+    """CSV columns plus enough provenance to reproduce them exactly.
 
-    ``feasible`` is down when a solver found no plan; the CLI exits 2 on it,
-    and it is never written to the CSV.
+    ``values`` holds one equal-length sequence per column (none without rows),
+    read as tuples by ``rows``.  ``feasible`` is down when a solver found no
+    plan; the CLI exits 2 on it, and it is never written to the CSV.
     """
 
     experiment: str
     digest: str
     seeds: dict[str, int]
     columns: list[str]
-    rows: list[tuple]
+    values: list
     meta: dict = field(default_factory=dict)
     feasible: bool = True
+
+    @property
+    def row_count(self) -> int:
+        return len(self.values[0]) if self.values else 0
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                          for col in self.values)))
 
     def write_csv(self, path) -> Path:
         path = Path(path)
@@ -97,13 +106,33 @@ class ExperimentResult:
                 fh.write(f"# seed.{key}={self.seeds[key]}\n")
             for key in sorted(self.meta):
                 fh.write(f"# {key}={self.meta[key]}\n")
-            # str of an int or float is the repr csv.writer writes; of "" nothing
-            line = ",".join(["%s"] * len(self.columns)) + "\r\n"
-            fh.write(line % tuple(self.columns))
-            for start in range(0, len(self.rows), CSV_BLOCK_ROWS):
-                block = self.rows[start:start + CSV_BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(chain.from_iterable(block)))
+            fh.write(",".join(self.columns) + "\r\n")
+            for start in range(0, self.row_count, CSV_BLOCK_ROWS):
+                cells = [_cells(col[start:start + CSV_BLOCK_ROWS]) for col in self.values]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
         return path
+
+
+def _cells(col) -> list[str]:
+    """A block of one column as CSV text: ``str`` of each value (of an int or float
+    the repr csv.writer writes, of "" nothing); a float64 array's text is formatted
+    once per distinct bit pattern (keyed by value, 0.0 and -0.0 would share one)."""
+    if not isinstance(col, np.ndarray) or col.dtype != np.float64:
+        return list(map(str, col.tolist() if isinstance(col, np.ndarray) else col))
+    bits, index = np.unique(col.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))  # a float's str
+    return [texts[i] for i in index.tolist()]
+
+
+def _round6(values: np.ndarray) -> np.ndarray:
+    """``round(v, 6)`` of each entry, bit for bit: rint(v * 1e6) / 1e6, whose product
+    crosses a half only by landing on it and whose quotient is correctly rounded.  Such
+    ties, and entries not finite or of 2**52 millionths or more, take ``round`` itself."""
+    scaled = values * 1e6
+    out = np.rint(scaled) / 1e6
+    slow = ~(np.abs(scaled) < 2.0**52) | (np.abs(np.modf(scaled)[0]) == 0.5)
+    out[slow] = [round(v, 6) for v in values[slow].tolist()]
+    return out
 
 
 def _point_seed(base: int, *indices: int) -> int:
@@ -173,7 +202,7 @@ def run_validate_approx(
         seeds={"base": seed},
         columns=["elements_per_tb", "loss", "tb_count", "window",
                  "analytic", "simulated", "std_err", "abs_gap"],
-        rows=rows,
+        values=list(zip(*rows)),
         meta={"trials": trials},
     )
 
@@ -213,7 +242,7 @@ def run_rbp_sweep(
         seeds={},
         columns=["n_rbp", "heuristic_feasible", "tau_heuristic", "cost_heuristic",
                  "direct_feasible", "tau_direct", "cost_direct", "relative_gap"],
-        rows=rows,
+        values=list(zip(*rows)),
         meta={"direct": direct},
         feasible=all(row[1] for row in rows),
     )
@@ -264,14 +293,9 @@ def _evaluate_users(config: dict, view: str):
     return scenario, p_win, p_uep, p_mrt, meta
 
 
-def _map_result(experiment: str, scenario: Scenario, columns, rows, meta) -> ExperimentResult:
+def _map_result(experiment: str, scenario: Scenario, columns, values, meta) -> ExperimentResult:
     return ExperimentResult(experiment, scenario.digest(), {"scenario": scenario.seed},
-                            columns, rows, meta, feasible=bool(meta["uep_feasible"]))
-
-
-def _rows(*columns) -> list[tuple]:
-    """CSV rows of Python values, one per entry of the equal-length columns."""
-    return list(zip(*(col.tolist() for col in columns)))
+                            columns, values, meta, feasible=bool(meta["uep_feasible"]))
 
 
 def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> ExperimentResult:
@@ -291,20 +315,19 @@ def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> Experimen
     origin = scenario.layout.sites[scenario.layout.serving[0]]
     distances = np.hypot(*(scenario.users.positions - origin).T)
     order = np.argsort(distances, kind="stable")
-    distances = distances[order].tolist()
+    distances = distances[order]
     p_uep, p_mrt = p_uep[order], p_mrt[order]
     covered_uep, covered_mrt = meets_qos(p_uep, scenario.q_hat), meets_qos(p_mrt, scenario.q_hat)
     L = scenario.layers.num_layers
-    rows = _rows(np.repeat([round(d, 6) for d in distances], L),
-                 np.repeat(scenario.users.mcs_feedback[order], L),
-                 np.tile(np.arange(1, L + 1), len(order)), p_uep.ravel(), p_mrt.ravel(),
-                 covered_uep.ravel().astype(int), covered_mrt.ravel().astype(int))
+    values = [np.repeat(_round6(distances), L), np.repeat(scenario.users.mcs_feedback[order], L),
+              np.tile(np.arange(1, L + 1), len(order)), p_uep.ravel(), p_mrt.ravel(),
+              covered_uep.ravel().astype(int), covered_mrt.ravel().astype(int)]
     for name, covered in (("uep", covered_uep), ("mrt", covered_mrt)):
         # per level, the farthest user with every nearer user covered too
         reach = np.logical_and.accumulate(covered, axis=0).sum(axis=0).tolist()
         for lv, n in enumerate(reach, start=1):
-            meta[f"{name}_radius_l{lv}"] = distances[n - 1] if n else 0.0
-    return _map_result("coverage-sc", scenario, columns, rows, meta)
+            meta[f"{name}_radius_l{lv}"] = distances[n - 1].item() if n else 0.0
+    return _map_result("coverage-sc", scenario, columns, values, meta)
 
 
 def run_psnr_map_sfn(config: dict, erasure_view: str = "evaluation") -> ExperimentResult:
@@ -319,12 +342,11 @@ def run_psnr_map_sfn(config: dict, erasure_view: str = "evaluation") -> Experime
     if not scenario.users:
         return _map_result("psnr-map-sfn", scenario, columns, [], meta)
     users, layers = scenario.users, scenario.layers
-    x, y, sinr = (np.array([round(v, 6) for v in col.tolist()])
-                  for col in (users.positions[:, 0], users.positions[:, 1], users.sinr_db))
+    x, y, sinr = map(_round6, (users.positions[:, 0], users.positions[:, 1], users.sinr_db))
     order = np.lexsort((x, y))  # by y, then x; stable, as list.sort is
-    rows = _rows(*(col[order] for col in (x, y, sinr, expected_psnr(layers, p_win),
-                                          expected_psnr(layers, p_mrt))))
-    return _map_result("psnr-map-sfn", scenario, columns, rows, meta)
+    values = [col[order] for col in (x, y, sinr, expected_psnr(layers, p_win),
+                                     expected_psnr(layers, p_mrt))]
+    return _map_result("psnr-map-sfn", scenario, columns, values, meta)
 
 
 def run_solve(
@@ -429,5 +451,5 @@ def _dispatch(args) -> int:
         run = run_coverage_sc if args.command == "coverage-sc" else run_psnr_map_sfn
         result = run(config, erasure_view=args.erasure_view)
     path = result.write_csv(args.out / f"{args.command.replace('-', '_')}.csv")
-    print(f"wrote {path} ({len(result.rows)} rows, {time.perf_counter() - start:.1f}s)")
+    print(f"wrote {path} ({result.row_count} rows, {time.perf_counter() - start:.1f}s)")
     return 0 if result.feasible else 2

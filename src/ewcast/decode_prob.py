@@ -29,6 +29,7 @@ import numpy as np
 
 _PROB_EPS = 1e-12  # grace when comparing probabilities against a threshold
 _MEMO_BYTES = 1 << 24  # bytes of tables the one memo holds, summed over every memoised function
+_RECEIVER_BLOCK = 1 << 14  # receivers a batched pass holds at once: its tables grow with the batch
 _memo_store: OrderedDict = OrderedDict()  # (function, args) -> read-only array, least recent first
 _memo_held = 0  # nbytes summed over _memo_store
 
@@ -288,8 +289,13 @@ def window_decode_probs(
 
     ``erasure`` holds one loss per window on its last axis; leading axes batch
     receivers of the same plan, and the result has the shape of ``erasure``.
+    A batch of over ``_RECEIVER_BLOCK`` receivers runs block by block.
     """
     p = _validate_inputs(layers, plan, erasure)
+    if p.size > _RECEIVER_BLOCK * p.shape[-1]:
+        flat = p.reshape(-1, p.shape[-1])
+        return np.concatenate([window_decode_probs(layers, plan, flat[i:i + _RECEIVER_BLOCK])
+                               for i in range(0, len(flat), _RECEIVER_BLOCK)]).reshape(p.shape)
     return _window_dp(layers.k, plan.elements_per_tb,
                       [receive_pmf(N, p[..., i]) for i, N in enumerate(plan.tb_counts)])
 

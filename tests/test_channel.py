@@ -27,6 +27,7 @@ from ewcast.channel import (
     tb_capacity,
 )
 from ewcast.cli import DEFAULT_SC_CONFIG
+from ewcast.decode_prob import _RECEIVER_BLOCK
 
 
 class TestSourceElements:
@@ -323,6 +324,16 @@ class TestPlaceUsers:
                                   users.sinr_db[i], users.mcs_feedback[i])
         assert tuple(u.mcs_feedback for u in users) == tuple(users.mcs_feedback.tolist())
         assert list(place_users(sfn_layout(), "grid", count=0, step_m=9.0)) == []
+
+    def test_blocks_of_users_equal_one_unblocked_batch_bitwise(self):
+        # SINR and reports are placed a block of users at a time, the last
+        # block partial; the shadowing draws stay in position order
+        layout = sfn_layout(shadow_sigma_db=6.0)
+        users = place_users(layout, "grid", count=_RECEIVER_BLOCK + 5, step_m=5.0,
+                            rng=np.random.default_rng(4))
+        sinr = sinr_at(layout, users.positions, rng=np.random.default_rng(4))
+        assert users.sinr_db.tobytes() == sinr.tobytes()
+        assert users.mcs_feedback.tobytes() == cqi_mcs(sinr).tobytes()
 
     def test_report_outside_mcs_range_refused(self):
         # a threshold table past MCS 15 yields reports no capacity table holds

@@ -262,15 +262,78 @@ class TestWriteCsv:
         rng = np.random.default_rng(count)
         values = self.EDGES + rng.normal(0.0, 1e3, 20).tolist() + rng.integers(-9, 9, 20).tolist()
         rows = [tuple(values[(r * 5 + c) % len(values)] for c in range(5)) for r in range(count)]
-        result = cli.ExperimentResult("demo", "abc", {"base": 3}, list("vwxyz"), rows,
-                                      {"plan": [1, 2], "x": 0.5})
+        result = cli.ExperimentResult("demo", "abc", {"base": 3}, list("vwxyz"),
+                                      list(zip(*rows)), {"plan": [1, 2], "x": 0.5})
         assert result.write_csv(tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(result)
+
+    def test_float_column_writes_each_values_own_text(self, tmp_path):
+        # one block repeating 0.0, -0.0, nan and inf: each distinct bit pattern
+        # is formatted once, so 0.0 and -0.0 keep their own texts
+        col = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, -0.0, 0.0, math.inf, 1.5,
+                        -math.nan])
+        result = cli.ExperimentResult("demo", "abc", {}, ["v", "i"], [col, list(range(10))])
+        out = result.write_csv(tmp_path / "out.csv")
+        assert out.read_text().splitlines()[3:] == [
+            "0.0,0", "-0.0,1", "nan,2", "inf,3", "-inf,4", "-0.0,5", "0.0,6", "inf,7", "1.5,8",
+            "nan,9"]
+        assert out.read_bytes() == _csv_writer_bytes(result)
 
     def test_empty_cells_written_as_csv_writer_does(self, tmp_path):
         # sweep-rbp without the exact search leaves its cells as empty strings
         result = run_rbp_sweep(SMALL_SC, rbp_values=(5,), direct="off")
         assert result.rows[0][4:] == ("", "", "", "")
         assert result.write_csv(tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(result)
+
+
+@pytest.mark.parametrize("view", ["evaluation", "allocator"])
+@pytest.mark.parametrize("runner, config", [
+    (run_coverage_sc, SMALL_SC), (run_psnr_map_sfn, SFN_5X5),
+    # 4,225 rows: the CSV crosses a block boundary
+    (run_psnr_map_sfn, dict(DEFAULT_SFN_CONFIG,
+                            users={"pattern": "grid", "count": 65**2, "step_m": 12.0}))])
+def test_map_csv_equals_csv_writer(tmp_path, runner, config, view):
+    result = runner(config, erasure_view=view)
+    assert result.row_count == len(result.rows) > 0
+    assert result.write_csv(tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(result)
+
+
+def test_cli_map_never_builds_row_tuples(tmp_path, monkeypatch, capsys):
+    # the CLI writes a map and counts its rows from the columns alone
+    def refuse(self):
+        raise AssertionError("row tuples built")
+    monkeypatch.setattr(cli.ExperimentResult, "rows", property(refuse))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SFN_5X5))
+    assert main(["psnr-map-sfn", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert "(25 rows" in capsys.readouterr().out
+
+
+class TestRound6:
+    # round(v, 6) of each value is the reference, bit for bit
+    @staticmethod
+    def assert_bitwise(values):
+        values = np.asarray(values, dtype=float)
+        want = np.array([round(v, 6) for v in values.tolist()])
+        assert cli._round6(values).tobytes() == want.tobytes()
+
+    def test_half_millionths_and_their_neighbours(self):
+        k = np.concatenate([np.arange(-50, 50), np.random.default_rng(6).integers(
+            -10**9, 10**9, 20_000)])
+        ties = (k + 0.5) / 1e6
+        for values in (ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)):
+            self.assert_bitwise(values)
+
+    def test_signed_zeros_negatives_and_large_values(self):
+        big = 2.0**52 / 1e6  # from here on v * 1e6 holds no halves
+        rng = np.random.default_rng(7)
+        self.assert_bitwise([0.0, -0.0, -1e-9, -4e-7, -5e-7, -6e-7, 5e-324, -5e-324,
+                             -0.1234565, -123.4567895, big, -big, np.nextafter(big, 0.0),
+                             np.nextafter(-big, 0.0), 3 * big, -7.5 * big, 1e300, -1e300])
+        self.assert_bitwise(rng.uniform(-4 * big, 4 * big, 5_000))
+        self.assert_bitwise(-rng.uniform(0.0, 1e3, 5_000))
+
+    def test_non_finite(self):
+        self.assert_bitwise([math.inf, -math.inf, math.nan, -math.nan, 0.5, math.nan])
 
 
 @pytest.mark.parametrize("runner, config", [(run_coverage_sc, SMALL_SC),

@@ -556,6 +556,19 @@ class TestBatchedEntryPoints:
                 max_psnr_uep(layers, pl, loss), abs=1e-12)
             assert max_psnr_mrt(layers, pl, losses)[row] == max_psnr_mrt(layers, pl, loss)
 
+    def test_receiver_blocks_equal_one_unblocked_batch_bitwise(self):
+        # a batch of over _RECEIVER_BLOCK receivers runs block by block, the
+        # last block partial; the DP on the whole batch at once is the
+        # reference, over one batch axis and over two
+        block = decode_prob._RECEIVER_BLOCK
+        losses = np.random.default_rng(8).uniform(0.0, 1.0, (3 * (block // 2 + 1), 3))
+        pmfs = [receive_pmf(N, losses[:, i]) for i, N in enumerate(self.PLAN.tb_counts)]
+        want = decode_prob._window_dp(self.LAYERS.k, self.PLAN.elements_per_tb, pmfs)
+        got = window_decode_probs(self.LAYERS, self.PLAN, losses)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = window_decode_probs(self.LAYERS, self.PLAN, losses.reshape(3, -1, 3))
+        assert got.shape == (3, block // 2 + 1, 3) and got.tobytes() == want.tobytes()
+
     def test_running_maximum_equals_one_reduction_bitwise(self):
         # signed zeros and negative plateaus included: a maximum is exact
         rng = np.random.default_rng(21)
