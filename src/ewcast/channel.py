@@ -319,7 +319,7 @@ class Scenario:
     n_rbp: int
     element_bits: int
     gop_seconds: float
-    config: dict  # raw config the scenario was built from
+    config: dict  # the normalized config it was built from (``normalized_config``)
     p_hat: float
     q_hat: float
     bler_decade_db: float
@@ -345,7 +345,7 @@ class Scenario:
         )
 
     def digest(self) -> str:
-        """Stable hash of the originating config."""
+        """Stable hash of the normalized config: one per scenario, however it is spelled."""
         return config_digest(self.config)
 
 
@@ -354,7 +354,7 @@ _REQUIRED = object()  # the default of a field a config must give
 
 class _Field(NamedTuple):
     kind: str | tuple  # "number", "integer", "object" (a section) or a tuple of choices
-    default: object = None  # None: absent stays absent, so the callee's default applies
+    default: object = None  # None: absent stays absent (users.center, the stream pair)
     bound: tuple | None = None  # (bracket, low, high, bracket), e.g. ("(", 0, 1, "]")
     length: int | None = None  # None: one value; 0: a non-empty list; n: a list of n
 
@@ -367,11 +367,11 @@ _SCHEMA: dict[str, _Field] = {
     "mode": _Field(("SC", "SFN"), "SC"),
     "isd_m": _Field("number", ISD_M, _POSITIVE),
     "sfn_members": _Field("integer", SFN_MEMBERS, ("[", 0, 18, "]"), length=0),  # 19 grid sites
-    "tx_power_dbm": _Field("number"),
-    "bandwidth_hz": _Field("number", bound=_POSITIVE),
-    "noise_figure_db": _Field("number"),
-    "antenna_gain_db": _Field("number"),
-    "shadow_sigma_db": _Field("number", bound=_NON_NEGATIVE),
+    "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm),
+    "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, _POSITIVE),
+    "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db),
+    "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db),
+    "shadow_sigma_db": _Field("number", NetworkLayout.shadow_sigma_db, _NON_NEGATIVE),
     "stream_preset": _Field(tuple(STREAM_PRESETS)),
     "stream": _Field("object"),
     "stream.bitrates_kbps": _Field("number", _REQUIRED, _POSITIVE, length=0),
@@ -390,8 +390,8 @@ _SCHEMA: dict[str, _Field] = {
     "users.pattern": _Field(("radial", "grid"), _REQUIRED),
     "users.count": _Field("integer", _REQUIRED, ("[", 0, 10**6, "]")),  # 10^6: ~6 s, ~250 MB
     "users.step_m": _Field("number", _REQUIRED, _POSITIVE),
-    "users.start_m": _Field("number", bound=_POSITIVE),
-    "users.angle_deg": _Field("number"),
+    "users.start_m": _Field("number", place_users.__kwdefaults__["start_m"], _POSITIVE),
+    "users.angle_deg": _Field("number", place_users.__kwdefaults__["angle_deg"]),
     "users.center": _Field("number", length=2),
     "seed": _Field("integer", 0, _NON_NEGATIVE),
 }
@@ -406,7 +406,7 @@ def _value(path: str, value, row: _Field):
     """``value`` of field ``path`` converted as its row says, else a ``ValueError``."""
     if row.length is not None:
         if isinstance(value, (list, tuple)) and (len(value) == row.length if row.length else value):
-            return [_value(path, v, row._replace(length=None)) for v in value]
+            return tuple(_value(path, v, row._replace(length=None)) for v in value)
         raise ValueError(f"{path} must be a list of {row.length or 'one or more'} {row.kind}s, "
                          f"got {value!r}")
     if isinstance(row.kind, tuple):
@@ -444,46 +444,49 @@ def _section(path: str, cfg) -> dict:
     return out
 
 
-def build_scenario(config: dict) -> Scenario:
-    """Assemble a scenario from a plain config mapping (see README schema).
-
-    Every field is read through ``_SCHEMA``. A bad field, or a config giving
-    both ``stream_preset`` and ``stream``, raises a ``ValueError`` naming it.
-    """
+def normalized_config(config: dict) -> dict:
+    """``config`` read through ``_SCHEMA`` once: each section checked and converted,
+    its constant defaults filled in, and a stream preset expanded into its ``stream``
+    section.  Normalizing it again changes nothing.  A bad field, or a config giving
+    both ``stream_preset`` and ``stream``, raises a ``ValueError`` naming it."""
     top = _section("", config)
     if len(set(top["sfn_members"])) < len(top["sfn_members"]):
         raise ValueError(f"sfn_members must not repeat a site, got {top['sfn_members']!r}")
-    radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top.keys() - {"mode"}}
-    layout = (sfn_layout(top["isd_m"], top["sfn_members"], **radio) if top["mode"] == "SFN"
-              else single_cell_layout(top["isd_m"], **radio))
-
     if ("stream_preset" in top) == ("stream" in top):
         raise ValueError("config must give one of stream_preset and stream, not both or "
                          f"neither; valid presets: {sorted(STREAM_PRESETS)}")
-    if "stream_preset" in top:
-        stream = STREAM_PRESETS[top["stream_preset"]]
-    else:
-        stream = _section("stream", top["stream"])
-        for key, values in stream.items():
-            if len(values) != len(stream["bitrates_kbps"]):
-                raise ValueError(f"stream.{key} must hold one entry per bitrate "
-                                 f"({len(stream['bitrates_kbps'])}), got {values!r}")
+    stream = top["stream"] = (dict(STREAM_PRESETS[top.pop("stream_preset")])
+                              if "stream_preset" in top else _section("stream", top["stream"]))
+    for key, values in stream.items():
+        if len(values) != len(stream["bitrates_kbps"]):
+            raise ValueError(f"stream.{key} must hold one entry per bitrate "
+                             f"({len(stream['bitrates_kbps'])}), got {values!r}")
+    top["bler"], top["users"] = _section("bler", top["bler"]), _section("users", top["users"])
+    return top
+
+
+def build_scenario(config: dict) -> Scenario:
+    """Assemble a scenario from a plain config mapping (see README schema), read
+    through ``normalized_config``; the scenario keeps the normalized config."""
+    top = normalized_config(config)
+    radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top.keys() - {"mode"}}
+    layout = (sfn_layout(top["isd_m"], top["sfn_members"], **radio) if top["mode"] == "SFN"
+              else single_cell_layout(top["isd_m"], **radio))
     element_bits = round(top["element_kb"] * 8192)
     if tb_capacity(4, top["n_rbp"], element_bits) < 1:  # the budgets count blocks of MCS 4
         raise ValueError(f"element_kb {top['element_kb']:g} does not fit a block of MCS 4 at n_rbp "
                          f"{top['n_rbp']}: at most {tb_capacity(4, top['n_rbp'], 8192)} KB")
     layers = LayerConfig(
         k=tuple(source_elements(1000.0 * b, top["gop_seconds"], element_bits)
-                for b in stream["bitrates_kbps"]),
-        psnr=tuple(stream["psnr_db"]),
-        coverage_targets=tuple(stream["coverage_targets"]),
+                for b in top["stream"]["bitrates_kbps"]),
+        psnr=tuple(top["stream"]["psnr_db"]),
+        coverage_targets=tuple(top["stream"]["coverage_targets"]),
     )
 
-    bler_cfg = _section("bler", top["bler"])
-    thresholds = dict(enumerate(bler_cfg["thresholds_db"], start=1))
+    thresholds = dict(enumerate(top["bler"]["thresholds_db"], start=1))
     rng = np.random.default_rng(top["seed"]) if layout.shadow_sigma_db > 0 else None
-    users = place_users(layout, p_hat=top["p_hat"], decade_db=bler_cfg["decade_db"],
-                        thresholds=thresholds, rng=rng, **_section("users", top["users"]))
+    users = place_users(layout, p_hat=top["p_hat"], decade_db=top["bler"]["decade_db"],
+                        thresholds=thresholds, rng=rng, **top["users"])
 
     return Scenario(
         layers=layers,
@@ -494,8 +497,8 @@ def build_scenario(config: dict) -> Scenario:
         gop_seconds=top["gop_seconds"],
         p_hat=top["p_hat"],
         q_hat=top["q_hat"],
-        bler_decade_db=bler_cfg["decade_db"],
+        bler_decade_db=top["bler"]["decade_db"],
         mcs_thresholds=thresholds,
         seed=top["seed"],
-        config=dict(config),
+        config=top,
     )

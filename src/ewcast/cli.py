@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocators import (AllocationSolution, _qualifies, direct_uep_ram, heuristic_uep_ram,
                          solve_mrt)
-from .channel import Scenario, build_scenario, config_digest, erasure_prob
+from .channel import Scenario, build_scenario, config_digest, erasure_prob, normalized_config
 from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
@@ -52,10 +52,8 @@ ERASURE_VIEWS = ("allocator", "evaluation")  # the losses a coverage map reads, 
 # realistic reliability price; the allocators only ever see the reported MCS,
 # so these choices affect evaluation, not the plans.
 DEFAULT_SC_CONFIG = {
-    "mode": "SC",
     "stream_preset": "A",
-    "n_rbp": 5,
-    "users": {"pattern": "radial", "count": 80, "step_m": 2.5, "start_m": 90.0},
+    "users": {"pattern": "radial", "count": 80, "step_m": 2.5},
     "bler": {"decade_db": 5.0},
     "seed": 1,
 }
@@ -216,13 +214,12 @@ def run_rbp_sweep(
 
     Infeasible points are emitted with their feasibility flags down and NaN
     ratios rather than being dropped; the result is feasible when every
-    heuristic point is.
+    heuristic point is.  The digest names the normalized config without the
+    ``n_rbp`` each point overrides, the sorted block sizes and ``direct``.
     """
-    rows = []
+    config, rows = normalized_config(config), []
     for rbp in sorted(rbp_values):
-        cfg = dict(config)
-        cfg["n_rbp"] = int(rbp)
-        problem = build_scenario(cfg).problem
+        problem = build_scenario(dict(config, n_rbp=int(rbp))).problem
         heur = heuristic_uep_ram(problem)
         tau_h = heur.tau if heur.feasible else float("nan")
         if direct == "off":
@@ -237,8 +234,8 @@ def run_rbp_sweep(
                      int(ref.feasible), tau_d, ref.cost, gap))
     return ExperimentResult(
         experiment="sweep-rbp",
-        digest=config_digest({"config": config, "rbp_values": list(rbp_values),
-                              "direct": direct}),
+        digest=config_digest({"config": {k: v for k, v in config.items() if k != "n_rbp"},
+                              "rbp_values": sorted(rbp_values), "direct": direct}),
         seeds={},
         columns=["n_rbp", "heuristic_feasible", "tau_heuristic", "cost_heuristic",
                  "direct_feasible", "tau_direct", "cost_direct", "relative_gap"],
@@ -354,7 +351,7 @@ def run_solve(
     direct: str = "off",
 ) -> tuple[Scenario, dict[str, AllocationSolution]]:
     """Single-scenario debug solve: heuristic, optional reference, baseline."""
-    scenario = build_scenario(dict(config))
+    scenario = build_scenario(config)
     solutions = {"heuristic": heuristic_uep_ram(scenario.problem)}
     if direct != "off":
         solutions["direct"] = direct_uep_ram(scenario.problem)

@@ -9,7 +9,9 @@ import pytest
 
 from ewcast.channel import (
     DEFAULT_MCS_THRESHOLDS_DB,
+    _REQUIRED,
     _SCHEMA,
+    STREAM_PRESETS,
     NetworkLayout,
     Users,
     bler,
@@ -18,6 +20,7 @@ from ewcast.channel import (
     erasure_prob,
     hex_grid,
     n_hat,
+    normalized_config,
     place_users,
     sfn_layout,
     single_cell_layout,
@@ -393,6 +396,50 @@ class TestScenario:
         changed = dict(self.CONFIG)
         changed["n_rbp"] = 4
         assert build_scenario(changed).digest() != a
+
+    def test_digest_names_the_scenario_not_its_spelling(self):
+        # the SC default with and without place_users' start_m, and preset A
+        # beside its explicit stream, each give one digest
+        spelled = copy.deepcopy(DEFAULT_SC_CONFIG)
+        spelled["users"]["start_m"] = 90.0
+        assert build_scenario(spelled).digest() == build_scenario(DEFAULT_SC_CONFIG).digest()
+        bare = {key: v for key, v in self.CONFIG.items() if key != "stream_preset"}
+        explicit = {**bare, "stream": copy.deepcopy(STREAM_PRESETS["A"])}
+        assert build_scenario(explicit).digest() == build_scenario(self.CONFIG).digest()
+
+    def test_every_constant_default_has_one_digest(self):
+        # walks the schema table: a config that spells a row's constant default
+        # and one that omits it name one scenario, so a default kept in a
+        # second home that disagrees with its row shows here; only the
+        # derived users.center and the stream pair have no default
+        assert [path for path, row in _SCHEMA.items() if row.default is None] == [
+            "stream_preset", "stream", "users.center"]
+        base = {"stream_preset": "A", "bler": {},
+                "users": {"pattern": "radial", "count": 4, "step_m": 5.0}}
+        for path, row in _SCHEMA.items():
+            if row.default is None or row.default is _REQUIRED:
+                continue
+            section, _, key = path.rpartition(".")
+            omitted, spelled = copy.deepcopy(base), copy.deepcopy(base)
+            (omitted[section] if section else omitted).pop(key, None)
+            (spelled[section] if section else spelled)[key] = copy.deepcopy(row.default)
+            assert build_scenario(spelled).digest() == build_scenario(omitted).digest(), path
+
+    def test_normalizing_twice_changes_nothing(self):
+        for config in (self.CONFIG, DEFAULT_SC_CONFIG,
+                       {"mode": "SFN", "stream_preset": "B", "shadow_sigma_db": 4.0,
+                        "users": {"pattern": "grid", "count": 9, "step_m": 50.0,
+                                  "center": [10, -20]}}):
+            scenario = build_scenario(config)
+            again = build_scenario(scenario.config)
+            assert again.config == scenario.config == normalized_config(config)
+            assert again.digest() == scenario.digest()
+            assert "stream_preset" not in scenario.config
+            for column in ("positions", "sinr_db", "mcs_feedback"):
+                assert np.array_equal(getattr(again.users, column),
+                                      getattr(scenario.users, column))
+            assert again.layers == scenario.layers
+            assert again.problem.tb_budget == scenario.problem.tb_budget
 
     def test_stream_config_fails_fast(self):
         with pytest.raises(ValueError, match="stream_preset 'C'.*'A', 'B'"):

@@ -151,6 +151,17 @@ class TestRbpSweep:
         result = run_rbp_sweep(starved, rbp_values=(1,), direct="exhaustive")
         assert [row[1] for row in result.rows] == [0] and result.rows[0][4] == 0
 
+    def test_digest_names_what_shapes_the_csv(self):
+        # the order of the block sizes and the config's own n_rbp, which each
+        # point overrides, leave the body as it is and so the digest too
+        def digest(config, rbp_values):
+            return run_rbp_sweep(config, rbp_values=rbp_values, direct="off").digest
+        one = digest(SMALL_SC, (5, 1))
+        assert digest(SMALL_SC, (1, 5)) == one
+        assert digest(dict(SMALL_SC, n_rbp=3), (1, 5)) == digest(dict(SMALL_SC, n_rbp=5), (1, 5))
+        assert digest(SMALL_SC, (1, 4)) != one and digest(dict(SMALL_SC, seed=3), (1, 5)) != one
+        assert run_rbp_sweep(SMALL_SC, rbp_values=(1, 5)).digest != one
+
 
 class TestCoverage:
     def test_zero_users_empty_result(self):
@@ -483,7 +494,7 @@ class TestSolveAndMain:
         # the SC default: block budgets, then each solver's plan and coverage
         assert main(["solve", "--direct", "exhaustive"]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "scenario digest=18b2ea23b7e78141 users=80 budget=(2, 3, 6)",
+            "scenario digest=b45dc9e9d4afa468 users=80 budget=(2, 3, 6)",
             "heuristic: feasible=True tau=29.7143 mcs=(4, 0, 6) tb=(2, 0, 5) "
             "fractions=[1.0, 0.8, 0.8]",
             "direct: feasible=True tau=29.7143 mcs=(4, 0, 6) tb=(2, 0, 5) "
