@@ -25,14 +25,15 @@ import numpy as np
 
 from .decode_prob import (
     _check_thresholds,
+    _integers,
     _memo,
-    _met_levels,
     _window_dp,
     LayerConfig,
     TransmissionPlan,
     advance_deficit,
     binomial_pmf_rows,
     expected_psnr,
+    level_probs,
     meets_qos,
     mrt_block_counts,
     receive_pmf,
@@ -44,14 +45,6 @@ P_HAT, Q_HAT = 0.1, 0.99  # defaults: block loss a report is anchored at, QoS a 
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
 _CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds at once
 _MAX_ENTRIES = 10**8  # set-up plus level-table entries beyond which the exact search refuses
-
-
-def _integers(name: str, values) -> np.ndarray:
-    # Python or NumPy integers as an array; bools, floats and strings are refused by name
-    types = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
-        raise ValueError(f"{name} must hold integers, got {sorted(t.__name__ for t in types)}")
-    return np.asarray(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +60,13 @@ class AllocationProblem:
     report_counts: np.ndarray = field(init=False)  # users per reported MCS 0..15, read-only
 
     def __post_init__(self, user_mcs):
-        reports = _integers("user_mcs", user_mcs)
+        reports = np.asarray(_integers("user_mcs", user_mcs))
         if not (reports.size and 1 <= reports.min() and reports.max() <= 15):
             raise ValueError("user_mcs must hold one or more reports, each in [1, 15]")
         counts = np.bincount(reports, minlength=16)
         counts.flags.writeable = False
         object.__setattr__(self, "report_counts", counts)
-        budget = tuple(_integers("tb_budget", self.tb_budget).tolist())
+        budget = tuple(map(int, _integers("tb_budget", self.tb_budget)))
         if any(b < 0 for b in budget):
             raise ValueError(f"tb_budget must hold counts >= 0, got {budget}")
         object.__setattr__(self, "tb_budget", budget)
@@ -102,7 +95,7 @@ class PlanEvaluation:
     """
 
     plan: TransmissionPlan
-    window_probs: np.ndarray  # (16, L) window recovery probabilities, one row per reported MCS
+    window_probs: np.ndarray  # (16, L) per report: coded window or baseline level survival chances
     delta: np.ndarray  # (16, L) QoS indicators of those rows
     profit: int
     cost: int
@@ -146,41 +139,43 @@ def _report_rows(m: int, count: int, p_hat: float) -> np.ndarray:  # (report, ar
                     receive_pmf(count, p_hat), receive_pmf(count, 1.0))
 
 
-def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
-                  tb_counts: Sequence[int]) -> PlanEvaluation:
-    """QoS indicators, profit/cost and constraint violations of a plan.
-
-    Users with one report share every probability, so the window DP runs
-    once per reported MCS 0..15 (``window_probs``), on the memoised
-    ``receive_pmf`` row at ``p_hat`` where the report qualifies, else the
-    "nothing received" row; the histogram weights the rows.  The plan needs
-    one integer MCS and block count per layer.
-    """
-    layers = problem.layers
-    L = layers.num_layers
+def _canonical_plan(problem: AllocationProblem, mcs, tb_counts) -> TransmissionPlan:
+    # one integer MCS and block count per layer; a window sent with no blocks carries MCS 0
+    L = problem.layers.num_layers
     if len(mcs) != L:
         raise ValueError(f"plan length {len(mcs)} does not match the layer count {L}")
     if len(tb_counts) != L:
         raise ValueError(f"{len(tb_counts)} block counts do not match the layer count {L}")
-    counts = tuple(_integers("block counts", tb_counts).tolist())
-    mcs = tuple(m if c > 0 else 0 for m, c in zip(_integers("plan MCS", mcs).tolist(), counts))
-    plan = TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
-    pmfs = [_report_rows(m, c, problem.p_hat) for m, c in zip(mcs, counts)]
-    window_probs = _window_dp(layers.k, plan.elements_per_tb, pmfs)
-    delta = _met_levels(window_probs, problem.q_hat)
+    counts = tuple(map(int, _integers("block counts", tb_counts)))
+    mcs = tuple(int(m) if c > 0 else 0 for m, c in zip(_integers("plan MCS", mcs), counts))
+    return TransmissionPlan(mcs, counts, tuple(problem.capacity(m) for m in mcs))
+
+
+def evaluate_plan(problem: AllocationProblem, mcs: Sequence[int],
+                  tb_counts: Sequence[int]) -> PlanEvaluation:
+    """QoS indicators, profit/cost and constraint violations of a coded plan: users with
+    one report share every probability, so the window DP runs once per reported MCS
+    0..15, on the memoised ``receive_pmf`` row at ``p_hat`` where the report qualifies,
+    else the "nothing received" row, and ``_verdict`` judges those rows."""
+    plan = _canonical_plan(problem, mcs, tb_counts)
+    pmfs = [_report_rows(m, c, problem.p_hat) for m, c in zip(plan.mcs, plan.tb_counts)]
+    return _verdict(problem, plan, _window_dp(problem.layers.k, plan.elements_per_tb, pmfs))
+
+
+def _verdict(problem: AllocationProblem, plan: TransmissionPlan, rows) -> PlanEvaluation:
+    # the one verdict on a plan: its (16, L) per-report rows, weighted by the report histogram
+    delta = meets_qos(level_probs(rows), problem.q_hat)
     layer_counts = problem.report_counts @ delta
     U = int(problem.report_counts.sum())
     fractions = tuple(n / U for n in layer_counts.tolist())
-    violations = [f"layer {i + 1}: coverage {fractions[i]:.4f} < target {t:.4f}"
-                  for i, (n, t) in enumerate(zip(layer_counts.tolist(), layers.coverage_targets))
+    violations = [f"layer {i + 1}: coverage {fractions[i]:.4f} < target {t:.4f}" for i, (n, t)
+                  in enumerate(zip(layer_counts.tolist(), problem.layers.coverage_targets))
                   if n < _required_count(U, t)]
-    violations += [f"window {i + 1}: block count {c} outside [0, {b}]"
-                   for i, (c, b) in enumerate(zip(counts, problem.tb_budget)) if not 0 <= c <= b]
-    profit = int(layer_counts.sum())
-    cost = sum(counts)
-    return PlanEvaluation(plan, window_probs, delta, profit, cost,
-                          profit / cost if cost > 0 else 0.0, layer_counts, fractions,
-                          tuple(violations))
+    violations += [f"window {i + 1}: block count {c} outside [0, {b}]" for i, (c, b)
+                   in enumerate(zip(plan.tb_counts, problem.tb_budget)) if not 0 <= c <= b]
+    profit, cost = int(layer_counts.sum()), sum(plan.tb_counts)
+    return PlanEvaluation(plan, rows, delta, profit, cost, profit / cost if cost > 0 else 0.0,
+                          layer_counts, fractions, tuple(violations))
 
 
 def solve_s1(report_counts, t_prime: float) -> int | None:
@@ -270,7 +265,7 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
 
 
 def check_feasibility(solution: AllocationSolution, problem: AllocationProblem) -> PlanEvaluation:
-    """Re-derive a solution's verdict: ``evaluate_plan`` of its plan."""
+    """Re-derive a coded solution's verdict: ``evaluate_plan`` of its plan."""
     return evaluate_plan(problem, solution.plan.mcs, solution.plan.tb_counts)
 
 
@@ -422,9 +417,8 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
         idx, m = choice[vecs], ends[vecs]
         bounds = np.sort(m, axis=1)[:, :(idx > 0).sum(axis=1).max(initial=0)]
         shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
-        # ``_qualifies(m, report)`` per profile: every sent m is above 0, and
-        # an unsent window's 16 is covered by no report
-        qualify = (m[:, None, :] <= bounds[:, :, None]) & (shares > 0)[:, :, None]
+        # ``_qualifies`` per profile: an unsent window's 16 is covered by no report
+        qualify = _qualifies(m[:, None, :], bounds[:, :, None]) & (shares > 0)[:, :, None]
         # window d's table row codes the position of each qualified
         # window's choice among opts, 0 elsewhere, over windows 0..d
         row = 0
@@ -515,7 +509,8 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     the fixed lossless block count ceil(k_i / n_i); the search maximises the
     summed per-user quality metric (PSNR plateau times the probability that
     every block of the first ``l`` layers arrives) over all increasing MCS
-    vectors from the capacity table.
+    vectors from the capacity table.  ``_verdict`` judges the plan on its own
+    16 report rows of that survival (``window_probs``), not the coded window DP.
     """
     layers = pr.layers
     L = layers.num_layers
@@ -537,5 +532,7 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     # adds +0.0), so the first best vector wins ties as a running comparison would
     scores = np.cumsum(pr.report_counts * best_u, axis=-1)[:, -1]
     pick = int(np.argmax(scores))
-    m_vec, counts = tuple(int(m) for m in m_vecs[pick]), tuple(int(b) for b in blocks[pick])
-    return AllocationSolution(**vars(evaluate_plan(pr, m_vec, counts)), solver="mrt")
+    plan = _canonical_plan(pr, m_vecs[pick], blocks[pick])
+    losses = np.where(_qualifies(np.asarray(plan.mcs), np.arange(16)[:, None]), pr.p_hat, 1.0)
+    rows = uncoded_survival(losses, plan.tb_counts)
+    return AllocationSolution(**vars(_verdict(pr, plan, rows)), solver="mrt")

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocators import (AllocationSolution, _qualifies, direct_uep_ram, heuristic_uep_ram,
-                         solve_mrt)
+from .allocators import AllocationSolution, direct_uep_ram, heuristic_uep_ram, solve_mrt
 from .channel import Scenario, build_scenario, config_digest, erasure_prob, normalized_config
 from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
     expected_psnr,
+    level_probs,
     meets_qos,
     uncoded_survival,
     window_decode_probs,
@@ -253,10 +253,10 @@ def _user_losses(scenario: Scenario, plan: TransmissionPlan) -> np.ndarray:
 
 def _evaluate_users(config: dict, view: str):
     """The scenario, then (users, levels) arrays of the coded plan's window and
-    level probabilities (the best window at or above each level) and of the
-    baseline's survival (None without users), and the meta block.  An
-    unknown ``view`` is refused before anything is built; the allocator view
-    reads each report's row of the verdict and of 16 ``uncoded_survival`` rows."""
+    level probabilities (``level_probs``) and of the baseline's survival (None
+    without users), and the meta block.  An unknown ``view`` is refused before
+    anything is built; the allocator view reads each report's row of either
+    solver's verdict (``window_probs``)."""
     if view not in ERASURE_VIEWS:
         raise ValueError(f"erasure_view must be one of {ERASURE_VIEWS}, got {view!r}")
     scenario = build_scenario(config)
@@ -266,15 +266,12 @@ def _evaluate_users(config: dict, view: str):
     mrt = solve_mrt(scenario.problem)
     if view == "allocator":
         reports = scenario.users.mcs_feedback
-        p_win = heur.window_probs[reports]
-        losses = np.where(_qualifies(np.asarray(mrt.plan.mcs), np.arange(16)[:, None]),
-                          scenario.p_hat, 1.0)
-        p_mrt = uncoded_survival(losses, mrt.plan.tb_counts)[reports]
+        p_win, p_mrt = heur.window_probs[reports], mrt.window_probs[reports]
     else:
         p_win = window_decode_probs(scenario.layers, heur.plan,
                                     _user_losses(scenario, heur.plan))
         p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan), mrt.plan.tb_counts)
-    p_uep = np.maximum.accumulate(p_win[:, ::-1], axis=1)[:, ::-1]
+    p_uep = level_probs(p_win)
     meta = {
         "erasure_view": view,
         "uep_feasible": int(heur.feasible),

@@ -34,6 +34,14 @@ _memo_store: OrderedDict = OrderedDict()  # (function, args) -> read-only array,
 _memo_held = 0  # nbytes summed over _memo_store
 
 
+def _integers(name: str, values):
+    # ``values`` as given: Python or NumPy integers (an array by its dtype), else refused by name
+    types = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        raise ValueError(f"{name} must hold integers, got {sorted(t.__name__ for t in types)}")
+    return values
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     """Layered source message: per-layer element counts plus stream metadata.
@@ -49,7 +57,7 @@ class LayerConfig:
     coverage_targets: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
+        object.__setattr__(self, "k", tuple(map(int, _integers("k", self.k))))
         if not self.k:
             raise ValueError("k: at least one layer is required")
         if any(v < 1 for v in self.k):
@@ -97,7 +105,7 @@ class TransmissionPlan:
 
     def __post_init__(self):
         for name in ("mcs", "tb_counts", "elements_per_tb"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(int, _integers(name, getattr(self, name)))))
         if not len(self.mcs) == len(self.tb_counts) == len(self.elements_per_tb):
             raise ValueError("mcs, tb_counts, elements_per_tb: plan vectors must share one "
                              "entry per window")
@@ -317,9 +325,9 @@ def meets_qos(probs, q_hat: float) -> np.ndarray:
     return np.asarray(probs) >= q_hat - _PROB_EPS
 
 
-def _met_levels(probs: np.ndarray, q_hat: float) -> np.ndarray:
-    # suffix OR: level l is met if any window >= l clears the threshold
-    return np.logical_or.accumulate(meets_qos(probs, q_hat)[..., ::-1], axis=-1)[..., ::-1]
+def level_probs(probs) -> np.ndarray:
+    """Level l's chance: the best of windows >= l (last axis); met when one of them is."""
+    return np.maximum.accumulate(np.asarray(probs)[..., ::-1], axis=-1)[..., ::-1]
 
 
 def expected_psnr(layers: LayerConfig, probs) -> np.ndarray:

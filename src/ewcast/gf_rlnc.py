@@ -27,6 +27,7 @@ from .decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
+    _integers,
     _validate_inputs,
     receive_pmf,
 )
@@ -51,9 +52,9 @@ def simulate_decode_prob(
     dependent row costing one element.  All draws come from one
     ``default_rng(seed)``.
     """
-    if trials < 1:
+    if _integers("trials", (trials,))[0] < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(q, (int, np.integer)) or q < 2:
+    if _integers("q", (q,))[0] < 2:
         raise ValueError(f"field size q must be an integer >= 2, got {q!r}")
     p = _validate_inputs(layers, plan, erasure)
     if p.ndim != 1:

@@ -46,6 +46,9 @@ STREAM_20_40 = {"mode": "SC", "gop_seconds": 20, "n_rbp": 5,
 INFEASIBLE_SC = dict(SC, n_rbp=1, users={"pattern": "radial", "count": 300, "step_m": 0.8})
 INFEASIBLE_SFN = dict(SFN, q_hat=0.999999,
                       users={"pattern": "grid", "count": 2500, "step_m": 30.0})
+# the SC default at a report loss where the baseline's plan reaches level 3 under the
+# coded window DP but not by its own uncoded survival: the two models disagree
+SMALL_LOSS_SC = dict(SC, p_hat=0.003)
 
 
 def _sfn_grid(count: int, step_m: float) -> dict:
@@ -69,6 +72,8 @@ RUNS = [
     *_maps("psnr-map-sfn", "psnr-map-sfn", None),
     ("solve", ["solve", "--direct", "exhaustive"], None, "stdout"),
     ("solve-20-40", ["solve"], STREAM_20_40, "stdout"),
+    ("solve-small-loss", ["solve"], SMALL_LOSS_SC, "stdout"),
+    *_maps("small-loss-sc", "coverage-sc", SMALL_LOSS_SC),
     *_maps("infeasible-sc", "coverage-sc", INFEASIBLE_SC),
     *_maps("infeasible-sfn", "psnr-map-sfn", INFEASIBLE_SFN),
     *_maps("users-1e5", "psnr-map-sfn", _sfn_grid(10**5, 760 / 315)),

@@ -609,8 +609,10 @@ class TestMrt:
 
     @staticmethod
     def loop_over_combinations(pr):
-        """(score, plan) of every strictly increasing MCS vector, in the order
-        of ``itertools.combinations``, each scored by a per-report loop."""
+        """(score, plan, rows) of every strictly increasing MCS vector, in the
+        order of ``itertools.combinations``, each scored by a per-report loop;
+        ``rows[report][l]`` is the chance that every block of levels 1..l+1
+        reaches a user with that report."""
         k, psnr = pr.layers.k, pr.layers.psnr
         scored = []
         for mcs in combinations(sorted(pr.capacities), len(k)):
@@ -620,11 +622,13 @@ class TestMrt:
             for b in blocks:
                 run *= (1.0 - pr.p_hat) ** b if b > 0 else 0.0
                 survive.append(run)
-            score = 0.0
+            score, rows = 0.0, []
             for report, users in enumerate(pr.report_counts.tolist()):
                 reached = sum(m <= report for m in mcs)  # a prefix: the MCS rise
                 score += users * max([0.0] + [psnr[lv] * survive[lv] for lv in range(reached)])
-            scored.append((score, (tuple(m if b else 0 for m, b in zip(mcs, blocks)), blocks)))
+                rows.append([survive[lv] if lv < reached else 0.0 for lv in range(len(k))])
+            plan = (tuple(m if b else 0 for m, b in zip(mcs, blocks)), blocks)
+            scored.append((score, plan, rows))
         return scored
 
     @pytest.mark.parametrize("seed", range(6))
@@ -644,10 +648,37 @@ class TestMrt:
                                  coverage_targets=(0.5,) * L)
             pr = AllocationProblem(layers, reports, (9,) * L, caps, float(rng.uniform(0, 0.5)))
             scored = self.loop_over_combinations(pr)
-            best = max(score for score, _ in scored)
-            first = next(plan for score, plan in scored if score == best)
+            best = max(score for score, *_ in scored)
+            first = next(plan for score, plan, _ in scored if score == best)
             sol = solve_mrt(pr)
             assert (sol.plan.mcs, sol.plan.tb_counts) == first
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdict_reads_the_plans_own_survival(self, seed):
+        # the plan is judged by its uncoded survival per report, not by the coded
+        # window DP; at small losses (p_hat <= 0.01 in three draws of four) that
+        # survival meets q_hat on some levels, where the coded chances can meet it on more
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            L = int(rng.integers(1, 4))
+            caps = {m: int(rng.integers(0 if seed % 2 else 1, 12)) for m in range(1, 16)}
+            reports = rng.integers(1, 16, int(rng.integers(1, 30)))
+            layers = LayerConfig(tuple(rng.integers(1, 30, L).tolist()),
+                                 psnr=tuple(np.sort(rng.uniform(20.0, 45.0, L)).tolist()),
+                                 coverage_targets=(0.5,) * L)
+            p_hat = float(rng.choice([0.0, rng.uniform(0.0, 0.01), rng.uniform(0.0, 0.003),
+                                      rng.uniform(0.0, 0.5)]))
+            pr = AllocationProblem(layers, reports, (9,) * L, caps, p_hat,
+                                   float(rng.choice([0.9, 0.99])))
+            sol = solve_mrt(pr)
+            rows = next(rows for _, plan, rows in self.loop_over_combinations(pr)
+                        if plan == (sol.plan.mcs, sol.plan.tb_counts))
+            assert sol.window_probs.shape == (16, L)
+            assert np.abs(sol.window_probs - np.array(rows)).max() <= 1e-15
+            met = np.array(rows) >= pr.q_hat - 1e-12  # survival falls with the level
+            users = pr.report_counts.tolist()
+            assert sol.layer_counts.tolist() == [sum(u for u, row in zip(users, met) if row[lv])
+                                                 for lv in range(L)]
 
 
 class TestCheckFeasibility:

@@ -403,6 +403,17 @@ def _assert_rows_match(rows, expected, float_cols):
                 assert a == b and type(a) is type(b), (col, got, want)
 
 
+@pytest.mark.parametrize("config", [SMALL_SC, dict(DEFAULT_SC_CONFIG, p_hat=0.003),
+                                    DEFAULT_SFN_CONFIG])
+def test_allocator_view_reads_each_solvers_report_rows(config):
+    # the map's baseline survival is the baseline verdict's own rows, bit for bit
+    scenario, p_win, _, p_mrt, _ = cli._evaluate_users(config, "allocator")
+    reports = scenario.users.mcs_feedback
+    for probs, solver in ((p_win, heuristic_uep_ram), (p_mrt, solve_mrt)):
+        rows = solver(scenario.problem).window_probs[reports]
+        assert probs.dtype == rows.dtype and probs.tobytes() == rows.tobytes()
+
+
 class TestRunnersAgainstPerUserReference:
     @pytest.mark.parametrize("view", ["evaluation", "allocator"])
     def test_coverage_sc(self, view):
@@ -502,6 +513,25 @@ class TestSolveAndMain:
             "mrt: feasible=False tau=0.0000 mcs=(4, 5, 9) tb=(1, 1, 1) "
             "fractions=[0.0, 0.0, 0.0]",
         ]
+
+    def test_main_solve_small_loss_judges_the_baseline_by_its_survival(self, tmp_path, capsys):
+        # the SC default at p_hat 0.003: the coded window DP would count 80% of the users
+        # on level 3 of the baseline's plan, its uncoded survival none; solve and the
+        # allocator-view map both read the survival
+        config = dict(DEFAULT_SC_CONFIG, p_hat=0.003)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "heuristic: feasible=True tau=52.0000 mcs=(0, 4, 8) tb=(0, 2, 2) "
+            "fractions=[1.0, 1.0, 0.6]",
+            "mrt: feasible=False tau=38.0000 mcs=(4, 5, 6) tb=(1, 1, 2) "
+            "fractions=[1.0, 0.9, 0.0]",
+        ]
+        mrt = run_solve(config)[1]["mrt"]
+        meta = run_coverage_sc(config, erasure_view="allocator").meta
+        assert [round(f, 6) for f in mrt.layer_fractions] == [
+            meta[f"mrt_fraction_l{lv}"] for lv in (1, 2, 3)] == [1.0, 0.9, 0.0]
 
     def test_main_error_exit_code(self, tmp_path):
         assert main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 1

@@ -13,12 +13,13 @@ from ewcast.decode_prob import (
     DecodeProbability,
     LayerConfig,
     TransmissionPlan,
-    _met_levels,
     _pascal_rows,
     _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
     expected_psnr,
+    level_probs,
+    meets_qos,
     mrt_block_counts,
     receive_pmf,
     success_table,
@@ -38,7 +39,7 @@ def max_psnr_uep(layers, pl, erasure):
 
 
 def qos_levels(layers, pl, erasure, q_hat):
-    return _met_levels(window_decode_probs(layers, pl, erasure), q_hat)
+    return meets_qos(level_probs(window_decode_probs(layers, pl, erasure)), q_hat)
 
 
 def max_psnr_mrt(layers, pl, erasure):  # every block of layers 1..l must arrive
@@ -87,6 +88,18 @@ class TestLayerConfig:
         with pytest.warns(UserWarning):
             LayerConfig((1, 1), coverage_targets=(0.5, 0.9))
 
+    @pytest.mark.parametrize("k", [(2.7, True), (2, True), (2.0, 3), ("2",),
+                                   np.array([2.0, 3.0])])
+    def test_non_integer_k_refused_by_name(self, k):
+        # a fraction, a bool or a string is refused, not truncated to an element count
+        with pytest.raises(ValueError, match="^k must hold integers, got "):
+            LayerConfig(k)
+
+    def test_numpy_integer_k_accepted(self):
+        for k in ((np.int64(2), 3), np.array([2, 3], np.uint8)):
+            layers = LayerConfig(k)
+            assert layers.k == (2, 3) and {type(v) for v in layers.k} == {int}
+
     # a message is its field, then the rule; None where the rule starts with the field
     @pytest.mark.parametrize("kwargs, rule, field", [
         (dict(k=()), "at least one layer is required", "k"),
@@ -123,6 +136,25 @@ class TestTransmissionPlanRefusals:
 
     def test_unsent_window_may_lack_capacity(self):
         assert TransmissionPlan((0, 4), (0, 3), (0, 2)).tb_counts == (0, 3)
+
+    @pytest.mark.parametrize("field", ["mcs", "tb_counts", "elements_per_tb"])
+    @pytest.mark.parametrize("bad", [2.9, True, "2", np.float64(2.0)])
+    def test_non_integer_field_refused_by_name(self, field, bad):
+        fields = {"mcs": (4,), "tb_counts": (2,), "elements_per_tb": (5,), field: (bad,)}
+        with pytest.raises(ValueError, match=f"^{field} must hold integers, got "):
+            TransmissionPlan(**fields)
+
+    def test_uniform_refuses_a_fractional_block_count(self):
+        with pytest.raises(ValueError, match="^tb_counts must hold integers, got "):
+            TransmissionPlan.uniform(2, 3.7, 2)
+        with pytest.raises(ValueError, match="^elements_per_tb must hold integers, got "):
+            TransmissionPlan.uniform(2, 3, 2.5)
+
+    def test_numpy_integers_accepted(self):
+        plan = TransmissionPlan(np.array([4]), (np.int32(2),), np.array([5], np.uint8))
+        assert plan == TransmissionPlan((4,), (2,), (5,))
+        assert {type(v) for v in plan.mcs + plan.tb_counts + plan.elements_per_tb} == {int}
+        assert TransmissionPlan.uniform(2, np.int64(3), 2).tb_counts == (3, 3)
 
 
 class TestWindowDecodeProb:

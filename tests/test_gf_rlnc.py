@@ -152,6 +152,16 @@ class TestSimulateDecodeProb:
         with pytest.raises(ValueError):
             simulate_decode_prob(self.layers, self.plan, [0.1], 10, seed=1)
 
+    @pytest.mark.parametrize("trials", [1000.9, 1e3, True, "1000"])
+    def test_non_integer_trials_refused_by_name(self, trials):
+        # a lossless window with 6 spare elements decodes (all but about 256^-6 of
+        # the time): a truncated count would read below 1
+        layers, plan = LayerConfig((2,)), TransmissionPlan.uniform(1, 4, 2)
+        with pytest.raises(ValueError, match="^trials must hold integers, got "):
+            simulate_decode_prob(layers, plan, [0.0], trials, 0)
+        sim = simulate_decode_prob(layers, plan, [0.0], np.int64(1000), 0)
+        assert sim.p_win == (1.0,) and sim.trials == 1000
+
     def test_rejects_a_batch_and_a_short_plan_by_name(self):
         # the window DP's input check, for one receiver: the DP takes a batch, the sampler not
         with pytest.raises(ValueError, match="one erasure vector"):

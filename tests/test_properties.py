@@ -36,7 +36,8 @@ from ewcast.channel import (
 from ewcast.decode_prob import (
     LayerConfig,
     TransmissionPlan,
-    _met_levels,
+    level_probs,
+    meets_qos,
     uncoded_survival,
     window_decode_probs,
 )
@@ -78,7 +79,7 @@ def test_more_blocks_or_less_loss_never_hurts(instance, window, shrink):
 @given(decode_instances(), st.floats(0.01, 1.0))
 def test_qos_levels_nested(instance, q_hat):
     layers, plan, p = instance
-    levels = _met_levels(window_decode_probs(layers, plan, p), q_hat)
+    levels = meets_qos(level_probs(window_decode_probs(layers, plan, p)), q_hat)
     # meeting a level implies meeting every lower one
     assert np.all(levels[:-1] >= levels[1:])
 
@@ -104,6 +105,22 @@ def test_batched_rows_match_single_receiver_and_enumeration(instance, data):
             assert abs(row[w] - exact) <= 1e-12
         # a batch of one is the 1-D call
         assert window_decode_probs(layers, plan, losses[None])[0].tolist() == single.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=2), st.floats(0.01, 1.0),
+       st.data())
+def test_level_rule_is_a_suffix(L, batch, q_hat, data):
+    # level l takes the best window >= l, so it is met exactly when some window >= l is
+    size = math.prod(batch) * L
+    values = st.one_of(st.just(q_hat), st.just(q_hat - 2e-12), LOSSES)
+    p = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                 dtype=float).reshape(*batch, L)
+    levels, met = level_probs(p), meets_qos(p, q_hat)
+    assert levels.shape == p.shape
+    for lv in range(L):
+        assert np.array_equal(levels[..., lv], p[..., lv:].max(axis=-1))
+        assert np.array_equal(meets_qos(levels, q_hat)[..., lv], met[..., lv:].any(axis=-1))
 
 
 @st.composite
@@ -139,8 +156,11 @@ def test_evaluate_plan_matches_per_user_oracle(case):
     reports = np.repeat(np.arange(16), problem.report_counts)
     losses = np.array([[problem.p_hat if 0 < m <= report and c > 0 else 1.0
                         for m, c in zip(mcs, counts)] for report in reports])
-    delta = np.array([_met_levels(window_decode_probs(problem.layers, plan, row), problem.q_hat)
-                      for row in losses])
+    # level l is met when some window >= l is, written out per user
+    met = [meets_qos(window_decode_probs(problem.layers, plan, row), problem.q_hat)
+           for row in losses]
+    delta = np.array([[bool(m[lv:].any()) for lv in range(len(m))] for m in met],
+                     dtype=bool).reshape(len(losses), problem.layers.num_layers)
     per_user = ev.delta[reports]
     assert per_user.dtype == delta.dtype and per_user.shape == delta.shape
     assert per_user.tobytes() == delta.tobytes()
