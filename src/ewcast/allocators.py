@@ -266,6 +266,9 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
 
 def check_feasibility(solution: AllocationSolution, problem: AllocationProblem) -> PlanEvaluation:
     """Re-derive a coded solution's verdict: ``evaluate_plan`` of its plan."""
+    if solution.solver == "mrt":
+        raise ValueError('solver="mrt": a baseline plan is judged by its own survival rows, '
+                         "not re-derived through the coded window DP")
     return evaluate_plan(problem, solution.plan.mcs, solution.plan.tb_counts)
 
 
@@ -509,8 +512,8 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     the fixed lossless block count ceil(k_i / n_i); the search maximises the
     summed per-user quality metric (PSNR plateau times the probability that
     every block of the first ``l`` layers arrives) over all increasing MCS
-    vectors from the capacity table.  ``_verdict`` judges the plan on its own
-    16 report rows of that survival (``window_probs``), not the coded window DP.
+    vectors from the capacity table.  ``_verdict`` judges the plan on the 16 report
+    rows of that survival its search scored (``window_probs``), not the coded window DP.
     """
     layers = pr.layers
     L = layers.num_layers
@@ -533,6 +536,5 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     scores = np.cumsum(pr.report_counts * best_u, axis=-1)[:, -1]
     pick = int(np.argmax(scores))
     plan = _canonical_plan(pr, m_vecs[pick], blocks[pick])
-    losses = np.where(_qualifies(np.asarray(plan.mcs), np.arange(16)[:, None]), pr.p_hat, 1.0)
-    rows = uncoded_survival(losses, plan.tb_counts)
+    rows = prefix[pick, qualified[pick]]  # the rows the search scored, one per report
     return AllocationSolution(**vars(_verdict(pr, plan, rows)), solver="mrt")

@@ -125,7 +125,6 @@ def hex_grid(isd_m: float) -> np.ndarray:
 class NetworkLayout:
     """Base-station geometry plus the link-budget parameters of the cell."""
 
-    mode: str  # "SC" or "SFN"
     sites: np.ndarray  # (S, 2) positions in metres
     serving: tuple[int, ...]  # indices transmitting the target service
     tx_power_dbm: float = 46.0
@@ -135,8 +134,6 @@ class NetworkLayout:
     shadow_sigma_db: float = 0.0  # lognormal shadowing; 0 keeps runs deterministic
 
     def __post_init__(self):
-        if self.mode not in ("SC", "SFN"):
-            raise ValueError("mode must be 'SC' or 'SFN'")
         object.__setattr__(self, "sites", np.asarray(self.sites, dtype=float))
         if self.sites.ndim != 2 or self.sites.shape[1] != 2:
             raise ValueError("sites must be an (S, 2) array")
@@ -146,18 +143,16 @@ class NetworkLayout:
             raise ValueError("serving: serving indices out of range")
         if len(set(serving)) != len(serving):
             raise ValueError(f"serving: serving indices must not repeat, got {serving}")
-        if self.mode == "SC" and len(serving) != 1:
-            raise ValueError("serving: single-cell mode has exactly one serving site")
 
 
 def single_cell_layout(isd_m: float = ISD_M, **kwargs) -> NetworkLayout:
     """Centre site serving, 18 interferers on two concentric rings."""
-    return NetworkLayout(mode="SC", sites=hex_grid(isd_m), serving=(0,), **kwargs)
+    return NetworkLayout(sites=hex_grid(isd_m), serving=(0,), **kwargs)
 
 
 def sfn_layout(isd_m: float = ISD_M, members: Sequence[int] = SFN_MEMBERS, **kwargs) -> NetworkLayout:
     """Four synchronised sites serving, the remaining 15 interfering."""
-    return NetworkLayout(mode="SFN", sites=hex_grid(isd_m), serving=tuple(members), **kwargs)
+    return NetworkLayout(sites=hex_grid(isd_m), serving=tuple(members), **kwargs)
 
 
 def sinr_at(layout: NetworkLayout, position, rng: np.random.Generator | None = None) -> float:
@@ -307,24 +302,29 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
     return Users(positions, np.concatenate(sinr), np.concatenate(mcs))
 
 
+def element_bits_of(config: dict) -> int:
+    """Bits one element holds under a normalized config: round(element_kb * 8192)."""
+    return round(config["element_kb"] * 8192)
+
+
+def error_curve_of(config: dict) -> dict:
+    """The error-curve keywords of a normalized config, as ``bler``, ``cqi_mcs``,
+    ``erasure_prob`` and ``place_users`` take them: ``p_hat``, ``decade_db``, ``thresholds``."""
+    return {"p_hat": config["p_hat"], "decade_db": config["bler"]["decade_db"],
+            "thresholds": dict(enumerate(config["bler"]["thresholds_db"], start=1))}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one experiment needs: stream, cell, users, radio numbers.
+    """One experiment: the normalized config it was built from (``normalized_config``)
+    and what ``build_scenario`` built of it, the stream, the cell and the users.
 
     Frozen, so the allocation problem it builds once cannot go stale."""
 
     layers: LayerConfig
     layout: NetworkLayout
     users: Users
-    n_rbp: int
-    element_bits: int
-    gop_seconds: float
-    config: dict  # the normalized config it was built from (``normalized_config``)
-    p_hat: float
-    q_hat: float
-    bler_decade_db: float
-    mcs_thresholds: dict[int, float]
-    seed: int
+    config: dict
 
     @functools.cached_property
     def problem(self) -> AllocationProblem:
@@ -332,17 +332,22 @@ class Scenario:
         each window's block budget and the capacity of every MCS."""
         if not len(self.users):
             raise ValueError("users.count must be >= 1 to allocate blocks, got 0")
-        n_min = tb_capacity(4, self.n_rbp, self.element_bits)
-        cap = subframe_cap(self.gop_seconds)
+        cfg, bits = self.config, element_bits_of(self.config)
+        n_min = tb_capacity(4, cfg["n_rbp"], bits)
+        cap = subframe_cap(cfg["gop_seconds"])
         return AllocationProblem(
             layers=self.layers,
             user_mcs=self.users.mcs_feedback,
-            tb_budget=tuple(min(n_hat(k, self.p_hat, n_min), cap) for k in self.layers.k),
-            capacities={m: tb_capacity(m, self.n_rbp, self.element_bits)
-                        for m in CAPACITY_RATIO_PER_RBP},
-            p_hat=self.p_hat,
-            q_hat=self.q_hat,
+            tb_budget=tuple(min(n_hat(k, cfg["p_hat"], n_min), cap) for k in self.layers.k),
+            capacities={m: tb_capacity(m, cfg["n_rbp"], bits) for m in CAPACITY_RATIO_PER_RBP},
+            p_hat=cfg["p_hat"],
+            q_hat=cfg["q_hat"],
         )
+
+    def losses(self, mcs) -> np.ndarray:
+        """Evaluation-view block losses of MCS ``mcs`` (an index or an array of them):
+        ``erasure_prob`` of the users on the config's error curve."""
+        return erasure_prob(self.users, mcs, **error_curve_of(self.config))
 
     def digest(self) -> str:
         """Stable hash of the normalized config: one per scenario, however it is spelled."""
@@ -469,10 +474,10 @@ def build_scenario(config: dict) -> Scenario:
     """Assemble a scenario from a plain config mapping (see README schema), read
     through ``normalized_config``; the scenario keeps the normalized config."""
     top = normalized_config(config)
-    radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top.keys() - {"mode"}}
+    radio = {f.name: top[f.name] for f in fields(NetworkLayout) if f.name in top}
     layout = (sfn_layout(top["isd_m"], top["sfn_members"], **radio) if top["mode"] == "SFN"
               else single_cell_layout(top["isd_m"], **radio))
-    element_bits = round(top["element_kb"] * 8192)
+    element_bits = element_bits_of(top)
     if tb_capacity(4, top["n_rbp"], element_bits) < 1:  # the budgets count blocks of MCS 4
         raise ValueError(f"element_kb {top['element_kb']:g} does not fit a block of MCS 4 at n_rbp "
                          f"{top['n_rbp']}: at most {tb_capacity(4, top['n_rbp'], 8192)} KB")
@@ -482,23 +487,6 @@ def build_scenario(config: dict) -> Scenario:
         psnr=tuple(top["stream"]["psnr_db"]),
         coverage_targets=tuple(top["stream"]["coverage_targets"]),
     )
-
-    thresholds = dict(enumerate(top["bler"]["thresholds_db"], start=1))
     rng = np.random.default_rng(top["seed"]) if layout.shadow_sigma_db > 0 else None
-    users = place_users(layout, p_hat=top["p_hat"], decade_db=top["bler"]["decade_db"],
-                        thresholds=thresholds, rng=rng, **top["users"])
-
-    return Scenario(
-        layers=layers,
-        layout=layout,
-        users=users,
-        n_rbp=top["n_rbp"],
-        element_bits=element_bits,
-        gop_seconds=top["gop_seconds"],
-        p_hat=top["p_hat"],
-        q_hat=top["q_hat"],
-        bler_decade_db=top["bler"]["decade_db"],
-        mcs_thresholds=thresholds,
-        seed=top["seed"],
-        config=top,
-    )
+    users = place_users(layout, rng=rng, **error_curve_of(top), **top["users"])
+    return Scenario(layers, layout, users, top)

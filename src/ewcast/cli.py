@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocators import AllocationSolution, direct_uep_ram, heuristic_uep_ram, solve_mrt
-from .channel import Scenario, build_scenario, config_digest, erasure_prob, normalized_config
+from .channel import Scenario, build_scenario, config_digest, normalized_config
 from .decode_prob import (
     LayerConfig,
     TransmissionPlan,
@@ -245,12 +245,6 @@ def run_rbp_sweep(
     )
 
 
-def _user_losses(scenario: Scenario, plan: TransmissionPlan) -> np.ndarray:
-    """(users, windows) evaluation-view block losses of ``plan``'s windows."""
-    return erasure_prob(scenario.users, np.asarray(plan.mcs), scenario.p_hat,
-                        scenario.bler_decade_db, scenario.mcs_thresholds)
-
-
 def _evaluate_users(config: dict, view: str):
     """The scenario, then (users, levels) arrays of the coded plan's window and
     level probabilities (``level_probs``) and of the baseline's survival (None
@@ -268,9 +262,8 @@ def _evaluate_users(config: dict, view: str):
         reports = scenario.users.mcs_feedback
         p_win, p_mrt = heur.window_probs[reports], mrt.window_probs[reports]
     else:
-        p_win = window_decode_probs(scenario.layers, heur.plan,
-                                    _user_losses(scenario, heur.plan))
-        p_mrt = uncoded_survival(_user_losses(scenario, mrt.plan), mrt.plan.tb_counts)
+        p_win = window_decode_probs(scenario.layers, heur.plan, scenario.losses(heur.plan.mcs))
+        p_mrt = uncoded_survival(scenario.losses(mrt.plan.mcs), mrt.plan.tb_counts)
     p_uep = level_probs(p_win)
     meta = {
         "erasure_view": view,
@@ -281,14 +274,14 @@ def _evaluate_users(config: dict, view: str):
         "mrt_plan_tb": list(mrt.plan.tb_counts),
     }
     for name, probs in (("uep", p_uep), ("mrt", p_mrt)):
-        fractions = np.mean(meets_qos(probs, scenario.q_hat), axis=0)
+        fractions = np.mean(meets_qos(probs, scenario.config["q_hat"]), axis=0)
         for lv, frac in enumerate(fractions.tolist(), start=1):
             meta[f"{name}_fraction_l{lv}"] = round(frac, 6)
     return scenario, p_win, p_uep, p_mrt, meta
 
 
 def _map_result(experiment: str, scenario: Scenario, columns, values, meta) -> ExperimentResult:
-    return ExperimentResult(experiment, scenario.digest(), {"scenario": scenario.seed},
+    return ExperimentResult(experiment, scenario.digest(), {"scenario": scenario.config["seed"]},
                             columns, values, meta, feasible=bool(meta["uep_feasible"]))
 
 
@@ -311,7 +304,7 @@ def run_coverage_sc(config: dict, erasure_view: str = "evaluation") -> Experimen
     order = np.argsort(distances, kind="stable")
     distances = distances[order]
     p_uep, p_mrt = p_uep[order], p_mrt[order]
-    covered_uep, covered_mrt = meets_qos(p_uep, scenario.q_hat), meets_qos(p_mrt, scenario.q_hat)
+    covered_uep, covered_mrt = (meets_qos(p, scenario.config["q_hat"]) for p in (p_uep, p_mrt))
     L = scenario.layers.num_layers
     values = [np.repeat(_round6(distances), L), np.repeat(scenario.users.mcs_feedback[order], L),
               np.tile(np.arange(1, L + 1), len(order)), p_uep.ravel(), p_mrt.ravel(),

@@ -49,6 +49,17 @@ INFEASIBLE_SFN = dict(SFN, q_hat=0.999999,
 # the SC default at a report loss where the baseline's plan reaches level 3 under the
 # coded window DP but not by its own uncoded survival: the two models disagree
 SMALL_LOSS_SC = dict(SC, p_hat=0.003)
+# every radio and model row away from its default, on a grid where the heuristic finds a
+# four-window plan and the baseline covers users in both erasure views
+RADIO_SFN = {"mode": "SFN", "isd_m": 420.0, "sfn_members": [0, 2, 5], "tx_power_dbm": 43.0,
+             "antenna_gain_db": 2.0, "noise_figure_db": 7.0, "bandwidth_hz": 1.0e7,
+             "shadow_sigma_db": 3.0, "seed": 7,
+             "stream": {"bitrates_kbps": [40.0, 90.0, 300.0, 800.0],
+                        "psnr_db": [28.0, 33.0, 40.0, 46.0],
+                        "coverage_targets": [0.85, 0.7, 0.5, 0.3]},
+             "p_hat": 0.02, "q_hat": 0.97, "element_kb": 1.5, "gop_seconds": 0.6, "n_rbp": 2,
+             "bler": {"decade_db": 4.0, "thresholds_db": [-9.0 + 1.7 * m for m in range(15)]},
+             "users": {"pattern": "grid", "count": 400, "step_m": 24.0}}
 
 
 def _sfn_grid(count: int, step_m: float) -> dict:
@@ -76,6 +87,7 @@ RUNS = [
     *_maps("small-loss-sc", "coverage-sc", SMALL_LOSS_SC),
     *_maps("infeasible-sc", "coverage-sc", INFEASIBLE_SC),
     *_maps("infeasible-sfn", "psnr-map-sfn", INFEASIBLE_SFN),
+    *_maps("radio-sfn", "psnr-map-sfn", RADIO_SFN),
     *_maps("users-1e5", "psnr-map-sfn", _sfn_grid(10**5, 760 / 315)),
 ]
 LARGE_RUNS = _maps("users-1e6", "psnr-map-sfn", _sfn_grid(10**6, 760 / 999))

@@ -27,7 +27,9 @@ from ewcast.decode_prob import (
     TransmissionPlan,
     advance_deficit,
     meets_qos,
+    mrt_block_counts,
     receive_pmf,
+    uncoded_survival,
     window_decode_probs,
 )
 
@@ -631,12 +633,12 @@ class TestMrt:
             scored.append((score, plan, rows))
         return scored
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_a_loop_over_combinations(self, seed):
-        # random problems, some with capacities repeated across MCS (and so
-        # tied vectors) or zero: the first best vector of the loop wins
+    @staticmethod
+    def draws(seed, count=15):
+        """``count`` random problems, some with capacities repeated across MCS
+        (and so tied vectors) or zero."""
         rng = np.random.default_rng(seed)
-        for _ in range(15):
+        for _ in range(count):
             L = int(rng.integers(1, 4))
             pool = rng.integers(0 if seed % 2 else 1, 12, size=int(rng.integers(1, 5)))
             caps = {m: int(rng.choice(pool)) for m in range(1, 16)}
@@ -646,12 +648,33 @@ class TestMrt:
             layers = LayerConfig(tuple(rng.integers(1, 30, L).tolist()),
                                  psnr=tuple(np.sort(rng.uniform(20.0, 45.0, L)).tolist()),
                                  coverage_targets=(0.5,) * L)
-            pr = AllocationProblem(layers, reports, (9,) * L, caps, float(rng.uniform(0, 0.5)))
+            yield AllocationProblem(layers, reports, (9,) * L, caps, float(rng.uniform(0, 0.5)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_loop_over_combinations(self, seed):
+        # the first best vector of the loop wins
+        for pr in self.draws(seed):
             scored = self.loop_over_combinations(pr)
             best = max(score for score, *_ in scored)
             first = next(plan for score, plan, _ in scored if score == best)
             sol = solve_mrt(pr)
             assert (sol.plan.mcs, sol.plan.tb_counts) == first
+
+    def test_verdict_rows_are_the_rows_the_search_scored(self):
+        # the first draw of seed 114: survival powers taken over a (16, L) verdict
+        # layout read the report-15 row 1 ulp (5.55e-17) away from the row of
+        # the (vectors, L) table the search scored the picked vector by
+        pr = next(self.draws(114))
+        L = pr.layers.num_layers
+        vectors = list(combinations(sorted(pr.capacities), L))
+        blocks = mrt_block_counts(pr.layers, [[pr.capacities[m] for m in v] for v in vectors])
+        survive = uncoded_survival(np.full(L, pr.p_hat), blocks)
+        sol = solve_mrt(pr)
+        row = survive[vectors.index(sol.plan.mcs)]
+        for report in range(16):
+            reached = sum(0 < m <= report for m in sol.plan.mcs)  # a prefix: the MCS rise
+            want = np.where(np.arange(L) < reached, row, 0.0)
+            assert sol.window_probs[report].tobytes() == want.tobytes(), report
 
     @pytest.mark.parametrize("seed", range(4))
     def test_verdict_reads_the_plans_own_survival(self, seed):
@@ -687,6 +710,15 @@ class TestCheckFeasibility:
             if heuristic.feasible:
                 assert check_feasibility(heuristic, problem).feasible
             assert check_feasibility(reference, problem).feasible
+
+    def test_baseline_solution_refused_by_name(self):
+        # the SC default at p_hat 0.003: the baseline's own verdict misses a
+        # target, where the coded DP on its plan would read it feasible
+        pr = build_scenario(dict(DEFAULT_SC_CONFIG, p_hat=0.003)).problem
+        mrt = solve_mrt(pr)
+        assert not mrt.feasible and evaluate_plan(pr, mrt.plan.mcs, mrt.plan.tb_counts).feasible
+        with pytest.raises(ValueError, match='^solver="mrt": '):
+            check_feasibility(mrt, pr)
 
     def test_budget_violation_flagged(self):
         pr = small_problem([10] * 10, k=(2,), targets=(0.5,), budget=(3,))

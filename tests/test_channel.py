@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from ewcast.channel import (
     _SCHEMA,
     STREAM_PRESETS,
     NetworkLayout,
+    Scenario,
     Users,
     bler,
     build_scenario,
@@ -30,7 +32,7 @@ from ewcast.channel import (
     tb_capacity,
 )
 from ewcast.cli import DEFAULT_SC_CONFIG
-from ewcast.decode_prob import _RECEIVER_BLOCK
+from ewcast.decode_prob import _RECEIVER_BLOCK, LayerConfig
 
 
 class TestSourceElements:
@@ -117,56 +119,52 @@ class TestGeometryAndSinr:
         assert len(sfn.serving) == 4 and len(sfn.sites) == 19
 
     # a message is its field, then the rule; None where the rule starts with the field
-    @pytest.mark.parametrize("mode, sites, serving, rule, field", [
-        ("MBSFN", [(0.0, 0.0)], (0,), "mode must be 'SC' or 'SFN'", None),
-        ("SC", [0.0, 0.0], (0,), "sites must be an (S, 2) array", None),
-        ("SFN", [(0.0, 0.0, 0.0)], (0,), "sites must be an (S, 2) array", None),
-        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (), "serving indices out of range", "serving"),
-        ("SFN", [(0.0, 0.0), (0.0, 500.0)], (0, 2), "serving indices out of range", "serving"),
-        ("SC", [(0.0, 0.0)], (-1,), "serving indices out of range", "serving"),
-        ("SC", [(0.0, 0.0), (0.0, 500.0)], (0, 1),
-         "single-cell mode has exactly one serving site", "serving"),
+    @pytest.mark.parametrize("sites, serving, rule, field", [
+        ([0.0, 0.0], (0,), "sites must be an (S, 2) array", None),
+        ([(0.0, 0.0, 0.0)], (0,), "sites must be an (S, 2) array", None),
+        ([(0.0, 0.0), (0.0, 500.0)], (), "serving indices out of range", "serving"),
+        ([(0.0, 0.0), (0.0, 500.0)], (0, 2), "serving indices out of range", "serving"),
+        ([(0.0, 0.0)], (-1,), "serving indices out of range", "serving"),
         # a repeated site would add nothing to the signal, under another digest
-        ("SFN", hex_grid(500.0), (0, 0, 1, 1),
+        (hex_grid(500.0), (0, 0, 1, 1),
          "serving indices must not repeat, got (0, 0, 1, 1)", "serving"),
     ])
-    def test_layout_refusals_name_the_rule(self, mode, sites, serving, rule, field):
+    def test_layout_refusals_name_the_rule(self, sites, serving, rule, field):
         message = f"{field}: {rule}" if field else rule
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NetworkLayout(mode=mode, sites=sites, serving=serving)
+            NetworkLayout(sites=sites, serving=serving)
 
     def test_distance_doubling_drop(self):
-        iso = NetworkLayout(mode="SC", sites=[(0.0, 0.0)], serving=(0,))
+        iso = NetworkLayout(sites=[(0.0, 0.0)], serving=(0,))
         drop = sinr_at(iso, (200.0, 0.0)) - sinr_at(iso, (400.0, 0.0))
         assert drop == pytest.approx(37.6 * math.log10(2), abs=1e-9)
 
     def test_two_member_combining_gain(self):
-        two = NetworkLayout(mode="SFN", sites=[(0.0, 100.0), (0.0, -100.0)],
+        two = NetworkLayout(sites=[(0.0, 100.0), (0.0, -100.0)],
                             serving=(0, 1))
-        one = NetworkLayout(mode="SC", sites=[(0.0, 100.0)], serving=(0,))
+        one = NetworkLayout(sites=[(0.0, 100.0)], serving=(0,))
         gain = sinr_at(two, (150.0, 0.0)) - sinr_at(one, (150.0, 0.0))
         assert gain == pytest.approx(10 * math.log10(2), abs=1e-9)
 
     def test_mirror_symmetry(self):
-        layout = NetworkLayout(mode="SC",
-                               sites=[(0.0, 0.0), (300.0, 200.0), (300.0, -200.0)],
+        layout = NetworkLayout(sites=[(0.0, 0.0), (300.0, 200.0), (300.0, -200.0)],
                                serving=(0,))
         assert sinr_at(layout, (100.0, 50.0)) == pytest.approx(
             sinr_at(layout, (100.0, -50.0)), abs=1e-12)
 
     def test_distance_floor_at_site(self):
-        iso = NetworkLayout(mode="SC", sites=[(0.0, 0.0)], serving=(0,))
+        iso = NetworkLayout(sites=[(0.0, 0.0)], serving=(0,))
         assert sinr_at(iso, (0.0, 0.0)) == pytest.approx(sinr_at(iso, (35.0, 0.0)))
 
     def test_sfn_signal_at_least_best_member(self):
         # interference-free layouts: SINR is a pure signal-power readout
         members = sfn_layout().sites[:4]
-        combined = NetworkLayout(mode="SFN", sites=members, serving=(0, 1, 2, 3))
+        combined = NetworkLayout(sites=members, serving=(0, 1, 2, 3))
         rng = np.random.default_rng(8)
         for _ in range(20):
             pos = rng.uniform(-400, 600, 2)
             best_solo = max(
-                sinr_at(NetworkLayout(mode="SC", sites=members[[i]], serving=(0,)), pos)
+                sinr_at(NetworkLayout(sites=members[[i]], serving=(0,)), pos)
                 for i in range(4)
             )
             assert sinr_at(combined, pos) >= best_solo - 1e-9
@@ -441,6 +439,36 @@ class TestScenario:
             assert again.layers == scenario.layers
             assert again.problem.tb_budget == scenario.problem.tb_budget
 
+    def test_scenario_holds_its_config_and_what_it_built(self):
+        # every radio and model value is read from the normalized config, never
+        # copied into a field of its own that could disagree with it
+        scenario = build_scenario(self.CONFIG)
+        built = {f.name: type(getattr(scenario, f.name)) for f in fields(Scenario)}
+        assert built == {"layers": LayerConfig, "layout": NetworkLayout, "users": Users,
+                         "config": dict}
+        assert scenario.config == normalized_config(self.CONFIG)
+
+    # every radio and error-curve row away from its default, in each layout
+    RADIO = {"isd_m": 430.0, "tx_power_dbm": 43.0, "antenna_gain_db": 2.5,
+             "noise_figure_db": 7.0, "bandwidth_hz": 1.0e7, "shadow_sigma_db": 3.0, "seed": 5,
+             "p_hat": 0.05, "bler": {"decade_db": 3.0, "thresholds_db": [
+                 -9.0 + 1.7 * m for m in range(15)]}}
+
+    @pytest.mark.parametrize("layout", [{"stream_preset": "A"},
+                                        {"mode": "SFN", "stream_preset": "B",
+                                         "sfn_members": [0, 2, 5]}], ids=["SC", "SFN"])
+    def test_losses_are_erasure_prob_on_the_configs_curve(self, layout):
+        config = {**self.RADIO, **layout,
+                  "users": {"pattern": "grid", "count": 30, "step_m": 45.0}}
+        scenario = build_scenario(config)
+        thresholds = dict(enumerate(config["bler"]["thresholds_db"], start=1))
+        for mcs in (np.array([0, 4, 9, 15]), np.arange(16).reshape(4, 4), 7, (3, 0)):
+            want = erasure_prob(scenario.users, mcs, config["p_hat"],
+                                config["bler"]["decade_db"], thresholds)
+            got = scenario.losses(mcs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_stream_config_fails_fast(self):
         with pytest.raises(ValueError, match="stream_preset 'C'.*'A', 'B'"):
             build_scenario({**self.CONFIG, "stream_preset": "C"})
@@ -517,8 +545,16 @@ class TestScenario:
         block = re.search(r"```json\n(.*?)```", schema, re.S).group(1)
         config = json.loads(block)
         scenario = build_scenario(config)
-        assert scenario.n_rbp == config["n_rbp"]
-        assert scenario.bler_decade_db == config["bler"]["decade_db"]
+        # n_rbp and element_kb reach the block capacities, p_hat and bler.decade_db the
+        # reports and the evaluation-view losses, not only the kept config
+        bits = round(config["element_kb"] * 8192)
+        assert scenario.problem.capacities == {m: tb_capacity(m, config["n_rbp"], bits)
+                                               for m in range(4, 16)}
+        p_hat, decade_db = config["p_hat"], config["bler"]["decade_db"]
+        sinr = scenario.users.sinr_db
+        assert np.array_equal(scenario.users.mcs_feedback, cqi_mcs(sinr, p_hat, decade_db))
+        assert np.array_equal(scenario.losses(np.array([4, 9])),
+                              bler(sinr[:, None], np.array([4, 9]), p_hat, decade_db))
         assert len(scenario.users) == config["users"]["count"]
 
     def test_json_round_trip(self, tmp_path):

@@ -363,12 +363,13 @@ def _reference(config, view="evaluation"):
     report, window probabilities, baseline survival, baseline PSNR) tuple."""
     scenario = build_scenario(config)
     heur, mrt = heuristic_uep_ram(scenario.problem), solve_mrt(scenario.problem)
+    p_hat, curve = scenario.config["p_hat"], scenario.config["bler"]
+    thresholds = dict(enumerate(curve["thresholds_db"], start=1))
 
     def loss(m, sinr, report):
         if view == "allocator":
-            return scenario.p_hat if 0 < m <= report else 1.0
-        return float(bler(sinr, m, scenario.p_hat, scenario.bler_decade_db,
-                          scenario.mcs_thresholds))
+            return p_hat if 0 < m <= report else 1.0
+        return float(bler(sinr, m, p_hat, curve["decade_db"], thresholds))
 
     def losses(plan, sinr, report):
         return [loss(plan.mcs[i], sinr, report) if plan.tb_counts[i] > 0 else 1.0
@@ -418,7 +419,7 @@ class TestRunnersAgainstPerUserReference:
     @pytest.mark.parametrize("view", ["evaluation", "allocator"])
     def test_coverage_sc(self, view):
         scenario, per_user, meta = _reference(SMALL_SC, view)
-        q = scenario.q_hat - 1e-12
+        q = scenario.config["q_hat"] - 1e-12
         origin = scenario.layout.sites[scenario.layout.serving[0]]
         dist = [float(np.hypot(*(np.asarray(pos) - origin))) for pos, *_ in per_user]
         order = sorted(range(len(per_user)), key=lambda i: dist[i])
@@ -449,7 +450,7 @@ class TestRunnersAgainstPerUserReference:
     @pytest.mark.parametrize("view", ["evaluation", "allocator"])
     def test_psnr_map_sfn_5x5(self, view):
         scenario, per_user, meta = _reference(SFN_5X5, view)
-        q = scenario.q_hat - 1e-12
+        q = scenario.config["q_hat"] - 1e-12
         psnr = scenario.layers.psnr
         L = scenario.layers.num_layers
         rows = []
