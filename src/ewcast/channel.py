@@ -203,16 +203,13 @@ def bler(sinr_db: float, m: int, p_hat: float = P_HAT, decade_db: float = BLER_D
     return np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))[()]
 
 
-def cqi_mcs(sinr_db: float, p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
-            thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:
-    """Largest MCS whose block error stays at or below ``p_hat``; floor 1.
+def cqi_mcs(sinr_db: float, thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:
+    """Largest MCS whose SINR threshold ``sinr_db`` reaches; floor 1.
 
     ``sinr_db`` may be an array; the result then has its shape.
     """
-    ms = np.array(sorted(thresholds))
-    ok = bler(np.asarray(sinr_db, dtype=float)[..., None], ms, p_hat, decade_db,
-              thresholds) <= p_hat
-    return np.max(np.where(ok, ms, 1), axis=-1, initial=1)[()]
+    reached = np.asarray(sinr_db, dtype=float)[..., None] >= np.array(list(thresholds.values()))
+    return np.max(np.where(reached, np.array(list(thresholds)), 1), axis=-1, initial=1)[()]
 
 
 class UserRow(NamedTuple):  # one user of a ``Users`` drop, as Python values
@@ -264,7 +261,6 @@ def erasure_prob(users: Users, m: int | np.ndarray, p_hat: float = P_HAT,
 def place_users(layout: NetworkLayout, pattern: str, *, count: int,
                 step_m: float, start_m: float = 90.0, angle_deg: float = 30.0,
                 center: tuple[float, float] | None = None,
-                p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
                 thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB,
                 rng: np.random.Generator | None = None) -> Users:
     """Deterministic user drops.
@@ -298,7 +294,7 @@ def place_users(layout: NetworkLayout, pattern: str, *, count: int,
     # a block of users at a time: their (users, sites) and (users, 15) tables are the largest
     sinr = [sinr_at(layout, positions[i:i + _RECEIVER_BLOCK], rng=rng)
             for i in range(0, count or 1, _RECEIVER_BLOCK)]
-    mcs = [cqi_mcs(block, p_hat, decade_db, thresholds) for block in sinr]
+    mcs = [cqi_mcs(block, thresholds) for block in sinr]
     return Users(positions, np.concatenate(sinr), np.concatenate(mcs))
 
 
@@ -308,8 +304,8 @@ def element_bits_of(config: dict) -> int:
 
 
 def error_curve_of(config: dict) -> dict:
-    """The error-curve keywords of a normalized config, as ``bler``, ``cqi_mcs``,
-    ``erasure_prob`` and ``place_users`` take them: ``p_hat``, ``decade_db``, ``thresholds``."""
+    """The error-curve keywords of a normalized config, as ``bler`` and ``erasure_prob``
+    take them: ``p_hat``, ``decade_db``, ``thresholds`` (the last alone sets the reports)."""
     return {"p_hat": config["p_hat"], "decade_db": config["bler"]["decade_db"],
             "thresholds": dict(enumerate(config["bler"]["thresholds_db"], start=1))}
 
@@ -488,5 +484,6 @@ def build_scenario(config: dict) -> Scenario:
         coverage_targets=tuple(top["stream"]["coverage_targets"]),
     )
     rng = np.random.default_rng(top["seed"]) if layout.shadow_sigma_db > 0 else None
-    users = place_users(layout, rng=rng, **error_curve_of(top), **top["users"])
+    users = place_users(layout, rng=rng, thresholds=error_curve_of(top)["thresholds"],
+                        **top["users"])
     return Scenario(layers, layout, users, top)

@@ -49,6 +49,8 @@ INFEASIBLE_SFN = dict(SFN, q_hat=0.999999,
 # the SC default at a report loss where the baseline's plan reaches level 3 under the
 # coded window DP but not by its own uncoded survival: the two models disagree
 SMALL_LOSS_SC = dict(SC, p_hat=0.003)
+# the SC default at a lossless anchor: the reports still come from the thresholds alone
+ZERO_LOSS_SC = dict(SC, p_hat=0.0)
 # every radio and model row away from its default, on a grid where the heuristic finds a
 # four-window plan and the baseline covers users in both erasure views
 RADIO_SFN = {"mode": "SFN", "isd_m": 420.0, "sfn_members": [0, 2, 5], "tx_power_dbm": 43.0,
@@ -85,6 +87,7 @@ RUNS = [
     ("solve-20-40", ["solve"], STREAM_20_40, "stdout"),
     ("solve-small-loss", ["solve"], SMALL_LOSS_SC, "stdout"),
     *_maps("small-loss-sc", "coverage-sc", SMALL_LOSS_SC),
+    *_maps("zero-loss-sc", "coverage-sc", ZERO_LOSS_SC),
     *_maps("infeasible-sc", "coverage-sc", INFEASIBLE_SC),
     *_maps("infeasible-sfn", "psnr-map-sfn", INFEASIBLE_SFN),
     *_maps("radio-sfn", "psnr-map-sfn", RADIO_SFN),

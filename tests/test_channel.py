@@ -31,7 +31,7 @@ from ewcast.channel import (
     subframe_cap,
     tb_capacity,
 )
-from ewcast.cli import DEFAULT_SC_CONFIG
+from ewcast.cli import DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG
 from ewcast.decode_prob import _RECEIVER_BLOCK, LayerConfig
 
 
@@ -222,8 +222,13 @@ class TestCqiAndErasure:
         assert cqi_mcs(60.0) == 15
 
     def test_threshold_is_inclusive(self):
-        for m in (4, 9, 15):
-            assert cqi_mcs(DEFAULT_MCS_THRESHOLDS_DB[m]) == m
+        # each threshold reports its MCS, and one ulp below it the MCS under it; on the
+        # second ladder MCS 6 sits at 0 dB, where an error curve's 10 ** x rounds to 1
+        for ladder in (DEFAULT_MCS_THRESHOLDS_DB, {m: 1.8 * (m - 6) for m in range(1, 16)}):
+            for m, thr in ladder.items():
+                assert cqi_mcs(thr, thresholds=ladder) == m
+                below = np.nextafter(thr, -np.inf)
+                assert cqi_mcs(below, thresholds=ladder) == max(m - 1, 1)
 
     def test_monotone_in_sinr(self):
         grid = np.linspace(-15, 25, 200)
@@ -373,6 +378,18 @@ class TestScenario:
         default, explicit = build_scenario(bare).users, build_scenario(DEFAULT_SC_CONFIG).users
         for column in ("positions", "sinr_db", "mcs_feedback"):
             assert np.array_equal(getattr(default, column), getattr(explicit, column))
+
+    @pytest.mark.parametrize("decade_db", [0.5, 5.0, 1e300])
+    @pytest.mark.parametrize("p_hat", [0.0, 0.003, 0.5])
+    @pytest.mark.parametrize("default", [DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG],
+                             ids=["SC", "SFN"])
+    def test_reports_do_not_read_the_error_curve(self, default, p_hat, decade_db):
+        # a report is the highest MCS threshold the SINR reaches: p_hat (0, a lossless
+        # anchor, included) and bler.decade_db move the evaluation-view losses only
+        config = {**default, "p_hat": p_hat, "bler": {**default["bler"], "decade_db": decade_db}}
+        reports = build_scenario(config).users.mcs_feedback
+        expected = build_scenario(default).users.mcs_feedback
+        assert reports.dtype == expected.dtype and reports.tobytes() == expected.tobytes()
 
     def test_problem_built_on_first_read(self):
         # a scenario without users still builds, and only reading its
@@ -546,13 +563,15 @@ class TestScenario:
         config = json.loads(block)
         scenario = build_scenario(config)
         # n_rbp and element_kb reach the block capacities, p_hat and bler.decade_db the
-        # reports and the evaluation-view losses, not only the kept config
+        # evaluation-view losses, not only the kept config; the reports come from the
+        # default threshold ladder, which the example does not override
+        assert "thresholds_db" not in config["bler"]
         bits = round(config["element_kb"] * 8192)
         assert scenario.problem.capacities == {m: tb_capacity(m, config["n_rbp"], bits)
                                                for m in range(4, 16)}
         p_hat, decade_db = config["p_hat"], config["bler"]["decade_db"]
         sinr = scenario.users.sinr_db
-        assert np.array_equal(scenario.users.mcs_feedback, cqi_mcs(sinr, p_hat, decade_db))
+        assert np.array_equal(scenario.users.mcs_feedback, cqi_mcs(sinr))
         assert np.array_equal(scenario.losses(np.array([4, 9])),
                               bler(sinr[:, None], np.array([4, 9]), p_hat, decade_db))
         assert len(scenario.users) == config["users"]["count"]

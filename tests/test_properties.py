@@ -3,8 +3,9 @@ window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
 their literal definition, plan canonicalisation, the exact search's
 all-budget ceiling and seed against plan evaluation, S1 against its literal
-definition, user placement against a per-user rebuild, and the Monte Carlo
-sampler's stage rule against a literal walk down the deficits."""
+definition, user placement against a per-user rebuild, the CQI report against
+the error curve's anchor, and the Monte Carlo sampler's stage rule against a
+literal walk down the deficits."""
 
 import math
 from dataclasses import replace
@@ -27,6 +28,7 @@ from ewcast.allocators import (
 )
 from ewcast.channel import (
     CAPACITY_RATIO_PER_RBP,
+    bler,
     cqi_mcs,
     place_users,
     sfn_layout,
@@ -355,6 +357,32 @@ def test_place_users_columns_match_per_user_rebuild(pattern, mode, count, step_m
     assert users.mcs_feedback.tolist() == [int(cqi_mcs(s)) for s in sinr.tolist()]
     assert not any(col.flags.writeable for col in (users.positions, users.sinr_db,
                                                    users.mcs_feedback))
+
+
+@st.composite
+def threshold_ladders(draw):
+    """(thresholds, p_hat, decade_db, SINRs): 15 thresholds in any order and SINRs
+    at least 1e-9 dB from each, many of them within 1 dB of one."""
+    thresholds = draw(st.lists(st.floats(-30.0, 30.0), min_size=15, max_size=15))
+    near = st.tuples(st.sampled_from(thresholds), st.floats(2e-9, 1.0), st.sampled_from((-1, 1)))
+    sinr = st.one_of(st.floats(-40.0, 40.0), near.map(lambda t: t[0] + t[2] * t[1]))
+    apart = sinr.filter(lambda s: min(abs(s - t) for t in thresholds) >= 1e-9)
+    return (dict(enumerate(thresholds, start=1)), draw(st.floats(1e-6, 0.9)),
+            draw(st.floats(0.1, 50.0)), draw(st.lists(apart, min_size=1, max_size=30)))
+
+
+@PROPERTY_SETTINGS
+@given(threshold_ladders())
+def test_report_is_largest_mcs_within_the_error_anchor(ladder):
+    # the report read from the thresholds alone against its definition on the error
+    # curve: the largest MCS whose block error stays at or below p_hat, floor 1
+    thresholds, p_hat, decade_db, sinr = ladder
+    with np.errstate(over="ignore"):
+        oracle = [max([m for m in thresholds
+                       if bler(s, m, p_hat, decade_db, thresholds) <= p_hat], default=1)
+                  for s in sinr]
+    assert cqi_mcs(np.array(sinr), thresholds).tolist() == oracle
+    assert [cqi_mcs(s, thresholds) for s in sinr] == oracle
 
 
 @st.composite
