@@ -385,39 +385,42 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
         raise ValueError(f"exact search needs up to {size:,} array entries, over the "
                          f"limit of {_MAX_ENTRIES:,}")
     at_least = np.append(_at_least(pr.report_counts), 0)  # index 16 counts none
+    sends = np.append(16, mcs_choices[1:])  # the MCS each choice sends, 16 where none is
 
-    # Every MCS vector but the all-off one, in lexicographic order, with its
-    # choice indices.  A user can only decode a window it qualifies on
-    # (``_qualifies``), so level l is reachable only by users reporting at
-    # least the lowest MCS sent at a window >= l: that count must meet the
-    # level's requirement.
-    choice = np.indices((n_choices,) * L).reshape(L, -1).T[1:]
-    ends = np.append(16, mcs_choices[1:])[choice]  # the MCS sent, 16 where none is
-    lowest = np.minimum.accumulate(ends[:, ::-1], axis=1)
-    viable = np.all(at_least[lowest[:, ::-1]] >= required, axis=1)
-    vis = np.flatnonzero(viable)
+    # The viable MCS vectors but the all-off one, as choice indices in
+    # lexicographic order.  A user can only decode a window it qualifies on
+    # (``_qualifies``), so level l is reachable only by the users reporting at
+    # least the lowest MCS sent at a window >= l.  Suffixes grow from the last
+    # window: row c * len(choice) + s prepends choice c, the major digit, to
+    # suffix s, and is kept while enough users reach its level.
+    choice, low = np.zeros((1, 0), int), np.array([16])  # the empty suffix sends nothing
+    for need in required[::-1].tolist():
+        low = np.minimum.outer(sends, low).ravel()  # lowest MCS sent from the window on
+        pick = np.flatnonzero(at_least[low] >= need)
+        choice, low = np.column_stack([pick // len(choice), choice[pick % len(choice)]]), low[pick]
+    choice = choice[choice.any(axis=1)]
     # the choices window j is read at: 0 and each one a viable vector sends
     # there (none without budget); a window read only at 0 has one count
-    opts = [np.union1d(choice[vis, j], 0) if b else np.zeros(1, int)
+    opts = [np.union1d(choice[:, j], 0) if b else np.zeros(1, int)
             for j, b in enumerate(budgets)]
     counts = [b if len(o) > 1 else 1 for b, o in zip(budgets, opts)]
-    templates = [math.prod(len(o) for o in opts[:d]) for d in range(L)] if vis.size else []
-    stats = {"mcs_vectors": len(choice), "vectors_skipped": int(np.sum(~viable)),
-             "vectors_cut": 0, "leaves": 0,
+    templates = [math.prod(len(o) for o in opts[:d]) for d in range(L)] if len(choice) else []
+    stats = {"mcs_vectors": n_choices ** L - 1,
+             "vectors_skipped": n_choices ** L - 1 - len(choice), "vectors_cut": 0, "leaves": 0,
              "tables": sum(t * (len(o) - 1) for t, o in zip(templates, opts)),
              "grids": sum(templates)}
-    if not vis.size:
+    if not len(choice):
         return _no_solution(pr, solver="direct", stats=stats)
     tables = _level_tables(layers.k, counts, [[pr.capacity(m) for m in mcs_choices[o[1:]]]
                                               for o in opts], pr.p_hat, pr.q_hat)
 
-    def outcome(vecs, cols):
-        # profit and coverage verdict of each vector at its cells (columns
-        # cols[d] of tables[d]).  Profile i: users reporting from the i-th
-        # lowest sent MCS up to the next qualify on the sent windows up to it
-        # and share every probability.  An unsent window reads as MCS 16,
-        # above every profile with users; empty profiles qualify nowhere
-        idx, m = choice[vecs], ends[vecs]
+    def outcome(idx, cols):
+        # profit and coverage verdict of each vector (a row of choice indices)
+        # at its cells (columns cols[d] of tables[d]).  Profile i: users reporting
+        # from the i-th lowest sent MCS up to the next qualify on the sent windows
+        # up to it and share every probability.  An unsent window reads as MCS
+        # 16, above every profile with users; empty profiles qualify nowhere
+        m = sends[idx]
         bounds = np.sort(m, axis=1)[:, :(idx > 0).sum(axis=1).max(initial=0)]
         shares = -np.diff(at_least[bounds], axis=1, append=0).astype(np.min_scalar_type(U))
         # ``_qualifies`` per profile: an unsent window's 16 is covered by no report
@@ -441,24 +444,24 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
 
     # the all-budget pass: ceilings, cuts and the first incumbent; a vector
     # that sends on a window without budget has no cell
-    on = choice[vis] > 0
+    on = choice > 0
     top = on * (np.array(budgets) - 1)  # each window's count index, -1 if none
     full = top.min(axis=1) >= 0
-    vis, top, spend = vis[full], top[full], (top + on)[full].sum(axis=1)
-    ceilings, met = outcome(vis, [np.ravel_multi_index(top[:, :d + 1].T, counts[:d + 1])[:, None]
-                                  for d in range(L)])
+    choice, top, spend = choice[full], top[full], (top + on)[full].sum(axis=1)
+    ceilings, met = outcome(choice, [np.ravel_multi_index(top[:, :d + 1].T, counts[:d + 1])[:, None]
+                                     for d in range(L)])
     stats["vectors_cut"] = int(np.count_nonzero(~met))
-    vis, ceilings, spend = vis[met[:, 0]], ceilings[met].astype(np.int64), spend[met[:, 0]]
-    seed = np.argmax(ceilings / spend) if vis.size else None  # any feasible cell is exact
-    best_profit, best_cost = (int(ceilings[seed]), int(spend[seed])) if vis.size else (-1, 1)
+    choice, ceilings, spend = choice[met[:, 0]], ceilings[met].astype(np.int64), spend[met[:, 0]]
+    seed = np.argmax(ceilings / spend) if len(choice) else None  # any feasible cell is exact
+    best_profit, best_cost = (int(ceilings[seed]), int(spend[seed])) if len(choice) else (-1, 1)
 
-    winners = []  # (vector index, profit, cost, grid shape, flat cell) of each best cell
-    pattern = (choice[vis] > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
+    winners = []  # (row of choice, profit, cost, grid shape, flat cell) of each best cell
+    pattern = (choice > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
     for code in np.unique(pattern):
         # the count grid of the sent pattern, its cells in order of cost and
         # then of C order (the lexicographic count order)
         group = np.flatnonzero(pattern == code)
-        sent = choice[vis[group[0]]] > 0
+        sent = choice[group[0]] > 0
         shape = tuple(np.where(sent, budgets, 1).tolist())
         cost = sum(np.ix_(*(np.arange(1, n + 1) * s for n, s in zip(shape, sent)))).ravel()
         order = np.argsort(cost, kind="stable")
@@ -475,12 +478,12 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             live = np.searchsorted(cost * max(best_profit, 0), ceilings[chunk] * best_cost,
                                    side="right")
             stats["vectors_cut"] += int(np.count_nonzero(live == 0))
-            vecs, live = vis[chunk[live > 0]], live[live > 0]
+            vecs, live = chunk[live > 0], live[live > 0]
             if not vecs.size:
                 continue
             stats["leaves"] += int(live.sum())
             width = int(live.max())
-            profit, feasible = outcome(vecs, [c[None, :width] for c in cols])
+            profit, feasible = outcome(choice[vecs], [c[None, :width] for c in cols])
             feasible &= np.arange(width) < live[:, None]
             # best ratio, then fewest blocks, then the first in count order:
             # the first best cell in cell order

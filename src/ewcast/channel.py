@@ -200,7 +200,9 @@ def bler(sinr_db: float, m: int, p_hat: float = P_HAT, decade_db: float = BLER_D
         thr = np.array([thresholds[v] for v in ms.ravel().tolist()]).reshape(ms.shape)
     except KeyError as exc:
         raise ValueError(f"no SINR threshold for MCS {exc.args[0]}") from None
-    return np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))[()]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads 1
+        curve = np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))
+    return np.where(p_hat == 0, 0.0, curve)[()]  # a lossless anchor: 0 at every SINR
 
 
 def cqi_mcs(sinr_db: float, thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:

@@ -51,6 +51,14 @@ INFEASIBLE_SFN = dict(SFN, q_hat=0.999999,
 SMALL_LOSS_SC = dict(SC, p_hat=0.003)
 # the SC default at a lossless anchor: the reports still come from the thresholds alone
 ZERO_LOSS_SC = dict(SC, p_hat=0.0)
+# the lossless anchor on a curve so steep that its power overflows far below a threshold
+STEEP_ZERO_LOSS_SC = dict(SC, p_hat=0.0, bler={"decade_db": 0.01})
+# the SC default with five layers (bitrates geometric over stream A's range): the largest
+# exact search the solver accepts; the stderr of its solve pins the six search counters
+FIVE_LAYER_SC = {**{key: value for key, value in SC.items() if key != "stream_preset"},
+                 "stream": {"bitrates_kbps": [47.3, 110.3, 257.0, 599.2, 1396.7],
+                            "psnr_db": [27.9, 32.4, 36.8, 41.3, 45.8],
+                            "coverage_targets": [0.99, 0.892, 0.795, 0.698, 0.6]}}
 # every radio and model row away from its default, on a grid where the heuristic finds a
 # four-window plan and the baseline covers users in both erasure views
 RADIO_SFN = {"mode": "SFN", "isd_m": 420.0, "sfn_members": [0, 2, 5], "tx_power_dbm": 43.0,
@@ -86,8 +94,10 @@ RUNS = [
     ("solve", ["solve", "--direct", "exhaustive"], None, "stdout"),
     ("solve-20-40", ["solve"], STREAM_20_40, "stdout"),
     ("solve-small-loss", ["solve"], SMALL_LOSS_SC, "stdout"),
+    ("solve-five", ["solve", "--direct", "exhaustive"], FIVE_LAYER_SC, "stdout"),
     *_maps("small-loss-sc", "coverage-sc", SMALL_LOSS_SC),
     *_maps("zero-loss-sc", "coverage-sc", ZERO_LOSS_SC),
+    *_maps("steep-zero-loss-sc", "coverage-sc", STEEP_ZERO_LOSS_SC),
     *_maps("infeasible-sc", "coverage-sc", INFEASIBLE_SC),
     *_maps("infeasible-sfn", "psnr-map-sfn", INFEASIBLE_SFN),
     *_maps("radio-sfn", "psnr-map-sfn", RADIO_SFN),

@@ -438,10 +438,10 @@ class TestDirect:
         assert heuristic_uep_ram(problem).stats == {}
 
     def test_five_layer_stream_plan_and_memory(self):
-        # 371,292 MCS vectors, 51,196 of them viable: the level tables hold
-        # about 53 MB of int8 and the last depth's deficit grids, about
-        # 200 MB whole, are formed a block at a time (the lazy memo of
-        # earlier versions peaked at 276 MB here)
+        # 371,292 MCS vectors, of which the suffix walk builds only the
+        # 51,196 viable ones (the full product held about 58 MB here): the
+        # level tables hold about 53 MB of int8, and the last depth's deficit
+        # grids, about 200 MB whole, are formed a block at a time
         problem = build_scenario(deep_sc_config(5)).problem
         assert problem.tb_budget == (2, 2, 2, 3, 6)
         tracemalloc.start()
@@ -453,7 +453,10 @@ class TestDirect:
         assert sol.feasible
         assert (sol.plan.mcs, sol.plan.tb_counts, sol.profit, sol.cost) == (
             (0, 4, 0, 0, 6), (0, 2, 0, 0, 5), 352, 7)
-        assert peak < 160 * 2**20
+        assert sol.stats == {"mcs_vectors": 371_292, "vectors_skipped": 320_096,
+                             "vectors_cut": 48_074, "leaves": 49_911, "tables": 171_365,
+                             "grids": 30_941}
+        assert peak < 64 * 2**20
 
     def test_oversized_search_refused_before_building(self):
         # six layers: 13^6 MCS vectors, and level tables of up to 2.8e9 entries

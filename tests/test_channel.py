@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -242,6 +243,16 @@ class TestCqiAndErasure:
         assert all(a >= b for a, b in zip(sweep, sweep[1:]))
         and_up = [bler(5.0, m) for m in range(1, 16)]
         assert all(a <= b for a, b in zip(and_up, and_up[1:]))
+
+    def test_bler_saturates_where_the_power_overflows(self):
+        # 20 dB under MCS 15's threshold at a 0.01 dB decade, 10 ** x overflows:
+        # the curve reads 1, and a lossless anchor reads 0 there as everywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bler(-20.0, 15, 0.0, 0.01) == 0.0
+            assert bler(-20.0, 15, 0.1, 0.01) == 1.0
+            sweep = bler(np.linspace(-400.0, 60.0, 47)[:, None], np.arange(1, 16), 0.0, 0.01)
+        assert sweep.shape == (47, 15) and not sweep.any()
 
     def test_bler_refuses_mcs_without_threshold(self):
         for m in (16, np.array([4, 0])):

@@ -714,6 +714,18 @@ class TestSolveAndMain:
         assert any(float(row["p_mrt"]) > 0.0 for row in rows)
         assert capsys.readouterr().out.startswith("wrote ")
 
+    @pytest.mark.parametrize("p_hat", [0.0, 0.1])
+    def test_main_steep_error_curve_runs_without_warnings(self, tmp_path, capsys, p_hat):
+        # at a 0.01 dB decade the error curve's power overflows far below a
+        # threshold: it reads 1 there, and at a lossless anchor 0 at every SINR
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"stream_preset": "A", "p_hat": p_hat,
+                                    "bler": {"decade_db": 0.01}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):
             with pytest.raises(SystemExit) as info:

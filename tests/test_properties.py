@@ -2,7 +2,8 @@
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
 their literal definition, plan canonicalisation, the exact search's
-all-budget ceiling and seed against plan evaluation, S1 against its literal
+all-budget ceiling and seed against plan evaluation, its skip counters
+against a brute-force count over every MCS vector, S1 against its literal
 definition, user placement against a per-user rebuild, the CQI report against
 the error curve's anchor, and the Monte Carlo sampler's stage rule against a
 literal walk down the deficits."""
@@ -284,6 +285,44 @@ def test_all_budget_cell_caps_its_vector_and_seeds_the_search(monkeypatch):
         else:
             assert not seen
     assert contested >= 2 and met >= 10
+
+
+@st.composite
+def search_problems(draw):
+    """(k, coverage targets, reports, budgets, capacities) of a small exact
+    search: 1-3 windows, budgets that may be 0, 1-5 capacity entries, and
+    non-increasing targets where 1e-12 needs no user."""
+    L = draw(st.integers(1, 3))
+    k = draw(st.lists(st.integers(1, 4), min_size=L, max_size=L))
+    targets = sorted(draw(st.lists(st.sampled_from([1e-12, 0.2, 0.5, 0.75, 1.0]),
+                                   min_size=L, max_size=L)), reverse=True)
+    users = draw(st.lists(st.integers(1, 15), min_size=1, max_size=12))
+    budget = draw(st.lists(st.integers(0, 2), min_size=L, max_size=L))
+    caps = draw(st.dictionaries(st.integers(1, 15), st.integers(1, 4), min_size=1, max_size=5))
+    return tuple(k), tuple(targets), tuple(users), tuple(budget), caps
+
+
+@PROPERTY_SETTINGS
+@given(search_problems())
+# no target needs a user, so the all-off vector reaches every level
+@example(((4, 2), (1e-12, 1e-12), (5, 9, 9), (3, 2), {5: 2, 9: 3}))
+def test_skip_counters_match_brute_force_count(case):
+    # the literal definition over every MCS vector but the all-off one: level
+    # l is reachable when the users reporting at least the lowest MCS sent at
+    # windows >= l number ceil(U * t - 1e-9) or more; a vector is skipped when
+    # some level is not reachable
+    k, targets, reports, budget, caps = case
+    pr = AllocationProblem(LayerConfig(k, coverage_targets=targets), reports, budget, caps)
+    vectors = [m for m in product([0, *sorted(pr.capacities)], repeat=len(targets)) if any(m)]
+
+    def reachable(mcs, level):
+        sent = [m for m in mcs[level:] if m]
+        users = sum(r >= min(sent) for r in reports) if sent else 0
+        return users >= math.ceil(len(reports) * targets[level] - 1e-9)
+
+    skipped = sum(not all(reachable(m, lv) for lv in range(len(targets))) for m in vectors)
+    stats = direct_uep_ram(pr).stats
+    assert (stats["mcs_vectors"], stats["vectors_skipped"]) == (len(vectors), skipped)
 
 
 @PROPERTY_SETTINGS
