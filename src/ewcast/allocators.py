@@ -273,8 +273,8 @@ def check_feasibility(solution: AllocationSolution, problem: AllocationProblem) 
 
 
 def _better(profit: int, cost: int, best_profit: int, best_cost: int) -> bool:
-    # exact fraction comparison; ties go to the cheaper plan, and the caller's
-    # lexicographic iteration order settles the rest via strict improvement
+    # exact fraction comparison; ties go to the cheaper plan, and the caller
+    # settles an exact tie (same profit and cost)
     lhs = profit * best_cost
     rhs = best_profit * cost
     if lhs != rhs:
@@ -340,6 +340,23 @@ def _level_tables(k, counts, caps, p_hat: float, q_hat: float) -> list[np.ndarra
     return tables
 
 
+def _viable_vectors(sends, at_least, required, budgets) -> np.ndarray:
+    """The viable MCS vectors but the all-off one, as rows of indices into
+    ``sends`` in lexicographic order.  A window without budget sends nothing:
+    it offers only choice 0.  As a user decodes only the windows it qualifies
+    on (``_qualifies``), level l is reachable only by the ``at_least`` users
+    reporting at least the lowest MCS sent at a window >= l.  Suffixes grow
+    from the last window: row c * len(choice) + s prepends choice c, the
+    major digit, to suffix s, and is kept while enough users reach its level.
+    """
+    choice, low = np.zeros((1, 0), int), np.array([16])  # the empty suffix sends nothing
+    for need, b in zip(required[::-1].tolist(), budgets[::-1]):
+        low = np.minimum.outer(sends if b else sends[:1], low).ravel()  # lowest MCS from here on
+        pick = np.flatnonzero(at_least[low] >= need)
+        choice, low = np.column_stack([pick // len(choice), choice[pick % len(choice)]]), low[pick]
+    return choice[choice.any(axis=1)]
+
+
 def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     """Exact optimum by branch-and-bound over every canonical assignment.
 
@@ -347,21 +364,24 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     MCS; the feasible assignment with the largest profit-cost ratio wins,
     ties preferring fewer blocks, then the lexicographically smaller MCS
     vector, then the smaller count vector.  Exact bounds skip work without
-    changing the answer.  An MCS vector on which too few users qualify for
-    some level is skipped.  As no verdict drops when a window gets more
-    blocks, one pass over every vector's all-budget cell (each sent window
-    at its budget) caps the vector's profit and coverage: the vector is cut
-    if that cell misses a target, and the best feasible one is the first
-    incumbent.  Vectors sharing a sent pattern share one count grid and are
-    evaluated a chunk at a time; count vectors whose ceiling over cost
-    cannot beat or tie the incumbent are cut (a whole vector when none is
-    left).  ``stats`` counts the vectors skipped ("vectors_skipped") and
-    cut by either test ("vectors_cut"), the count vectors evaluated
-    ("leaves"), the (template, choice) level tables built ("tables") and
-    the deficit grids they are read from, one per template and depth
-    ("grids").  The cut sees the incumbents in batch order, so
-    "vectors_cut" and "leaves" depend on that order; the plan does not, nor
-    do the other counts, fixed by the choices the viable vectors send.
+    changing the answer.  An MCS vector that sends on a window without
+    budget, or on which too few users qualify for some level, is skipped.
+    As no verdict drops when a window gets more blocks, one pass over every
+    vector's all-budget cell (each sent window at its budget) caps the
+    vector's profit and coverage: the vector is cut if that cell misses a
+    target, and the best feasible one seeds the incumbent.  Vectors sharing
+    a sent pattern share one count grid and are evaluated a chunk at a time;
+    count vectors whose ceiling over cost cannot beat or tie the incumbent
+    are cut (a whole vector when none is left): every MCS vector is skipped,
+    cut or evaluated.  A vector's best cell replaces the incumbent when
+    better, or on an exact tie when the vector is lexicographically first.
+    ``stats`` counts the vectors skipped ("vectors_skipped") and cut by
+    either test ("vectors_cut"), the count vectors evaluated ("leaves"), the
+    (template, choice) level tables built ("tables") and the deficit grids
+    they are read from, one per template and depth ("grids").  The cut sees
+    the incumbents in batch order, so "vectors_cut" and "leaves" depend on
+    that order; the plan does not, nor do the other counts, fixed by the
+    choices the viable vectors send.
 
     A search whose set-up and level tables would exceed ``_MAX_ENTRIES``
     array entries is refused with a ``ValueError`` before anything is built.
@@ -387,23 +407,10 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     at_least = np.append(_at_least(pr.report_counts), 0)  # index 16 counts none
     sends = np.append(16, mcs_choices[1:])  # the MCS each choice sends, 16 where none is
 
-    # The viable MCS vectors but the all-off one, as choice indices in
-    # lexicographic order.  A user can only decode a window it qualifies on
-    # (``_qualifies``), so level l is reachable only by the users reporting at
-    # least the lowest MCS sent at a window >= l.  Suffixes grow from the last
-    # window: row c * len(choice) + s prepends choice c, the major digit, to
-    # suffix s, and is kept while enough users reach its level.
-    choice, low = np.zeros((1, 0), int), np.array([16])  # the empty suffix sends nothing
-    for need in required[::-1].tolist():
-        low = np.minimum.outer(sends, low).ravel()  # lowest MCS sent from the window on
-        pick = np.flatnonzero(at_least[low] >= need)
-        choice, low = np.column_stack([pick // len(choice), choice[pick % len(choice)]]), low[pick]
-    choice = choice[choice.any(axis=1)]
-    # the choices window j is read at: 0 and each one a viable vector sends
-    # there (none without budget); a window read only at 0 has one count
-    opts = [np.union1d(choice[:, j], 0) if b else np.zeros(1, int)
-            for j, b in enumerate(budgets)]
-    counts = [b if len(o) > 1 else 1 for b, o in zip(budgets, opts)]
+    choice = _viable_vectors(sends, at_least, required, budgets)
+    # the choices window j is read at: 0 and each one a viable vector sends there
+    opts = [np.union1d(choice[:, j], 0) for j in range(L)]
+    counts = [b if len(o) > 1 else 1 for b, o in zip(budgets, opts)]  # 1 if read only at 0
     templates = [math.prod(len(o) for o in opts[:d]) for d in range(L)] if len(choice) else []
     stats = {"mcs_vectors": n_choices ** L - 1,
              "vectors_skipped": n_choices ** L - 1 - len(choice), "vectors_cut": 0, "leaves": 0,
@@ -442,20 +449,20 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             profit += covered
         return profit, met
 
-    # the all-budget pass: ceilings, cuts and the first incumbent; a vector
-    # that sends on a window without budget has no cell
+    # the all-budget pass: ceilings, cuts and the first incumbent
     on = choice > 0
-    top = on * (np.array(budgets) - 1)  # each window's count index, -1 if none
-    full = top.min(axis=1) >= 0
-    choice, top, spend = choice[full], top[full], (top + on)[full].sum(axis=1)
+    top = on * (np.array(budgets) - 1)  # each window's count index, 0 where unsent
+    spend = (top + on).sum(axis=1)
     ceilings, met = outcome(choice, [np.ravel_multi_index(top[:, :d + 1].T, counts[:d + 1])[:, None]
                                      for d in range(L)])
     stats["vectors_cut"] = int(np.count_nonzero(~met))
     choice, ceilings, spend = choice[met[:, 0]], ceilings[met].astype(np.int64), spend[met[:, 0]]
-    seed = np.argmax(ceilings / spend) if len(choice) else None  # any feasible cell is exact
-    best_profit, best_cost = (int(ceilings[seed]), int(spend[seed])) if len(choice) else (-1, 1)
-
-    winners = []  # (row of choice, profit, cost, grid shape, flat cell) of each best cell
+    if not len(choice):  # no vector has a feasible cell
+        return _no_solution(pr, solver="direct", stats=stats)
+    seed = np.argmax(ceilings / spend)  # any feasible cell is exact
+    # the incumbent (row of choice, profit, cost, grid shape, flat cell): the
+    # seed's row is past every vector's, so its own cell replaces it on the tie
+    best = (len(choice), int(ceilings[seed]), int(spend[seed]), None, None)
     pattern = (choice > 0) @ (1 << np.arange(L)[::-1])  # sorts as the sent flags do
     for code in np.unique(pattern):
         # the count grid of the sent pattern, its cells in order of cost and
@@ -475,8 +482,7 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             # live cells: count vectors (profit at most the ceiling) that may
             # beat or tie the incumbent, a prefix of the cost order; a tie
             # must stay, as a vector batched later may precede the incumbent's
-            live = np.searchsorted(cost * max(best_profit, 0), ceilings[chunk] * best_cost,
-                                   side="right")
+            live = np.searchsorted(cost * max(best[1], 0), ceilings[chunk] * best[2], side="right")
             stats["vectors_cut"] += int(np.count_nonzero(live == 0))
             vecs, live = chunk[live > 0], live[live > 0]
             if not vecs.size:
@@ -490,17 +496,9 @@ def direct_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             taus = np.where(feasible, profit / cost[:width], -1.0)
             picks = np.argmax(taus == taus.max(axis=1, keepdims=True), axis=1)
             for v in np.flatnonzero(feasible.any(axis=1)).tolist():
-                p, c = int(profit[v, picks[v]]), int(cost[picks[v]])
-                winners.append((int(vecs[v]), p, c, shape, order[picks[v]]))
-                if _better(p, c, best_profit, best_cost):
-                    best_profit, best_cost = p, c
-
-    best = (None, -1, 1)
-    for winner in sorted(winners):  # lexicographic: an exact tie keeps the first vector
-        if _better(*winner[1:3], *best[1:3]):
-            best = winner
-    if best[0] is None:
-        return _no_solution(pr, solver="direct", stats=stats)
+                row, p, c = int(vecs[v]), int(profit[v, picks[v]]), int(cost[picks[v]])
+                if _better(p, c, *best[1:3]) or ((p, c) == best[1:3] and row < best[0]):
+                    best = (row, p, c, shape, order[picks[v]])
     vi, _, _, shape, cell = best
     m_best = tuple(int(m) for m in mcs_choices[choice[vi]])
     counts_best = tuple(int(i) + (m > 0) for m, i in zip(m_best, np.unravel_index(cell, shape)))
@@ -517,6 +515,7 @@ def solve_mrt(pr: AllocationProblem) -> AllocationSolution:
     every block of the first ``l`` layers arrives) over all increasing MCS
     vectors from the capacity table.  ``_verdict`` judges the plan on the 16 report
     rows of that survival its search scored (``window_probs``), not the coded window DP.
+    The counts do not read ``tb_budget``; ``_verdict`` flags each window over budget.
     """
     layers = pr.layers
     L = layers.num_layers

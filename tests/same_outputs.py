@@ -59,6 +59,9 @@ FIVE_LAYER_SC = {**{key: value for key, value in SC.items() if key != "stream_pr
                  "stream": {"bitrates_kbps": [47.3, 110.3, 257.0, 599.2, 1396.7],
                             "psnr_db": [27.9, 32.4, 36.8, 41.3, 45.8],
                             "coverage_targets": [0.99, 0.892, 0.795, 0.698, 0.6]}}
+# the SC stream at a GOP so short that every window's budget is 0: the exact search skips
+# every MCS vector, as the stderr of its solve pins, and the baseline's plan is over budget
+TINY_GOP_SC = {"stream_preset": "A", "gop_seconds": 0.0005}
 # every radio and model row away from its default, on a grid where the heuristic finds a
 # four-window plan and the baseline covers users in both erasure views
 RADIO_SFN = {"mode": "SFN", "isd_m": 420.0, "sfn_members": [0, 2, 5], "tx_power_dbm": 43.0,
@@ -95,6 +98,7 @@ RUNS = [
     ("solve-20-40", ["solve"], STREAM_20_40, "stdout"),
     ("solve-small-loss", ["solve"], SMALL_LOSS_SC, "stdout"),
     ("solve-five", ["solve", "--direct", "exhaustive"], FIVE_LAYER_SC, "stdout"),
+    ("solve-tiny-gop", ["solve", "--direct", "exhaustive"], TINY_GOP_SC, "stdout"),
     *_maps("small-loss-sc", "coverage-sc", SMALL_LOSS_SC),
     *_maps("zero-loss-sc", "coverage-sc", ZERO_LOSS_SC),
     *_maps("steep-zero-loss-sc", "coverage-sc", STEEP_ZERO_LOSS_SC),

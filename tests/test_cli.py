@@ -515,6 +515,22 @@ class TestSolveAndMain:
             "fractions=[0.0, 0.0, 0.0]",
         ]
 
+    def test_main_solve_without_budget_skips_every_vector(self, tmp_path, capsys):
+        # a GOP so short that every window's budget is 0: the exact search
+        # skips every MCS vector and builds nothing; the baseline sends its
+        # lossless counts all the same, so its plan is over budget
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"stream_preset": "A", "gop_seconds": 0.0005}))
+        assert main(["solve", "--scenario", str(path), "--direct", "exhaustive"]) == 2
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert out[0].endswith("budget=(0, 0, 0)")
+        assert out[-1].startswith("mrt: feasible=False ")
+        assert " mcs=(4, 5, 6) tb=(1, 1, 1) " in out[-1]
+        assert captured.err.splitlines() == [
+            "direct stats: mcs_vectors=2196 vectors_skipped=2196 vectors_cut=0 leaves=0 "
+            "tables=0 grids=0"]
+
     def test_main_solve_small_loss_judges_the_baseline_by_its_survival(self, tmp_path, capsys):
         # the SC default at p_hat 0.003: the coded window DP would count 80% of the users
         # on level 3 of the baseline's plan, its uncoded survival none; solve and the

@@ -2,11 +2,11 @@
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
 their literal definition, plan canonicalisation, the exact search's
-all-budget ceiling and seed against plan evaluation, its skip counters
-against a brute-force count over every MCS vector, S1 against its literal
-definition, user placement against a per-user rebuild, the CQI report against
-the error curve's anchor, and the Monte Carlo sampler's stage rule against a
-literal walk down the deficits."""
+all-budget ceiling and seed against plan evaluation, its skip counters and
+viable-vector walk against a brute-force count over every MCS vector, S1
+against its literal definition, user placement against a per-user rebuild,
+the CQI report against the error curve's anchor, and the Monte Carlo
+sampler's stage rule against a literal walk down the deficits."""
 
 import math
 from dataclasses import replace
@@ -306,23 +306,36 @@ def search_problems(draw):
 @given(search_problems())
 # no target needs a user, so the all-off vector reaches every level
 @example(((4, 2), (1e-12, 1e-12), (5, 9, 9), (3, 2), {5: 2, 9: 3}))
+# window 0 has no budget: the six vectors that send there are skipped
+@example(((4, 2), (1e-12, 1e-12), (5, 9, 9), (0, 2), {5: 2, 9: 3}))
 def test_skip_counters_match_brute_force_count(case):
     # the literal definition over every MCS vector but the all-off one: level
     # l is reachable when the users reporting at least the lowest MCS sent at
     # windows >= l number ceil(U * t - 1e-9) or more; a vector is skipped when
-    # some level is not reachable
+    # some level is not reachable, or when it sends on a window of budget 0
     k, targets, reports, budget, caps = case
     pr = AllocationProblem(LayerConfig(k, coverage_targets=targets), reports, budget, caps)
-    vectors = [m for m in product([0, *sorted(pr.capacities)], repeat=len(targets)) if any(m)]
+    table = [0, *sorted(pr.capacities)]
+    vectors = [m for m in product(table, repeat=len(targets)) if any(m)]
+    required = [math.ceil(len(reports) * t - 1e-9) for t in targets]
 
     def reachable(mcs, level):
         sent = [m for m in mcs[level:] if m]
-        users = sum(r >= min(sent) for r in reports) if sent else 0
-        return users >= math.ceil(len(reports) * targets[level] - 1e-9)
+        return (sum(r >= min(sent) for r in reports) if sent else 0) >= required[level]
 
-    skipped = sum(not all(reachable(m, lv) for lv in range(len(targets))) for m in vectors)
+    def skipped(mcs):
+        return (not all(reachable(mcs, lv) for lv in range(len(targets)))
+                or any(m and not b for m, b in zip(mcs, budget)))
+
+    viable = [m for m in vectors if not skipped(m)]
     stats = direct_uep_ram(pr).stats
-    assert (stats["mcs_vectors"], stats["vectors_skipped"]) == (len(vectors), skipped)
+    assert (stats["mcs_vectors"], stats["vectors_skipped"]) == (len(vectors),
+                                                                len(vectors) - len(viable))
+    # the walk yields those vectors as choice indices, in lexicographic order
+    walk = allocators._viable_vectors(np.array([16, *table[1:]]),
+                                      np.array([sum(r >= m for r in reports) for m in range(17)]),
+                                      np.array(required), budget)
+    assert walk.tolist() == [[table.index(m) for m in v] for v in viable]
 
 
 @PROPERTY_SETTINGS
