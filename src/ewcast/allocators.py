@@ -41,7 +41,9 @@ from .decode_prob import (
     uncoded_survival,
 )
 
-P_HAT, Q_HAT = 0.1, 0.99  # defaults: block loss a report is anchored at, QoS a level needs
+# P_HAT: the block loss on a report's MCS threshold (a CQI is the highest index whose block
+# error is at most 0.1, TS 36.213 7.2.3), the allocator's default p_hat. Q_HAT: QoS a level needs
+P_HAT, Q_HAT = 0.1, 0.99
 _COUNT_EPS = 1e-9  # guard when comparing integer counts against U * fraction
 _CHUNK = 1 << 20  # (MCS vector, profile, cell) entries the exact search holds at once
 _MAX_ENTRIES = 10**8  # set-up plus level-table entries beyond which the exact search refuses

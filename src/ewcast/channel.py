@@ -40,7 +40,7 @@ ELEMENT_BITS_TABLE = 2 * 1024 * 8  # element size the capacity table is built fo
 DEFAULT_MCS_THRESHOLDS_DB: dict[int, float] = {
     m: -9.4 + 1.8 * (m - 1) for m in range(1, 16)
 }
-BLER_DECADE_DB = 1.0  # default SINR gain (dB) per decade the block error falls below p_hat
+BLER_DECADE_DB = 1.0  # default SINR gain (dB) per decade the block error falls below P_HAT
 
 ISD_M, SFN_MEMBERS = 500.0, (0, 1, 2, 3)  # defaults: site spacing (m), SFN serving sites
 PATHLOSS_FIXED_DB = 128.1
@@ -187,12 +187,12 @@ def sinr_at(layout: NetworkLayout, position, rng: np.random.Generator | None = N
     return (10.0 * np.log10(signal / (interference + noise_mw)))[()]
 
 
-def bler(sinr_db: float, m: int, p_hat: float = P_HAT, decade_db: float = BLER_DECADE_DB,
+def bler(sinr_db: float, m: int, decade_db: float = BLER_DECADE_DB,
          thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> float:
     """Block error probability of MCS ``m`` at the given SINR.
 
-    Anchored at ``p_hat`` on the MCS threshold and falling one decade per
-    ``decade_db`` of extra SINR; clipped at 1 below the threshold region.
+    ``P_HAT`` on the MCS threshold, falling one decade per ``decade_db`` of
+    extra SINR and reaching 1 one ``decade_db`` below the threshold.
     ``sinr_db`` and ``m`` may be arrays that broadcast against each other.
     """
     ms = np.asarray(m)
@@ -200,9 +200,8 @@ def bler(sinr_db: float, m: int, p_hat: float = P_HAT, decade_db: float = BLER_D
         thr = np.array([thresholds[v] for v in ms.ravel().tolist()]).reshape(ms.shape)
     except KeyError as exc:
         raise ValueError(f"no SINR threshold for MCS {exc.args[0]}") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads 1
-        curve = np.minimum(1.0, p_hat * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))
-    return np.where(p_hat == 0, 0.0, curve)[()]  # a lossless anchor: 0 at every SINR
+    with np.errstate(over="ignore"):  # an overflowing power reads 1
+        return np.minimum(1.0, P_HAT * 10.0 ** (-(np.asarray(sinr_db) - thr) / decade_db))[()]
 
 
 def cqi_mcs(sinr_db: float, thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> int:
@@ -246,8 +245,7 @@ class Users:
                                       self.sinr_db.tolist(), self.mcs_feedback.tolist()))
 
 
-def erasure_prob(users: Users, m: int | np.ndarray, p_hat: float = P_HAT,
-                 decade_db: float = BLER_DECADE_DB,
+def erasure_prob(users: Users, m: int | np.ndarray, decade_db: float = BLER_DECADE_DB,
                  thresholds: Mapping[int, float] = DEFAULT_MCS_THRESHOLDS_DB) -> np.ndarray:
     """Evaluation-view block loss of MCS ``m`` (an index or an array of them)
     for every user: one row per user, each of ``m``'s shape, read from the
@@ -256,7 +254,7 @@ def erasure_prob(users: Users, m: int | np.ndarray, p_hat: float = P_HAT,
     sent = ms >= 1
     # unsent entries read any threshold; their loss is replaced by 1
     curve = bler(users.sinr_db.reshape((-1,) + (1,) * ms.ndim),
-                 np.where(sent, ms, min(thresholds)), p_hat, decade_db, thresholds)
+                 np.where(sent, ms, min(thresholds)), decade_db, thresholds)
     return np.where(sent, curve, 1.0)
 
 
@@ -307,8 +305,8 @@ def element_bits_of(config: dict) -> int:
 
 def error_curve_of(config: dict) -> dict:
     """The error-curve keywords of a normalized config, as ``bler`` and ``erasure_prob``
-    take them: ``p_hat``, ``decade_db``, ``thresholds`` (the last alone sets the reports)."""
-    return {"p_hat": config["p_hat"], "decade_db": config["bler"]["decade_db"],
+    take them: ``decade_db``, ``thresholds`` (the last alone sets the reports)."""
+    return {"decade_db": config["bler"]["decade_db"],
             "thresholds": dict(enumerate(config["bler"]["thresholds_db"], start=1))}
 
 
@@ -383,7 +381,7 @@ _SCHEMA: dict[str, _Field] = {
     # the element holds round(element_kb * 8192) bits: at least one, and finitely many
     "element_kb": _Field("number", 2.0, ("(", 0.5 / 8192, sys.float_info.max / 8192, "]")),
     "gop_seconds": _Field("number", 0.533, _POSITIVE),
-    "n_rbp": _Field("integer", 5, _POSITIVE),
+    "n_rbp": _Field("integer", 5, ("(", 0, 10**6, "]")),  # capacities fit int64 at any element size
     "p_hat": _Field("number", P_HAT, ("[", 0, 1, ")")),
     "q_hat": _Field("number", Q_HAT, ("(", 0, 1, "]")),
     "bler": _Field("object", {}),

@@ -49,9 +49,10 @@ INFEASIBLE_SFN = dict(SFN, q_hat=0.999999,
 # the SC default at a report loss where the baseline's plan reaches level 3 under the
 # coded window DP but not by its own uncoded survival: the two models disagree
 SMALL_LOSS_SC = dict(SC, p_hat=0.003)
-# the SC default at a lossless anchor: the reports still come from the thresholds alone
+# the SC default with an allocator that assumes no report loss: the reports still come
+# from the thresholds alone, and the evaluation view's curve stays at its 0.1 anchor
 ZERO_LOSS_SC = dict(SC, p_hat=0.0)
-# the lossless anchor on a curve so steep that its power overflows far below a threshold
+# that allocator beside a curve so steep that its power overflows far below a threshold
 STEEP_ZERO_LOSS_SC = dict(SC, p_hat=0.0, bler={"decade_db": 0.01})
 # the SC default with five layers (bitrates geometric over stream A's range): the largest
 # exact search the solver accepts; the stderr of its solve pins the six search counters

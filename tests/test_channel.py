@@ -246,13 +246,10 @@ class TestCqiAndErasure:
 
     def test_bler_saturates_where_the_power_overflows(self):
         # 20 dB under MCS 15's threshold at a 0.01 dB decade, 10 ** x overflows:
-        # the curve reads 1, and a lossless anchor reads 0 there as everywhere
+        # the curve reads 1 there, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bler(-20.0, 15, 0.0, 0.01) == 0.0
-            assert bler(-20.0, 15, 0.1, 0.01) == 1.0
-            sweep = bler(np.linspace(-400.0, 60.0, 47)[:, None], np.arange(1, 16), 0.0, 0.01)
-        assert sweep.shape == (47, 15) and not sweep.any()
+            assert bler(-20.0, 15, 0.01) == 1.0
 
     def test_bler_refuses_mcs_without_threshold(self):
         for m in (16, np.array([4, 0])):
@@ -276,10 +273,10 @@ class TestCqiAndErasure:
         # each entry against the scalar error curve for one user and one MCS
         users = place_users(single_cell_layout(), "radial", count=30, step_m=9.0)
         mcs = np.array([0, 4, 9, 15])
-        matrix = erasure_prob(users, mcs, 0.1, 5.0)
+        matrix = erasure_prob(users, mcs, 5.0)
         assert matrix.shape == (30, 4)
         for row, sinr in zip(matrix, users.sinr_db.tolist()):
-            single = [float(bler(sinr, m, 0.1, 5.0)) if m else 1.0 for m in mcs.tolist()]
+            single = [float(bler(sinr, m, 5.0)) if m else 1.0 for m in mcs.tolist()]
             # array and scalar powers may round the error curve differently
             assert np.allclose(row, single, rtol=1e-13, atol=0.0)
 
@@ -395,8 +392,8 @@ class TestScenario:
     @pytest.mark.parametrize("default", [DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG],
                              ids=["SC", "SFN"])
     def test_reports_do_not_read_the_error_curve(self, default, p_hat, decade_db):
-        # a report is the highest MCS threshold the SINR reaches: p_hat (0, a lossless
-        # anchor, included) and bler.decade_db move the evaluation-view losses only
+        # a report is the highest MCS threshold the SINR reaches: neither the loss the
+        # allocator assumes (p_hat, 0 included) nor bler.decade_db moves it
         config = {**default, "p_hat": p_hat, "bler": {**default["bler"], "decade_db": decade_db}}
         reports = build_scenario(config).users.mcs_feedback
         expected = build_scenario(default).users.mcs_feedback
@@ -491,11 +488,28 @@ class TestScenario:
         scenario = build_scenario(config)
         thresholds = dict(enumerate(config["bler"]["thresholds_db"], start=1))
         for mcs in (np.array([0, 4, 9, 15]), np.arange(16).reshape(4, 4), 7, (3, 0)):
-            want = erasure_prob(scenario.users, mcs, config["p_hat"],
-                                config["bler"]["decade_db"], thresholds)
+            want = erasure_prob(scenario.users, mcs, config["bler"]["decade_db"], thresholds)
             got = scenario.losses(mcs)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("default", [DEFAULT_SC_CONFIG, DEFAULT_SFN_CONFIG],
+                             ids=["SC", "SFN"])
+    def test_losses_sit_on_the_cqi_anchor_at_every_p_hat(self, default):
+        # the evaluation view's curve belongs to the MCS and the SINR: 0.1 on each
+        # threshold, whatever block loss the allocator assumes
+        losses = [build_scenario({**default, "p_hat": p_hat}).losses(np.arange(1, 16))
+                  for p_hat in (0.0, 1e-6, 0.003, 0.1, 0.5)]
+        assert all(other.tobytes() == losses[0].tobytes() for other in losses[1:])
+        scenario = build_scenario(default)
+        sinr = scenario.users.sinr_db[:, None]
+        thr = np.array(scenario.config["bler"]["thresholds_db"])
+        decade_db = scenario.config["bler"]["decade_db"]
+        want = np.minimum(1, 0.1 * 10 ** (-(sinr - thr) / decade_db))
+        assert losses[0].dtype == want.dtype and losses[0].tobytes() == want.tobytes()
+        # a user decade_db or more below an MCS's threshold loses every block of it
+        below = sinr <= thr - decade_db
+        assert below.any() and np.all(losses[0][below] == 1.0)
 
     def test_stream_config_fails_fast(self):
         with pytest.raises(ValueError, match="stream_preset 'C'.*'A', 'B'"):
@@ -573,18 +587,24 @@ class TestScenario:
         block = re.search(r"```json\n(.*?)```", schema, re.S).group(1)
         config = json.loads(block)
         scenario = build_scenario(config)
-        # n_rbp and element_kb reach the block capacities, p_hat and bler.decade_db the
-        # evaluation-view losses, not only the kept config; the reports come from the
-        # default threshold ladder, which the example does not override
+        # n_rbp and element_kb reach the block capacities, bler.decade_db the
+        # evaluation-view losses, not only the kept config, and p_hat the allocator
+        # alone; the reports come from the default threshold ladder, which the example
+        # does not override
         assert "thresholds_db" not in config["bler"]
         bits = round(config["element_kb"] * 8192)
         assert scenario.problem.capacities == {m: tb_capacity(m, config["n_rbp"], bits)
                                                for m in range(4, 16)}
-        p_hat, decade_db = config["p_hat"], config["bler"]["decade_db"]
-        sinr = scenario.users.sinr_db
+        assert scenario.problem.p_hat == config["p_hat"]
+        decade_db = config["bler"]["decade_db"]
+        sinr, mcs = scenario.users.sinr_db, np.array([4, 9])
         assert np.array_equal(scenario.users.mcs_feedback, cqi_mcs(sinr))
-        assert np.array_equal(scenario.losses(np.array([4, 9])),
-                              bler(sinr[:, None], np.array([4, 9]), p_hat, decade_db))
+        losses = scenario.losses(mcs)
+        assert np.array_equal(losses, bler(sinr[:, None], mcs, decade_db))
+        other_p_hat = build_scenario({**config, "p_hat": config["p_hat"] / 2}).losses(mcs)
+        assert other_p_hat.tobytes() == losses.tobytes()
+        steeper = build_scenario({**config, "bler": {**config["bler"], "decade_db": decade_db / 2}})
+        assert not np.array_equal(steeper.losses(mcs), losses)
         assert len(scenario.users) == config["users"]["count"]
 
     def test_json_round_trip(self, tmp_path):

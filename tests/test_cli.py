@@ -369,7 +369,7 @@ def _reference(config, view="evaluation"):
     def loss(m, sinr, report):
         if view == "allocator":
             return p_hat if 0 < m <= report else 1.0
-        return float(bler(sinr, m, p_hat, curve["decade_db"], thresholds))
+        return float(bler(sinr, m, curve["decade_db"], thresholds))
 
     def losses(plan, sinr, report):
         return [loss(plan.mcs[i], sinr, report) if plan.tb_counts[i] > 0 else 1.0
@@ -615,6 +615,8 @@ class TestSolveAndMain:
         # an element larger than a block of MCS 4 (4 KB per pair) gives no budget
         (["solve"], {"element_kb": 8, "n_rbp": 1}, "element_kb"),
         (["sweep-rbp", "--rbp", "1", "2"], {"element_kb": 8}, "element_kb"),
+        # block capacities past int64 at 1e19 pairs: refused before any solver runs
+        (["solve"], {"n_rbp": 1e19}, "n_rbp"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG
@@ -733,7 +735,7 @@ class TestSolveAndMain:
     @pytest.mark.parametrize("p_hat", [0.0, 0.1])
     def test_main_steep_error_curve_runs_without_warnings(self, tmp_path, capsys, p_hat):
         # at a 0.01 dB decade the error curve's power overflows far below a
-        # threshold: it reads 1 there, and at a lossless anchor 0 at every SINR
+        # threshold: it reads 1 there, whatever block loss the allocator assumes
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"stream_preset": "A", "p_hat": p_hat,
                                     "bler": {"decade_db": 0.01}}))
@@ -741,6 +743,17 @@ class TestSolveAndMain:
             warnings.simplefilter("error")
             assert main(["coverage-sc", "--scenario", str(path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_steep_zero_loss_map_reads_the_cqi_anchored_curve(self):
+        # p_hat 0 is the allocator's assumption alone: on a 0.01 dB decade the user
+        # at 210 m, who reports MCS 7, loses every block of level 3's window (MCS 8)
+        config = dict(DEFAULT_SC_CONFIG, p_hat=0.0, bler={"decade_db": 0.01})
+        result = run_coverage_sc(config, "evaluation")
+        assert result.meta["uep_plan_mcs"][2] == 8
+        rows = [dict(zip(result.columns, row)) for row in result.rows]
+        (user,) = [row for row in rows if row["distance_m"] == 210.0 and row["level"] == 3]
+        assert user["mcs_feedback"] == 7
+        assert user["p_uep"] == 0.0 and user["covered_uep"] == 0
 
     def test_seed_only_where_consumed(self):
         for command in ("coverage-sc", "psnr-map-sfn", "sweep-rbp", "solve"):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import random_problem
 from ewcast import allocators
 from ewcast.allocators import (
+    P_HAT,
     AllocationProblem,
     check_feasibility,
     direct_uep_ram,
@@ -413,25 +414,25 @@ def test_place_users_columns_match_per_user_rebuild(pattern, mode, count, step_m
 
 @st.composite
 def threshold_ladders(draw):
-    """(thresholds, p_hat, decade_db, SINRs): 15 thresholds in any order and SINRs
+    """(thresholds, decade_db, SINRs): 15 thresholds in any order and SINRs
     at least 1e-9 dB from each, many of them within 1 dB of one."""
     thresholds = draw(st.lists(st.floats(-30.0, 30.0), min_size=15, max_size=15))
     near = st.tuples(st.sampled_from(thresholds), st.floats(2e-9, 1.0), st.sampled_from((-1, 1)))
     sinr = st.one_of(st.floats(-40.0, 40.0), near.map(lambda t: t[0] + t[2] * t[1]))
     apart = sinr.filter(lambda s: min(abs(s - t) for t in thresholds) >= 1e-9)
-    return (dict(enumerate(thresholds, start=1)), draw(st.floats(1e-6, 0.9)),
-            draw(st.floats(0.1, 50.0)), draw(st.lists(apart, min_size=1, max_size=30)))
+    return (dict(enumerate(thresholds, start=1)), draw(st.floats(0.1, 50.0)),
+            draw(st.lists(apart, min_size=1, max_size=30)))
 
 
 @PROPERTY_SETTINGS
 @given(threshold_ladders())
 def test_report_is_largest_mcs_within_the_error_anchor(ladder):
     # the report read from the thresholds alone against its definition on the error
-    # curve: the largest MCS whose block error stays at or below p_hat, floor 1
-    thresholds, p_hat, decade_db, sinr = ladder
+    # curve: the largest MCS whose block error stays at or below P_HAT, floor 1
+    thresholds, decade_db, sinr = ladder
     with np.errstate(over="ignore"):
         oracle = [max([m for m in thresholds
-                       if bler(s, m, p_hat, decade_db, thresholds) <= p_hat], default=1)
+                       if bler(s, m, decade_db, thresholds) <= P_HAT], default=1)
                   for s in sinr]
     assert cqi_mcs(np.array(sinr), thresholds).tolist() == oracle
     assert [cqi_mcs(s, thresholds) for s in sinr] == oracle
