@@ -368,11 +368,14 @@ _SCHEMA: dict[str, _Field] = {
     "mode": _Field(("SC", "SFN"), "SC"),
     "isd_m": _Field("number", ISD_M, _POSITIVE),
     "sfn_members": _Field("integer", SFN_MEMBERS, ("[", 0, 18, "]"), length=0),  # 19 grid sites
-    "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm),
+    # tx_power_dbm + antenna_gain_db <= 2,000 dBm, less the 73 dB path loss at MIN_DISTANCE_M,
+    # keeps every received power far below the ~3,083 dBm where 10 ** (dBm / 10) overflows;
+    # a shadow_sigma_db <= 100 would need an 11-sigma draw to reach it
+    "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm, ("[", -1000, 1000, "]")),
     "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, _POSITIVE),
     "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db),
-    "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db),
-    "shadow_sigma_db": _Field("number", NetworkLayout.shadow_sigma_db, _NON_NEGATIVE),
+    "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db, ("[", -1000, 1000, "]")),
+    "shadow_sigma_db": _Field("number", NetworkLayout.shadow_sigma_db, ("[", 0, 100, "]")),
     "stream_preset": _Field(tuple(STREAM_PRESETS)),
     "stream": _Field("object"),
     "stream.bitrates_kbps": _Field("number", _REQUIRED, _POSITIVE, length=0),

@@ -20,7 +20,8 @@ seed fills ``workloads``, later seeds ``held_out``.  ``--trace T`` adds T
 alternating pairs of ``--trace 1`` runs per workload (first seed) and the
 median of each per-layer metric per side; ``--tier1 R`` adds R alternating
 Tier-1 runs per side with pytest's reported time; the net ``src/`` line
-count of both sides is always written.
+count of both sides is always written.  The script exits 1, after writing,
+when a run of either side is not correct.
 pytest does not collect this file.
 """
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
                                      f"{args.tier1} alternating runs per side")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return 0 if all(w["correct_all"] for runs in by_seed.values() for w in runs.values()) else 1
 
 
 if __name__ == "__main__":

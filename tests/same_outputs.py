@@ -60,6 +60,11 @@ FIVE_LAYER_SC = {**{key: value for key, value in SC.items() if key != "stream_pr
                  "stream": {"bitrates_kbps": [47.3, 110.3, 257.0, 599.2, 1396.7],
                             "psnr_db": [27.9, 32.4, 36.8, 41.3, 45.8],
                             "coverage_targets": [0.99, 0.892, 0.795, 0.698, 0.6]}}
+# the same with six layers: the exact search refuses it before it builds anything
+SIX_LAYER_SC = {**{key: value for key, value in SC.items() if key != "stream_preset"},
+                "stream": {"bitrates_kbps": [47.3, 93.1, 183.2, 360.6, 709.7, 1396.7],
+                           "psnr_db": [27.9, 31.5, 35.1, 38.6, 42.2, 45.8],
+                           "coverage_targets": [0.99, 0.912, 0.834, 0.756, 0.678, 0.6]}}
 # the SC stream at a GOP so short that every window's budget is 0: the exact search skips
 # every MCS vector, as the stderr of its solve pins, and the baseline's plan is over budget
 TINY_GOP_SC = {"stream_preset": "A", "gop_seconds": 0.0005}
@@ -79,6 +84,10 @@ RADIO_SFN = {"mode": "SFN", "isd_m": 420.0, "sfn_members": [0, 2, 5], "tx_power_
 def _sfn_grid(count: int, step_m: float) -> dict:
     """The SFN default area (760 m across) held by ``count`` grid users."""
     return dict(SFN, users={"pattern": "grid", "count": count, "step_m": step_m})
+
+
+USERS_1E5 = _sfn_grid(10**5, 760 / 315)
+USERS_1E6 = _sfn_grid(10**6, 760 / 999)  # the users.count bound
 
 
 def _maps(name: str, command: str, scenario: dict | None) -> list[tuple]:
@@ -106,9 +115,9 @@ RUNS = [
     *_maps("infeasible-sc", "coverage-sc", INFEASIBLE_SC),
     *_maps("infeasible-sfn", "psnr-map-sfn", INFEASIBLE_SFN),
     *_maps("radio-sfn", "psnr-map-sfn", RADIO_SFN),
-    *_maps("users-1e5", "psnr-map-sfn", _sfn_grid(10**5, 760 / 315)),
+    *_maps("users-1e5", "psnr-map-sfn", USERS_1E5),
 ]
-LARGE_RUNS = _maps("users-1e6", "psnr-map-sfn", _sfn_grid(10**6, 760 / 999))
+LARGE_RUNS = _maps("users-1e6", "psnr-map-sfn", USERS_1E6)
 
 
 def parse_args(argv=None):

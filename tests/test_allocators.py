@@ -32,25 +32,11 @@ from ewcast.decode_prob import (
     uncoded_survival,
     window_decode_probs,
 )
+from same_outputs import FIVE_LAYER_SC, SIX_LAYER_SC
 
 
 def table(n_rbp):
     return {m: r * n_rbp for m, r in CAPACITY_RATIO_PER_RBP.items()}
-
-
-def deep_sc_config(num_layers):
-    """The SC default with ``num_layers`` layers: bitrates geometric over the
-    range of stream A, PSNR and coverage targets linear over its range."""
-    config = {key: value for key, value in DEFAULT_SC_CONFIG.items() if key != "stream_preset"}
-    streams = {
-        5: {"bitrates_kbps": [47.3, 110.3, 257.0, 599.2, 1396.7],
-            "psnr_db": [27.9, 32.4, 36.8, 41.3, 45.8],
-            "coverage_targets": [0.99, 0.892, 0.795, 0.698, 0.6]},
-        6: {"bitrates_kbps": [47.3, 93.1, 183.2, 360.6, 709.7, 1396.7],
-            "psnr_db": [27.9, 31.5, 35.1, 38.6, 42.2, 45.8],
-            "coverage_targets": [0.99, 0.912, 0.834, 0.756, 0.678, 0.6]},
-    }
-    return dict(config, stream=streams[num_layers])
 
 
 def histogram(reports):
@@ -442,7 +428,7 @@ class TestDirect:
         # 51,196 viable ones (the full product held about 58 MB here): the
         # level tables hold about 53 MB of int8, and the last depth's deficit
         # grids, about 200 MB whole, are formed a block at a time
-        problem = build_scenario(deep_sc_config(5)).problem
+        problem = build_scenario(FIVE_LAYER_SC).problem
         assert problem.tb_budget == (2, 2, 2, 3, 6)
         tracemalloc.start()
         try:
@@ -460,7 +446,7 @@ class TestDirect:
 
     def test_oversized_search_refused_before_building(self):
         # six layers: 13^6 MCS vectors, and level tables of up to 2.8e9 entries
-        problem = build_scenario(deep_sc_config(6)).problem
+        problem = build_scenario(SIX_LAYER_SC).problem
         assert problem.tb_budget == (2, 2, 2, 3, 4, 6)
         tracemalloc.start()
         try:

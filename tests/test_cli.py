@@ -29,6 +29,7 @@ from ewcast.decode_prob import (
     uncoded_survival,
     window_decode_probs,
 )
+from same_outputs import SIX_LAYER_SC
 
 SMALL_SC = {
     "mode": "SC",
@@ -558,13 +559,8 @@ class TestSolveAndMain:
     def test_main_refuses_oversized_exact_search(self, tmp_path, capsys, argv):
         # a six-layer stream: the exact search would need up to 2.8e9 array
         # entries at n_rbp=5, and is refused before it builds anything
-        config = {key: value for key, value in DEFAULT_SC_CONFIG.items()
-                  if key != "stream_preset"}
-        config["stream"] = {"bitrates_kbps": [47.3, 93.1, 183.2, 360.6, 709.7, 1396.7],
-                            "psnr_db": [27.9, 31.5, 35.1, 38.6, 42.2, 45.8],
-                            "coverage_targets": [0.99, 0.912, 0.834, 0.756, 0.678, 0.6]}
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(SIX_LAYER_SC))
         out = ["--out", str(tmp_path)] if argv[0] == "sweep-rbp" else []
         assert main([*argv, "--scenario", str(path), *out]) == 1
         err = capsys.readouterr().err
@@ -617,6 +613,11 @@ class TestSolveAndMain:
         (["sweep-rbp", "--rbp", "1", "2"], {"element_kb": 8}, "element_kb"),
         # block capacities past int64 at 1e19 pairs: refused before any solver runs
         (["solve"], {"n_rbp": 1e19}, "n_rbp"),
+        # a received power past the float range made every SINR NaN and every report MCS 1
+        (["solve"], {"tx_power_dbm": 4000}, "tx_power_dbm"),
+        (["coverage-sc"], {"tx_power_dbm": 4000}, "tx_power_dbm"),
+        (["coverage-sc"], {"antenna_gain_db": 4000}, "antenna_gain_db"),
+        (["coverage-sc"], {"shadow_sigma_db": 2000}, "shadow_sigma_db"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG
