@@ -32,12 +32,13 @@ from .decode_prob import (
     TransmissionPlan,
     advance_deficit,
     binomial_pmf_rows,
+    blocks_needed,
     expected_psnr,
     level_probs,
     meets_qos,
     mrt_block_counts,
     receive_pmf,
-    success_table,
+    receive_tail,
     uncoded_survival,
 )
 
@@ -192,14 +193,14 @@ def solve_s1(report_counts, t_prime: float) -> int | None:
 
 def solve_s2(dist: np.ndarray, k_w: int, capacity: int, budget: int,
              p_hat: float, q_hat: float) -> int | None:
-    """Fewest blocks, up to ``budget``, making a window of ``k_w`` fresh
-    elements decodable with prob >= q_hat from the deficit distribution
-    ``dist`` it starts at (``advance_deficit`` over the earlier windows).
-
-    User-agnostic: every block is assumed lost with probability ``p_hat``.
-    Returns None when no count within the budget reaches the threshold.
+    """Fewest blocks, up to ``budget``, making a window of ``k_w`` fresh elements
+    decodable with prob >= q_hat from the deficit distribution ``dist`` it starts at
+    (``advance_deficit`` over the earlier windows), or None when no count does.  It is
+    user-agnostic: every block is lost with probability ``p_hat``.  The deficits fold
+    onto the count each needs, then the bins onto the arrival tail.
     """
-    success = dist @ success_table(len(dist), k_w, capacity, budget, p_hat)
+    success = np.bincount(blocks_needed(len(dist), k_w, capacity, budget), dist,
+                          budget + 2) @ receive_tail(budget, p_hat)
     hits = np.nonzero(meets_qos(success, q_hat))[0]
     return int(hits[0]) if hits.size else None
 
@@ -307,8 +308,8 @@ def _level_tables(k, counts, caps, p_hat: float, q_hat: float) -> list[np.ndarra
         # count axes of windows 0..d-1, deficit); one product serves every choice of window d
         rows = tables[d][start * radix[d]:(start + len(grid)) * radix[d]]
         rows = rows.reshape(len(grid), radix[d], -1, counts[d])[:, 1:].swapaxes(0, 1)
-        table = np.reshape([success_table(grid.shape[-1], k[d], cap, counts[d], p_hat)[:, 1:]
-                            for cap in caps[d]], (-1, grid.shape[-1], counts[d]))
+        table = receive_tail(counts[d], p_hat)[:, 1:][blocks_needed(  # (choice, deficit, count)
+            grid.shape[-1], k[d], tuple(caps[d]), counts[d])]
         # products of about _CHUNK / 16 entries: 512 KB of float, cache-sized
         step = max(1, _CHUNK // 16 // (rows[:, :1].size or 1))
         for t in range(0, len(grid), step):

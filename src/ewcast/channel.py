@@ -366,14 +366,19 @@ _NON_NEGATIVE = ("[", 0, math.inf, ")")
 # The scenario config schema, one row per field by dotted path (see README).
 _SCHEMA: dict[str, _Field] = {
     "mode": _Field(("SC", "SFN"), "SC"),
-    "isd_m": _Field("number", ISD_M, _POSITIVE),
+    "isd_m": _Field("number", ISD_M, ("(", 0, 1e6, "]")),
     "sfn_members": _Field("integer", SFN_MEMBERS, ("[", 0, 18, "]"), length=0),  # 19 grid sites
-    # tx_power_dbm + antenna_gain_db <= 2,000 dBm, less the 73 dB path loss at MIN_DISTANCE_M,
-    # keeps every received power far below the ~3,083 dBm where 10 ** (dBm / 10) overflows;
-    # a shadow_sigma_db <= 100 would need an 11-sigma draw to reach it
+    # sinr_at works in mW, so the radio rows keep every power inside float range.  Each dB
+    # term of the link budget lies in [-1000, 1000]: tx_power_dbm, antenna_gain_db,
+    # noise_figure_db and 10 log10 bandwidth_hz.  Each length lies in (0, 1e6] m: isd_m,
+    # users.step_m, users.start_m and each users.center coordinate.  With up to 10^6 users a
+    # distance is at most about 1e12 m, so squared offsets and CSV coordinates times 1e6 stay
+    # finite and the path loss lies in [73, 467] dB.  Every received power and the noise then
+    # lie in [-2467, 1927] dBm, inside the 10 ** (dBm / 10) range of [-3233, 3082] dBm;
+    # a shadow_sigma_db <= 100 needs a 7-sigma draw to leave it
     "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm, ("[", -1000, 1000, "]")),
-    "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, _POSITIVE),
-    "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db),
+    "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, ("[", 1e-100, 1e100, "]")),
+    "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db, ("[", -1000, 1000, "]")),
     "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db, ("[", -1000, 1000, "]")),
     "shadow_sigma_db": _Field("number", NetworkLayout.shadow_sigma_db, ("[", 0, 100, "]")),
     "stream_preset": _Field(tuple(STREAM_PRESETS)),
@@ -393,10 +398,10 @@ _SCHEMA: dict[str, _Field] = {
     "users": _Field("object", {"pattern": "radial", "count": 80, "step_m": 2.5}),
     "users.pattern": _Field(("radial", "grid"), _REQUIRED),
     "users.count": _Field("integer", _REQUIRED, ("[", 0, 10**6, "]")),  # 10^6: ~6 s, ~250 MB
-    "users.step_m": _Field("number", _REQUIRED, _POSITIVE),
-    "users.start_m": _Field("number", place_users.__kwdefaults__["start_m"], _POSITIVE),
+    "users.step_m": _Field("number", _REQUIRED, ("(", 0, 1e6, "]")),
+    "users.start_m": _Field("number", place_users.__kwdefaults__["start_m"], ("(", 0, 1e6, "]")),
     "users.angle_deg": _Field("number", place_users.__kwdefaults__["angle_deg"]),
-    "users.center": _Field("number", length=2),
+    "users.center": _Field("number", bound=("[", -1e6, 1e6, "]"), length=2),
     "seed": _Field("integer", 0, _NON_NEGATIVE),
 }
 

@@ -216,6 +216,16 @@ def _scalar_receive_pmf(tb_count: int, loss: float) -> np.ndarray:
     return row
 
 
+@_memo
+def receive_tail(budget: int, loss: float) -> np.ndarray:
+    """``tail[j, N] = P(at least j of N sent blocks arrive)``, j = 0..budget + 1, N = 0..budget,
+    memoised: built a Pascal row at a time, never the whole Pascal table."""
+    tail = np.zeros((budget + 2, budget + 1))
+    for n, row in enumerate(_pascal_rows(budget, loss)):
+        np.cumsum(row[n::-1], out=tail[n::-1, n])
+    return tail
+
+
 def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray) -> np.ndarray:
     """Push the deficit distribution through one window.
 
@@ -243,22 +253,15 @@ def advance_deficit(dist: np.ndarray, k_new: int, capacity: int, pmf: np.ndarray
 
 
 @_memo
-def success_table(size: int, k_w: int, capacity: int, budget: int, loss: float) -> np.ndarray:
-    """``table[e, N]``: chance that a window recovers, cached and read-only.
-
-    The window adds ``k_w`` fresh elements to an incoming deficit ``e`` (for
-    e < ``size``) and is sent as ``N`` blocks (0..budget) of ``capacity``
-    elements, each lost with probability ``loss``.  A deficit distribution
-    times the table gives the window's success for every block count.
-    """
-    # tail[j, N] = P(at least j of N blocks arrive), j = 0..budget + 1
-    tail = np.zeros((budget + 2, budget + 1))
-    np.cumsum(binomial_pmf_rows(budget, loss)[:, ::-1], axis=1, out=tail[budget::-1].T)
-    # fewest arrivals covering k_w + e elements; none suffice without capacity
-    needed = np.full(size, budget + 1)
-    if capacity >= 1:
-        needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity, budget + 1)
-    return tail[needed]
+def blocks_needed(size: int, k_w: int, capacity, budget: int) -> np.ndarray:
+    """The decode rule: a window adding ``k_w`` fresh elements to an incoming deficit ``e``
+    decodes from ``r`` arrived blocks of ``capacity`` elements exactly when r * capacity >=
+    k_w + e.  ``needed[e]``, memoised, is that fewest r for each e < ``size``, or ``budget + 1``
+    where none up to ``budget`` suffices (every e at capacity 0); a tuple of capacities gives
+    one row each.  ``receive_tail(budget, loss)[needed]`` is the window's success."""
+    n = np.asarray(capacity, int)[..., None]
+    needed = np.minimum(-(-(k_w + np.arange(size)) // np.maximum(n, 1)), budget + 1)
+    return np.where(n >= 1, needed, budget + 1)
 
 
 def _checked_erasure(erasure) -> np.ndarray:
@@ -314,9 +317,7 @@ def _window_dp(k, capacities, pmfs) -> np.ndarray:
     probs = np.zeros(dist.shape[:-1] + (len(k),))
     for i, pmf in enumerate(pmfs):
         dist = advance_deficit(dist, k[i], capacities[i], pmf)
-        # max(k + e - r*n, 0) == 0 exactly when r*n >= k + e: the window
-        # decodes when it leaves no deficit behind
-        probs[..., i] = dist[..., 0]
+        probs[..., i] = dist[..., 0]  # the window decodes when it leaves no deficit behind
     return probs
 
 

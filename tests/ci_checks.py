@@ -97,7 +97,7 @@ def maps(work: Path, config: dict, views, timeout: float, max_mb=float("inf")) -
 def memo_20_40(work: Path) -> bool:
     code, peak_mb, out = python("-m", "ewcast", "solve", "--scenario",
                                 config_file(work, "stream_20_40", STREAM_20_40), timeout=120)
-    return code == 2 and "budget=(2687, 5372)" in out and peak_mb <= 2000
+    return code == 2 and "budget=(2687, 5372)" in out and peak_mb <= 400
 
 
 CHECKS = {

@@ -618,6 +618,20 @@ class TestSolveAndMain:
         (["coverage-sc"], {"tx_power_dbm": 4000}, "tx_power_dbm"),
         (["coverage-sc"], {"antenna_gain_db": 4000}, "antenna_gain_db"),
         (["coverage-sc"], {"shadow_sigma_db": 2000}, "shadow_sigma_db"),
+        # past the envelope derived above _SCHEMA: an unnamed OverflowError, overflow
+        # warnings, a -inf SINR, or a noise that silently read 0 mW
+        (["coverage-sc"], {"noise_figure_db": 4000}, "noise_figure_db"),
+        (["coverage-sc"], {"noise_figure_db": -4000}, "noise_figure_db"),
+        (["coverage-sc"], {"bandwidth_hz": 1e-300}, "bandwidth_hz"),
+        (["coverage-sc"], {"isd_m": 1e300}, "isd_m"),
+        (["coverage-sc"], {"users": {"pattern": "radial", "count": 3, "step_m": 1e300}},
+         "users.step_m"),
+        (["coverage-sc"], {"users": {"pattern": "grid", "count": 4, "step_m": 1e308}},
+         "users.step_m"),
+        (["coverage-sc"], {"users": {"pattern": "radial", "count": 3, "step_m": 2.5,
+                                     "start_m": 1e308}}, "users.start_m"),
+        (["psnr-map-sfn"], {"users": {"pattern": "grid", "count": 4, "step_m": 38.0,
+                                      "center": [1e300, 0.0]}}, "users.center"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG

@@ -17,12 +17,13 @@ from ewcast.decode_prob import (
     _scalar_receive_pmf,
     advance_deficit,
     binomial_pmf_rows,
+    blocks_needed,
     expected_psnr,
     level_probs,
     meets_qos,
     mrt_block_counts,
     receive_pmf,
-    success_table,
+    receive_tail,
     uncoded_survival,
     window_decode_probs,
 )
@@ -366,13 +367,14 @@ class TestMemo:
         return [(fn.__name__, args) for fn, args in store]
 
     def test_store_stays_within_its_byte_budget(self, fresh_memo, monkeypatch):
-        # 180 tables of 8 to 288 bytes from three memoised functions, far more than fit
+        # 240 tables of 8 to 288 bytes from four memoised functions, far more than fit
         monkeypatch.setattr(decode_prob, "_MEMO_BYTES", 2000)
         for i in range(60):
             loss = i / 60
             binomial_pmf_rows(i % 5 + 1, loss)
             receive_pmf(3, loss)
-            success_table(i % 4 + 1, 3, 2, i % 9, loss)
+            receive_tail(i % 5, loss)
+            blocks_needed(i % 4 + 1, 3, 2, i % 9)
             assert 0 < decode_prob._memo_held <= 2000
             assert decode_prob._memo_held == sum(a.nbytes for a in fresh_memo.values())
         assert len(fresh_memo) < 60
@@ -413,29 +415,41 @@ class TestMemo:
                                                  ("binomial_pmf_rows", (3, 0.1))]
 
 
-class TestSuccessTable:
-    @pytest.mark.parametrize("loss", [0.0, 1.0, 0.1, 0.37, 0.914])
-    def test_equals_a_fresh_build_bitwise(self, loss):
-        # the tail built from a fresh Pascal table, with a zero column padded
-        # on before the reversed cumulative sum
-        for size, k_w, capacity, budget in ((1, 4, 2, 9), (7, 3, 5, 12), (12, 9, 1, 25),
-                                            (3, 2, 0, 5), (40, 1, 3, 0)):
-            fresh = np.stack([row.copy() for row in _pascal_rows(budget, loss)])
-            tail = np.pad(fresh, ((0, 0), (0, 1)))[:, ::-1].cumsum(axis=1)[:, ::-1].T
-            needed = np.full(size, budget + 1)
-            if capacity >= 1:
-                needed = np.minimum((k_w + np.arange(size) + capacity - 1) // capacity,
-                                    budget + 1)
-            table = success_table(size, k_w, capacity, budget, loss)
-            assert not table.flags.writeable
-            assert table.tobytes() == np.ascontiguousarray(tail[needed]).tobytes()
+def fresh_tail(budget, loss):
+    # tail[j, N] = P(at least j of N arrive) from a fresh full Pascal table,
+    # with a zero column padded on before the reversed cumulative sum
+    fresh = np.stack([row.copy() for row in _pascal_rows(budget, loss)])
+    return np.pad(fresh, ((0, 0), (0, 1)))[:, ::-1].cumsum(axis=1)[:, ::-1].T
+
+
+def fold(dist, k_w, capacity, budget, loss):
+    # the window's success per block count, as solve_s2 forms it
+    return np.bincount(blocks_needed(len(dist), k_w, capacity, budget), dist,
+                       budget + 2) @ receive_tail(budget, loss)
+
+
+class TestReceiveTailAndBlocksNeeded:
+    CASES = ((1, 4, 2, 9), (7, 3, 5, 12), (12, 9, 1, 25))  # (size, k_w, capacity, budget)
+
+    @pytest.mark.parametrize("loss", [0.0, -0.0, 1.0, 0.1, 0.37, 0.914])
+    def test_tail_equals_a_fresh_full_pascal_tail_bitwise(self, loss):
+        for budget in (0, 1, 5, 9, 12, 25, 60):
+            tail = receive_tail(budget, loss)
+            assert not tail.flags.writeable
+            assert tail.shape == (budget + 2, budget + 1)
+            assert tail.tobytes() == fresh_tail(budget, loss).tobytes(), budget
+
+    def test_tail_equals_a_fresh_tail_over_random_draws(self):
+        rng = np.random.default_rng(23)
+        for budget, loss in zip(rng.integers(0, 50, 300).tolist(), rng.uniform(0, 1, 300)):
+            assert receive_tail(budget, loss).tobytes() == fresh_tail(budget, loss).tobytes()
 
     @pytest.mark.parametrize("loss", [0.0, 1.0, 0.1, 0.2871, 0.63, 0.914])
     def test_matches_exact_rational_threshold(self, loss):
         # oracle: P(Bin(N, 1 - loss) * capacity >= k + e) in exact rationals
         p = Fraction(loss)
-        for size, k_w, capacity, budget in ((1, 4, 2, 9), (7, 3, 5, 12), (12, 9, 1, 25)):
-            table = success_table(size, k_w, capacity, budget, loss)
+        for size, k_w, capacity, budget in self.CASES:
+            table = receive_tail(budget, loss)[blocks_needed(size, k_w, capacity, budget)]
             assert table.shape == (size, budget + 1)
             for e in range(size):
                 for N in range(budget + 1):
@@ -443,18 +457,41 @@ class TestSuccessTable:
                                 for r in range(N + 1) if r * capacity >= k_w + e)
                     assert abs(table[e, N] - float(exact)) <= 1e-15
 
+    def test_needed_is_the_fewest_sufficient_count_or_past_the_budget(self):
+        for size, k_w, capacity, budget in self.CASES + ((40, 1, 3, 0), (6, 2, 7, 1)):
+            needed = blocks_needed(size, k_w, capacity, budget)
+            for e, r in enumerate(needed.tolist()):
+                fewest = next(r for r in range(budget + 2)
+                              if r > budget or r * capacity >= k_w + e)
+                assert r == fewest, (size, k_w, capacity, budget, e)
+
     def test_without_capacity_nothing_recovers(self):
-        assert np.all(success_table(3, 2, 0, 5, 0.1) == 0.0)
+        assert np.all(blocks_needed(3, 2, 0, 5) == 6)
+        assert np.all(receive_tail(5, 0.1)[blocks_needed(3, 2, 0, 5)] == 0.0)
+        assert np.all(fold(np.full(3, 1 / 3), 2, 0, 5, 0.1) == 0.0)
+
+    def test_a_tuple_of_capacities_gives_one_row_each(self):
+        caps = (0, 1, 2, 5, 40)
+        rows = blocks_needed(9, 4, caps, 6)
+        assert rows.shape == (len(caps), 9) and rows.dtype.kind == "i"
+        for cap, row in zip(caps, rows):
+            assert row.tobytes() == blocks_needed(9, 4, cap, 6).tobytes()
+        assert blocks_needed(9, 4, (), 6).shape == (0, 9)
 
     def test_read_only_and_shared(self):
-        table = success_table(5, 3, 2, 8, 0.25)
-        with pytest.raises(ValueError):
-            table[1, 2] = 0.5
-        assert success_table(5, 3, 2, 8, 0.25) is table
+        tail = receive_tail(8, 0.25)
+        needed = blocks_needed(5, 3, 2, 8)
+        rows = blocks_needed(5, 3, (2, 3), 8)
+        for table, index in ((tail, (1, 2)), (needed, 1), (rows, (0, 1))):
+            with pytest.raises(ValueError):
+                table[index] = 0
+        assert receive_tail(8, 0.25) is tail
+        assert blocks_needed(5, 3, 2, 8) is needed
+        assert blocks_needed(5, 3, (2, 3), 8) is rows
 
-    def test_prefix_walk_times_table_is_the_window_dp(self):
+    def test_prefix_walk_through_the_fold_is_the_window_dp(self):
         # the allocators' path (deficit walk over earlier windows, then the
-        # success table) against the window DP at the same block count
+        # fold onto the arrival tail) against the window DP at the same block count
         rng = np.random.default_rng(20250811)
         worst = 0.0
         for _ in range(300):
@@ -467,7 +504,7 @@ class TestSuccessTable:
             dist = np.ones(1)
             for w in range(L):
                 budget = N[w] + int(rng.integers(0, 4))
-                row = dist @ success_table(len(dist), k[w], n[w], budget, loss)
+                row = fold(dist, k[w], n[w], budget, loss)
                 worst = max(worst, abs(row[N[w]] - probs[w]))
                 dist = advance_deficit(dist, k[w], n[w], receive_pmf(N[w], loss))
         assert worst <= 1e-15
