@@ -206,10 +206,10 @@ def solve_s2(dist: np.ndarray, k_w: int, capacity: int, budget: int,
 
 
 def _no_solution(pr: AllocationProblem, solver: str, **extra) -> AllocationSolution:
-    # the all-off plan: nothing sent, every coverage target missed
+    # the all-off plan: nothing sent, so every window DP row is 0 and every coverage target missed
     off = (0,) * pr.layers.num_layers
-    return AllocationSolution(**vars(evaluate_plan(pr, off, off)), solver=solver,
-                              skipped_windows=-1, **extra)
+    verdict = _verdict(pr, _canonical_plan(pr, off, off), np.zeros((16, len(off))))
+    return AllocationSolution(**vars(verdict), solver=solver, skipped_windows=-1, **extra)
 
 
 def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
@@ -229,6 +229,8 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
     k = pr.layers.k
     L = len(k)
     targets = pr.layers.coverage_targets
+    at_least = np.append(_at_least(pr.report_counts), 0)  # index 16 counts none
+    required = [_required_count(int(at_least[0]), t) for t in targets]
     for skip in range(L - 1, -1, -1):
         mcs = [0] * skip + [solve_s1(pr.report_counts, targets[0 if i == skip else i]) or 0
                             for i in range(skip, L)]
@@ -242,9 +244,9 @@ def heuristic_uep_ram(pr: AllocationProblem) -> AllocationSolution:
             if i < L - 1:
                 dists.append(advance_deficit(dists[i], k[i], caps[i],
                                              receive_pmf(counts[i], pr.p_hat)))
-        if (not counts[-1] and not meets_qos(0.0, pr.q_hat)
-                and _required_count(int(pr.report_counts.sum()), targets[-1])):
-            continue  # no user reaches the deepest level: its target is missed
+        low = np.minimum.accumulate(np.where(counts, mcs, 16)[::-1])[::-1]  # 16: none sent
+        if (at_least[low] < required).any():
+            continue  # _viable_vectors' reach rule: too few report the lowest MCS sent at >= l
         intermediate = evaluate_plan(pr, mcs, counts)
         if not intermediate.feasible:
             continue

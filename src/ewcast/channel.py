@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .allocators import P_HAT, Q_HAT, AllocationProblem
-from .decode_prob import _RECEIVER_BLOCK, LayerConfig, _check_thresholds
+from .decode_prob import _PROB_EPS, _RECEIVER_BLOCK, LayerConfig, _check_thresholds
 
 # Elements a transport block can hold, per resource-block pair, for each MCS
 # index; calibrated against the real block bit capacities at 2 KB elements.
@@ -368,18 +368,18 @@ _SCHEMA: dict[str, _Field] = {
     "mode": _Field(("SC", "SFN"), "SC"),
     "isd_m": _Field("number", ISD_M, ("(", 0, 1e6, "]")),
     "sfn_members": _Field("integer", SFN_MEMBERS, ("[", 0, 18, "]"), length=0),  # 19 grid sites
-    # sinr_at works in mW, so the radio rows keep every power inside float range.  Each dB
-    # term of the link budget lies in [-1000, 1000]: tx_power_dbm, antenna_gain_db,
+    # sinr_at works in mW, so the radio rows keep each power and the SINR ratio in float range.
+    # Each dB term of the link budget lies in [-500, 500]: tx_power_dbm, antenna_gain_db,
     # noise_figure_db and 10 log10 bandwidth_hz.  Each length lies in (0, 1e6] m: isd_m,
     # users.step_m, users.start_m and each users.center coordinate.  With up to 10^6 users a
     # distance is at most about 1e12 m, so squared offsets and CSV coordinates times 1e6 stay
-    # finite and the path loss lies in [73, 467] dB.  Every received power and the noise then
-    # lie in [-2467, 1927] dBm, inside the 10 ** (dBm / 10) range of [-3233, 3082] dBm;
-    # a shadow_sigma_db <= 100 needs a 7-sigma draw to leave it
-    "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm, ("[", -1000, 1000, "]")),
-    "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, ("[", 1e-100, 1e100, "]")),
-    "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db, ("[", -1000, 1000, "]")),
-    "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db, ("[", -1000, 1000, "]")),
+    # finite and the path loss lies in [73, 467] dB.  Each received power lies in [-1467, 927]
+    # dBm and the noise in [-1174, 826] dBm, so signal / (interference + noise) lies in [1e-230,
+    # 1e212], 78 decades inside the normal floats: shadow_sigma_db <= 100 needs a 7-sigma draw
+    "tx_power_dbm": _Field("number", NetworkLayout.tx_power_dbm, ("[", -500, 500, "]")),
+    "bandwidth_hz": _Field("number", NetworkLayout.bandwidth_hz, ("[", 1e-50, 1e50, "]")),
+    "noise_figure_db": _Field("number", NetworkLayout.noise_figure_db, ("[", -500, 500, "]")),
+    "antenna_gain_db": _Field("number", NetworkLayout.antenna_gain_db, ("[", -500, 500, "]")),
     "shadow_sigma_db": _Field("number", NetworkLayout.shadow_sigma_db, ("[", 0, 100, "]")),
     "stream_preset": _Field(tuple(STREAM_PRESETS)),
     "stream": _Field("object"),
@@ -391,7 +391,7 @@ _SCHEMA: dict[str, _Field] = {
     "gop_seconds": _Field("number", 0.533, _POSITIVE),
     "n_rbp": _Field("integer", 5, ("(", 0, 10**6, "]")),  # capacities fit int64 at any element size
     "p_hat": _Field("number", P_HAT, ("[", 0, 1, ")")),
-    "q_hat": _Field("number", Q_HAT, ("(", 0, 1, "]")),
+    "q_hat": _Field("number", Q_HAT, ("(", _PROB_EPS, 1, "]")),  # above the QoS grace
     "bler": _Field("object", {}),
     "bler.decade_db": _Field("number", BLER_DECADE_DB, _POSITIVE),
     "bler.thresholds_db": _Field("number", tuple(DEFAULT_MCS_THRESHOLDS_DB.values()), length=15),

@@ -274,12 +274,12 @@ def _checked_erasure(erasure) -> np.ndarray:
 
 
 def _check_thresholds(p_hat: float = 0.0, q_hat: float = 1.0) -> None:
-    """Refuse by name a report loss ``p_hat`` outside [0, 1) or a QoS ``q_hat`` outside (0, 1]."""
-    # written so that NaN fails them: every comparison with NaN is false
+    """Refuse by name, NaN included, a loss ``p_hat`` outside [0, 1) or a QoS ``q_hat`` outside
+    (``_PROB_EPS``, 1]: at or below the grace, ``meets_qos`` would pass probability 0."""
     if not 0.0 <= p_hat < 1.0:
         raise ValueError(f"p_hat must lie in [0, 1), got {p_hat!r}")
-    if not 0.0 < q_hat <= 1.0:
-        raise ValueError(f"q_hat must lie in (0, 1], got {q_hat!r}")
+    if not _PROB_EPS < q_hat <= 1.0:
+        raise ValueError(f"q_hat must lie in ({_PROB_EPS:g}, 1], got {q_hat!r}")
 
 
 def _validate_inputs(layers: LayerConfig, plan: TransmissionPlan, erasure) -> np.ndarray:

@@ -15,8 +15,12 @@ the line before it the run details.
 
 The JSON written holds, per workload and end-to-end metric: the median and
 quartiles of each side, their ratio (change over parent) and the pairs the
-change won (ties count for neither), as ``BENCH_33.json`` does.  The first
-seed fills ``workloads``, later seeds ``held_out``.  ``--trace T`` adds T
+change won (ties count for neither), as ``BENCH_33.json`` does.  Next to
+those host-scaled numbers, ``raw`` holds per side the median over its runs of
+each unscaled timing (the run details' ``raw``) and of the calibration chunk
+(``host.calib_ms``): under contention the scaling can mislead, and the raw
+times show what it scaled.  The first seed fills ``workloads``, later seeds
+``held_out``.  ``--trace T`` adds T
 alternating pairs of ``--trace 1`` runs per workload (first seed) and the
 median of each per-layer metric per side; ``--tier1 R`` adds R alternating
 Tier-1 runs per side with pytest's reported time; the net ``src/`` line
@@ -90,6 +94,12 @@ def summarise(runs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "parent_q1_q3": quartiles(parent), "change_q1_q3": quartiles(change),
             "change_better_pairs": wins, "pairs": len(runs),
         }
+    out["raw"] = {}
+    for i, side in enumerate(("parent", "change")):
+        infos = [run[i]["info"] for run in runs]
+        raw = {key: [info["raw"][key] for info in infos] for key in infos[0]["raw"]}
+        raw["host.calib_ms"] = [info["host.calib_ms"] for info in infos]
+        out["raw"][side] = {key: round(statistics.median(v), 4) for key, v in raw.items()}
     out["correct_all"] = all(p["correct"] and c["correct"] for p, c in runs)
     return out
 

@@ -95,9 +95,12 @@ def maps(work: Path, config: dict, views, timeout: float, max_mb=float("inf")) -
 
 
 def memo_20_40(work: Path) -> bool:
+    """solve on the 20/40 Mbps stream: no plan (exit 2) within 10 s and 400 MB."""
+    start = time.perf_counter()
     code, peak_mb, out = python("-m", "ewcast", "solve", "--scenario",
                                 config_file(work, "stream_20_40", STREAM_20_40), timeout=120)
-    return code == 2 and "budget=(2687, 5372)" in out and peak_mb <= 400
+    wall = time.perf_counter() - start
+    return code == 2 and "budget=(2687, 5372)" in out and peak_mb <= 400 and wall <= 10
 
 
 CHECKS = {

@@ -32,7 +32,7 @@ from ewcast.decode_prob import (
     uncoded_survival,
     window_decode_probs,
 )
-from same_outputs import FIVE_LAYER_SC, SIX_LAYER_SC
+from same_outputs import FIVE_LAYER_SC, SC, SFN, SIX_LAYER_SC, STREAM_20_40
 
 
 def table(n_rbp):
@@ -104,6 +104,16 @@ class TestAllocationProblem:
 
     def test_q_hat_of_one_accepted(self):
         assert small_problem([5], q_hat=1.0).q_hat == 1.0
+
+    def test_q_hat_at_the_float_grace_refused(self):
+        # at q_hat 1e-12 the grace passes probability 0: the send-nothing plan
+        # would cover every level, and the exact search would return it with
+        # tau 0 where the brute force finds MCS 5 at one block (tau 8); 2e-12 builds
+        layers = LayerConfig((2,), coverage_targets=(0.6,))
+        args = (layers, (1, 11, 4, 6, 5, 4, 4, 4), (3,), {5: 2, 9: 2, 10: 3}, 0.1)
+        with pytest.raises(ValueError, match=r"^q_hat must lie in \(1e-12, 1\], got 1e-12$"):
+            AllocationProblem(*args, 1e-12)
+        assert AllocationProblem(*args, 2e-12).q_hat == 2e-12
 
 
 class TestSolveS1:
@@ -253,18 +263,32 @@ class TestHeuristic:
         assert sol.intermediate_tb_total == 2
 
 
+    @pytest.mark.parametrize("q_hat", [1e-13, 1e-12])
     @pytest.mark.parametrize("budget", [(8, 3), (8, 0), (4, 6)])
-    def test_threshold_at_the_float_grace_keeps_its_plan(self, budget):
-        # q_hat 1e-13 is within the 1e-12 grace of probability 0, so every
-        # user meets every level whatever is sent: the all-zero plan of skip
-        # L-1 is feasible and returned (pinned from the greedy that evaluated
-        # every skip level)
-        pr = small_problem([6, 9, 12] * 4, k=(2, 6), targets=(0.99, 0.5), budget=budget,
-                           q_hat=1e-13)
+    def test_threshold_at_the_float_grace_is_refused(self, budget, q_hat):
+        # a q_hat within the 1e-12 grace of probability 0 would let every user
+        # meet every level whatever is sent, the all-zero plan included, and
+        # break the reach rule both allocators skip by: it is refused by name
+        with pytest.raises(ValueError, match=r"^q_hat must lie in \(1e-12, 1\]"):
+            small_problem([6, 9, 12] * 4, k=(2, 6), targets=(0.99, 0.5), budget=budget,
+                          q_hat=q_hat)
+
+    @pytest.mark.parametrize("config, runs", [
+        (SC, 2), (SFN, 2), (FIVE_LAYER_SC, 2), (STREAM_20_40, 0)],
+        ids=["SC", "SFN", "five-layer", "20/40 Mbps"])
+    def test_window_dp_runs_of_one_solve(self, monkeypatch, config, runs):
+        # the reach rule skips a skip level that too few users can reach
+        # before evaluate_plan runs its window DP, and the all-off verdict
+        # runs none: the defaults judge only their intermediate and refined
+        # plans, and the 20/40 Mbps stream, which no skip level reaches, none
+        pr = build_scenario(config).problem
+        seen = []
+        window_dp = allocators._window_dp
+        monkeypatch.setattr(allocators, "_window_dp",
+                            lambda *args: seen.append(args) or window_dp(*args))
         sol = heuristic_uep_ram(pr)
-        assert sol.feasible and sol.skipped_windows == 1
-        assert (sol.plan.mcs, sol.plan.tb_counts) == ((0, 0), (0, 0))
-        assert sol.intermediate_tb_total == 0 and sol.layer_counts.tolist() == [12, 12]
+        assert len(seen) == runs
+        assert sol.feasible == (config is not STREAM_20_40)
 
 
 class TestDirect:
@@ -297,14 +321,17 @@ class TestDirect:
         assert sol.tau == pytest.approx(best_tau)
         assert (sol.plan.mcs[0], sol.plan.tb_counts[0]) == best
 
-    @pytest.mark.parametrize("seed, depth, instances, min_feasible, mcs_count, budget", [
-        (5150, (1, 3), 60, 25, (3, 5), (1, 4)),
-        (5151, (3, 4), 16, 5, (3, 4), (1, 3)),
-        (5152, (4, 5), 8, 3, (3, 4), (1, 3)),
-    ], ids=["L1-2", "L3", "L4"])
+    @pytest.mark.parametrize("seed, depth, instances, min_feasible, mcs_count, budget, q_hats", [
+        (5150, (1, 3), 60, 25, (3, 5), (1, 4), (0.9, 0.99)),
+        (5151, (3, 4), 16, 5, (3, 4), (1, 3), (0.9, 0.99)),
+        (5152, (4, 5), 8, 3, (3, 4), (1, 3), (0.9, 0.99)),
+        (5153, (1, 3), 60, 40, (3, 5), (1, 4), (2e-12, 1e-6)),
+    ], ids=["L1-2", "L3", "L4", "L1-2-low-q"])
     def test_matches_brute_force_on_shrunk_instances(self, seed, depth, instances,
-                                                     min_feasible, mcs_count, budget):
-        # the last two cases reach the four layers of the SFN default
+                                                     min_feasible, mcs_count, budget, q_hats):
+        # L3 and L4 reach the four layers of the SFN default; L1-2-low-q draws
+        # thresholds just above the float grace, where probability 0 still
+        # misses them and the reach rule holds
         rng = np.random.default_rng(seed)
         feasible = 0
         for _ in range(instances):
@@ -318,7 +345,7 @@ class TestDirect:
             pr = AllocationProblem(layers, tuple(int(u) for u in rng.integers(6, 16, 8)),
                                    tuple(int(b) for b in rng.integers(*budget, L)), caps,
                                    float(rng.choice([0.05, 0.1])),
-                                   float(rng.choice([0.9, 0.99])))
+                                   float(rng.choice(q_hats)))
             best = brute_force_optimum(pr)
             sol = direct_uep_ram(pr)
             assert sol.feasible == (best is not None)

@@ -632,6 +632,11 @@ class TestSolveAndMain:
                                      "start_m": 1e308}}, "users.start_m"),
         (["psnr-map-sfn"], {"users": {"pattern": "grid", "count": 4, "step_m": 38.0,
                                       "center": [1e300, 0.0]}}, "users.center"),
+        # a noise of 1000 dB over a signal of -2000 dB put their ratio below the floats
+        (["coverage-sc"], {"noise_figure_db": 1000}, "noise_figure_db"),
+        (["coverage-sc"], {"bandwidth_hz": 1e100}, "bandwidth_hz"),
+        # a q_hat within the float grace of 0 passed the plan that sends nothing
+        (["solve"], {"q_hat": 1e-12}, "q_hat"),
     ])
     def test_main_bad_scenario_names_field(self, tmp_path, capsys, argv, change, field):
         config = DEFAULT_SFN_CONFIG if argv[0] == "psnr-map-sfn" else DEFAULT_SC_CONFIG

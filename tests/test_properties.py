@@ -1,12 +1,14 @@
 """Property tests: monotonicity of the decode model, QoS nesting, the batched
 window DP against one-receiver calls and literal enumeration, plan
 evaluation against a per-user oracle, the plan verdict's violations against
-their literal definition, plan canonicalisation, the exact search's
+their literal definition, plan canonicalisation, the reach rule both
+allocators skip by against plan evaluation, the exact search's
 all-budget ceiling and seed against plan evaluation, its skip counters and
 viable-vector walk against a brute-force count over every MCS vector, S1
 against its literal definition, user placement against a per-user rebuild,
-the CQI report against the error curve's anchor, and the Monte Carlo
-sampler's stage rule against a literal walk down the deficits."""
+finite SINR and valid reports at the corners of the radio envelope, the CQI
+report against the error curve's anchor, and the Monte Carlo sampler's stage
+rule against a literal walk down the deficits."""
 
 import math
 from dataclasses import replace
@@ -14,6 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +32,10 @@ from ewcast.allocators import (
     solve_s1,
 )
 from ewcast.channel import (
+    _SCHEMA,
     CAPACITY_RATIO_PER_RBP,
     bler,
+    build_scenario,
     cqi_mcs,
     place_users,
     sfn_layout,
@@ -225,19 +230,26 @@ def test_canonical_plan_is_idempotent_and_evaluates_alike(case, data):
 
 
 @PROPERTY_SETTINGS
-@given(problems_and_plans())
-def test_plan_without_deepest_blocks_misses_the_deepest_target(case):
-    # the greedy skips evaluate_plan on such a plan: every deepest target
-    # drawn here needs at least one user, every q_hat lies above the float
-    # grace of 0, and with no block on the deepest window no user reaches
-    # the deepest level
+@given(problems_and_plans(), st.data())
+def test_plan_too_few_users_can_reach_misses_that_target(case, data):
+    # the reach rule both allocators skip by (_viable_vectors' docstring): a
+    # user decodes only the windows it qualifies on, so level l is reached
+    # only by the users reporting at least the lowest MCS sent at a window
+    # >= l, and as every q_hat lies above the float grace of 0, fewer users
+    # than level l requires miss its target.  Windows are switched off at
+    # random, the deepest one in about half the draws
     problem, mcs, counts = case
-    counts = counts[:-1] + (0,)
+    off = data.draw(st.lists(st.booleans(), min_size=len(counts), max_size=len(counts)))
+    counts = tuple(0 if o else c for o, c in zip(off, counts))
     users = int(problem.report_counts.sum())
-    assert math.ceil(users * problem.layers.coverage_targets[-1] - 1e-9) >= 1
     ev = evaluate_plan(problem, mcs, counts)
-    assert ev.layer_counts[-1] == 0
-    assert any(v.startswith(f"layer {problem.layers.num_layers}:") for v in ev.violations)
+    for level, target in enumerate(problem.layers.coverage_targets):
+        low = min((m for m, c in zip(mcs[level:], counts[level:]) if c), default=16)
+        reach = int(problem.report_counts[low:].sum())
+        assert ev.layer_counts[level] <= reach
+        if reach < math.ceil(users * target - 1e-9):
+            assert any(v.startswith(f"layer {level + 1}:") for v in ev.violations)
+            assert not ev.feasible
 
 
 def test_all_budget_cell_caps_its_vector_and_seeds_the_search(monkeypatch):
@@ -410,6 +422,60 @@ def test_place_users_columns_match_per_user_rebuild(pattern, mode, count, step_m
     assert users.mcs_feedback.tolist() == [int(cqi_mcs(s)) for s in sinr.tolist()]
     assert not any(col.flags.writeable for col in (users.positions, users.sinr_db,
                                                    users.mcs_feedback))
+
+
+# the schema rows that reach sinr_at: the radio rows, and the lengths that place sites and users
+RADIO_ROWS = ("isd_m", "tx_power_dbm", "bandwidth_hz", "noise_figure_db", "antenna_gain_db",
+              "shadow_sigma_db", "users.step_m", "users.start_m", "users.center")
+
+
+def bound_ends(path):
+    """The lowest and highest valid values of a bounded ``_SCHEMA`` row: an open
+    end gives way to the nearest float inside it."""
+    opening, low, high, closing = _SCHEMA[path].bound
+    return (low if opening == "[" else math.nextafter(low, high),
+            high if closing == "]" else math.nextafter(high, low))
+
+
+def corner(mode="SC", pattern="radial", count=1, **high):
+    """A scenario config at a corner of the radio envelope: each of ``RADIO_ROWS``
+    at the high end of its bound where ``high`` names it true (dots as
+    underscores), else at the low end; both ``users.center`` coordinates alike."""
+    value = {path: bound_ends(path)[bool(high.get(path.replace(".", "_")))]
+             for path in RADIO_ROWS}
+    users = {path.split(".")[1]: value.pop(path) for path in RADIO_ROWS
+             if path.startswith("users.")}
+    users.update(pattern=pattern, count=count, center=[users["center"]] * 2)
+    return {"mode": mode, "stream_preset": "A", **value, "users": users}
+
+
+@st.composite
+def radio_corners(draw):
+    """``corner`` configs in either mode, with a 1-user or a 10^4-user drop in
+    either pattern, and each of ``RADIO_ROWS`` at either end of its bound."""
+    high = {path.replace(".", "_"): draw(st.booleans()) for path in RADIO_ROWS}
+    return corner(draw(st.sampled_from(["SC", "SFN"])), draw(st.sampled_from(["radial", "grid"])),
+                  draw(st.sampled_from([1, 10**4])), **high)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(radio_corners())
+# the weakest signal over the strongest noise: at the former [-1000, 1000] dB and
+# [1e-100, 1e100] Hz rows, their ratio underflowed to 0 and the SINR read -inf
+@example(corner(noise_figure_db=True, bandwidth_hz=True))
+@example(corner(noise_figure_db=True, bandwidth_hz=True, isd_m=True, users_step_m=True,
+                users_start_m=True, mode="SFN", count=10**4))
+# the strongest signal over the weakest noise
+@example(corner(tx_power_dbm=True, antenna_gain_db=True, pattern="grid", count=10**4))
+def test_radio_corners_give_finite_sinr_and_valid_reports(config):
+    # every row at an end of its bound keeps each received power, the noise
+    # and their ratio inside float range: no warning, every SINR finite and
+    # every report in 1..15
+    users = build_scenario(config).users
+    assert len(users) == config["users"]["count"]
+    assert np.isfinite(users.sinr_db).all()
+    assert ((users.mcs_feedback >= 1) & (users.mcs_feedback <= 15)).all()
 
 
 @st.composite
